@@ -48,7 +48,7 @@ int main() {
       kp::poly::reset_transform_stats();
       kp::util::WallTimer wt;
       kp::util::OpScope s1;
-      auto sol = kp::core::wiedemann_solve(f, box, b, prng, 1u << 30);
+      auto sol = kp::core::wiedemann_solve_status(f, box, b, prng, 1u << 30);
       const auto ops_w = s1.counts().total();
       const double wied_ms = wt.elapsed_ms();
       const auto tstats = kp::poly::transform_stats();
@@ -57,7 +57,7 @@ int main() {
       auto ref = kp::matrix::solve_gauss(f, dense, b);
       const auto ops_g = s2.counts().total();
 
-      const bool ok = sol && ref && *sol == x && *ref == x;
+      const bool ok = sol.ok && ref && sol.x == x && *ref == x;
       all_ok = all_ok && ok;
       t.add_row({std::to_string(n), std::to_string(per_row),
                  kp::util::Table::num(ops_w), kp::util::Table::num(ops_g),
@@ -89,10 +89,10 @@ int main() {
     for (std::size_t i = 0; i < n; ++i) x.push_back(gf.random(p2));
     auto b = sp.apply(gf, x);
     kp::matrix::SparseBox<kp::field::GFpk> box(gf, sp);
-    auto sol = kp::core::wiedemann_solve(gf, box, b, p2, 256);
-    bool ok = sol.has_value();
+    auto sol = kp::core::wiedemann_solve_status(gf, box, b, p2, 256);
+    bool ok = sol.ok;
     if (ok) {
-      for (std::size_t i = 0; i < n; ++i) ok = ok && gf.eq((*sol)[i], x[i]);
+      for (std::size_t i = 0; i < n; ++i) ok = ok && gf.eq(sol.x[i], x[i]);
     }
     all_ok = all_ok && ok;
     std::printf("  n=%zu over GF(256): %s\n", n, ok ? "ok" : "FAIL");
@@ -128,10 +128,10 @@ int main() {
       kp::matrix::ToeplitzBox<G> box(ring, tp);
       kp::poly::reset_transform_stats();
       kp::util::WallTimer wt;
-      auto sol = kp::core::wiedemann_solve(g, box, b, p3, 1u << 30);
+      auto sol = kp::core::wiedemann_solve_status(g, box, b, p3, 1u << 30);
       const double ms = wt.elapsed_ms();
       const auto tstats = kp::poly::transform_stats();
-      const bool ok = sol && *sol == x;
+      const bool ok = sol.ok && sol.x == x;
       all_ok = all_ok && ok;
       tb.add_row({std::to_string(n), kp::util::Table::num(ms, 2),
                   kp::util::Table::num(tstats.forward),

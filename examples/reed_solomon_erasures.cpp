@@ -70,14 +70,15 @@ int main() {
 
   // --- Route 2: Wiedemann black box on the survivor Vandermonde. -----------
   kp::matrix::DenseBox<F> box(f, survivor.to_dense(f));
-  auto decoded2 = kp::core::wiedemann_solve(f, box, surv_values, prng, 1u << 16);
+  auto decoded2 =
+      kp::core::wiedemann_solve_status(f, box, surv_values, prng, 1u << 16);
 
   // --- Route 3: the Theorem-4 randomized solver. ----------------------------
   auto decoded3 =
       kp::core::kp_solve(f, survivor.to_dense(f), surv_values, prng);
 
   const bool ok1 = decoded1 == message;
-  const bool ok2 = decoded2 && *decoded2 == message;
+  const bool ok2 = decoded2.ok && decoded2.x == message;
   const bool ok3 = decoded3.ok && decoded3.x == message;
   std::printf("  interpolation route: %s\n", ok1 ? "recovered" : "FAILED");
   std::printf("  wiedemann route:     %s\n", ok2 ? "recovered" : "FAILED");

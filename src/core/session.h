@@ -12,9 +12,9 @@
 //     box holds H and D by value; copying it would drop the cached spectra,
 //     which is why the session is immovable and hands out batch solves
 //     rather than the box);
-//   * the charpoly transcript: g, the combination coefficients q_j, det(A),
-//     and the seeds that drew the preconditioner -- a solve failure is
-//     replayable in isolation;
+//   * the Transcript of kp_solve's prepare (core/solver.h): H, D, the
+//     charpoly g, det(A), and the combination coefficients q_j; the Diag
+//     seeds that drew it make a solve failure replayable in isolation;
 //   * for Q (RationalSession below), the CRT prime set and shard transcript
 //     a previous solve certified, warm-starting the next one.
 //
@@ -131,7 +131,10 @@ class Session {
   std::uint64_t prepares() const { return prepares_; }
   std::uint64_t solves_completed() const { return solves_completed_; }
   /// det(A) from the pinned transcript (valid once prepared()).
-  const E& det() const { return det_; }
+  E det() const { return t_ ? t_->det : E{}; }
+  /// The pinned transcript: route, block width, H, D, g (valid once
+  /// prepared()).
+  const Transcript<F, matrix::AnyBox<F>>& transcript() const { return *t_; }
 
   /// Closes the circuit breaker and forces a fresh transcript: the operator
   /// owner vouched for the session again (e.g. after fixing a faulty
@@ -142,115 +145,35 @@ class Session {
     prepared_ = false;
   }
 
-  /// Phase 1: draw the preconditioner and recover the charpoly transcript.
-  /// Las Vegas with full redraws and |S| escalation (the stage-targeted
-  /// variant lives in the one-shot solver; sessions prefer the simpler
-  /// policy because a redraw here is amortized over many solves).  Also
+  /// Phase 1: run kp_solve's per-operator prepare (detail::prepare_attempt)
+  /// on the iterative route -- the session's box stays lazy, so its cached
+  /// spectra stay warm -- and pin the resulting Transcript.  Same Las Vegas
+  /// loop as the one-shot solver: stage-targeted redraws, |S| doubling on
+  /// full restarts, the block route when solver.block_width > 1.  Also
   /// detects singular operators: g(0) = 0 on every attempt surfaces as the
   /// usual kZeroConstantTerm failure and the dense path can prove
   /// kSingularInput.
   util::Status prepare(const util::ExecControl* control = nullptr) {
-    using util::FailureKind;
-    using util::Stage;
-    using util::Status;
     prepared_ = false;
-    if (n_ == 0) {
-      return Status::Fail(FailureKind::kInvalidArgument, Stage::kNone,
-                          "operator dimension is zero");
-    }
-    std::uint64_t s = opt_.solver.sample_size;
-    Status last = Status::Fail(FailureKind::kNone, Stage::kNone);
-    const int attempts = opt_.solver.max_attempts < 1
-                             ? 1
-                             : opt_.solver.max_attempts;
-    for (int attempt = 1; attempt <= attempts; ++attempt) {
-      kp::util::fault::AttemptScope attempt_scope(attempt);
-      kp::util::OpScope ops;
-      util::Diag diag;
-      diag.attempt = attempt;
-      diag.sample_size = s;
-      diag.redrew_precondition = true;
-      diag.redrew_projection = true;
-      ++prepares_;
-
-      const Status st = [&]() -> Status {
-        if (Status ctl = util::ExecControl::check(control, Stage::kDraw);
-            !ctl.ok()) {
-          return ctl;
-        }
-        if (KP_FAULT_POINT(Stage::kDraw)) {
-          return Status::Injected(FailureKind::kInjectedFault, Stage::kDraw);
-        }
-        kp::util::Prng draw =
-            prng_.fork(0x73657373696f6e00ULL + static_cast<std::uint64_t>(
-                                                   ++transcript_serial_));
-        diag.precondition_seed = diag.projection_seed = draw.seed();
-        pre_ = Preconditioner<F>::draw(f_, n_, draw, s);
-        if (KP_FAULT_POINT(Stage::kPrecondition)) {
-          return Status::Injected(FailureKind::kSingularPrecondition,
-                                  Stage::kPrecondition);
-        }
-        for (const auto& d : pre_->diagonal.entries()) {
-          if (f_.is_zero(d)) {
-            return Status::Fail(FailureKind::kSingularPrecondition,
-                                Stage::kPrecondition,
-                                "zero diagonal entry: det(D) = 0");
-          }
-        }
-        // Rebuild the pinned box from the fresh H, D.  This is THE box every
-        // subsequent batch runs through -- its cached Hankel spectrum warms
-        // on the first product and stays for the session's lifetime.
-        box_.emplace(f_, ring_, a_, pre_->hankel, pre_->diagonal);
-
-        std::vector<E> u(n_), v(n_);
-        for (auto& e : u) e = f_.sample(draw, s);
-        for (auto& e : v) e = f_.sample(draw, s);
-        const auto seq =
-            matrix::krylov_sequence_iterative(f_, *box_, u, v, 2 * n_);
-        if (KP_FAULT_POINT(Stage::kProjection)) {
-          return Status::Injected(FailureKind::kDegenerateProjection,
-                                  Stage::kProjection);
-        }
-        if (Status ctl =
-                util::ExecControl::check(control, Stage::kCharpoly);
-            !ctl.ok()) {
-          return ctl;
-        }
-        std::vector<E> g;
-        Status gst = detail::generator_from_sequence_status(
-            f_, seq, n_, opt_.solver, ring_, g);
-        if (!gst.ok()) return gst;
-
-        const auto det_hd = pre_->det(f_, opt_.solver.newton);
-        if (f_.is_zero(det_hd)) {
-          return Status::Fail(FailureKind::kSingularPrecondition,
-                              Stage::kPrecondition, "det(H D) = 0");
-        }
-        const auto det_at = (n_ % 2 == 0) ? g[0] : f_.neg(g[0]);
-        det_ = f_.div(det_at, det_hd);
-        q_ = solution_combination(f_, g);
-        if (q_.empty()) {
-          return Status::Fail(FailureKind::kZeroConstantTerm, Stage::kCharpoly,
-                              "g(0) = 0: A-tilde singular");
-        }
-        g_ = std::move(g);
-        return Status::Ok();
-      }();
-
-      diag.kind = st.kind();
-      diag.stage = st.stage();
-      diag.injected = st.injected();
-      diag.ops = ops.counts();
-      prepare_diags_.push_back(diag);
-      if (st.ok()) {
-        prepared_ = true;
-        return st;
-      }
-      last = st;
-      if (util::is_control_failure(st.kind())) return st;
-      if (s < (std::uint64_t{1} << 62)) s *= 2;
-    }
-    return last;
+    SolverOptions opt = opt_.solver;
+    opt.route = KrylovRoute::kIterative;
+    opt.control = control;
+    t_.emplace(f_, a_, opt);
+    // Each prepare call draws from a fresh fork, so a re-prepare after a
+    // verify mismatch gets a new transcript.
+    kp::util::Prng draw = prng_.fork(0x73657373696f6e00ULL +
+                                     static_cast<std::uint64_t>(++transcript_serial_));
+    const std::size_t before = prepare_diags_.size();
+    const LasVegasRun run = run_las_vegas(
+        draw, detail::las_vegas_options(opt, n_, std::nullopt),
+        &prepare_diags_, [&](Attempt& at) {
+          return detail::prepare_attempt(f_, ring_, a_, opt, at, *t_);
+        });
+    prepares_ += prepare_diags_.size() - before;
+    if (!run.status.ok()) return run.status;
+    q_ = solution_combination(f_, t_->g);
+    prepared_ = true;
+    return run.status;
   }
 
   /// Diag records of every prepare attempt this session ever ran.
@@ -335,7 +258,7 @@ class Session {
             break;
           }
         }
-        if (j) w = matrix::apply_columns(*box_, w);
+        if (j) w = matrix::apply_columns(*t_->box, w);
         if (f_.eq(q_[j], f_.zero())) continue;
         for (std::size_t c = 0; c < pending.size(); ++c) {
           for (std::size_t i = 0; i < n_; ++i) {
@@ -352,7 +275,7 @@ class Session {
       // so a wrong transcript can never leak a wrong answer (Las Vegas).
       std::vector<std::vector<E>> xs(pending.size());
       for (std::size_t c = 0; c < pending.size(); ++c) {
-        xs[c] = pre_->unprecondition(f_, ring_, x[c]);
+        xs[c] = t_->pre->unprecondition(f_, ring_, x[c]);
       }
       std::vector<std::size_t> verify_cols;
       std::vector<const std::vector<E>*> verify_ptrs;
@@ -489,12 +412,9 @@ class Session {
   kp::util::Prng prng_;
   std::uint64_t transcript_serial_ = 0;
 
-  // The pinned transcript.
-  std::optional<Preconditioner<F>> pre_;
-  std::optional<matrix::PreconditionedBox<F, matrix::AnyBox<F>>> box_;
-  std::vector<E> g_;  ///< charpoly of A-tilde
+  // The pinned transcript; its box views a_ and ring_.
+  std::optional<Transcript<F, matrix::AnyBox<F>>> t_;
   std::vector<E> q_;  ///< combination coefficients -g_{j+1}/g_0
-  E det_{};
   bool prepared_ = false;
   std::optional<matrix::Matrix<F>> dense_;  ///< lazy baseline materialization
 

@@ -23,19 +23,21 @@
 // preconditioned operator is composed lazily (PreconditionedBox); only the
 // dense doubling route materializes A-tilde.
 //
+// The pipeline splits into a per-OPERATOR prepare (steps 1-3 and det(H D):
+// detail::prepare_attempt fills a Transcript) and a per-RHS finish (steps
+// 4b-5: detail::finish_attempt).  kp_det is prepare alone, kp_solve is
+// prepare + finish, and a Session (core/session.h) pins one Transcript and
+// batches its finishes.
+//
 // Failure handling (the Las Vegas layer, see DESIGN.md section 9):
 //
 //   * Every detected failure carries a util::Status naming its FailureKind
 //     and Stage, and every attempt leaves a util::Diag (seeds, what was
 //     re-drawn, op cost) in SolveResult::diags.
-//   * Retries are STAGE-TARGETED: the paper's failure events are
-//     independent, so a degenerate u/v projection (Lemma 2) re-draws only
-//     u, v; a singular/unlucky preconditioner (Theorem 2 / estimate (1))
-//     re-draws only H, D; only a verify mismatch -- or a second failure of
-//     the same component -- forces a full restart.  Full restarts also
-//     escalate |S|.  The two components draw from independent forked
-//     streams (util/prng.h), so a targeted re-draw cannot disturb the other
-//     component's randomness.
+//   * The attempt loop is run_las_vegas (core/las_vegas.h): retries
+//     are STAGE-TARGETED (a degenerate u/v projection re-draws only u, v; a
+//     singular preconditioner only H, D; a verify mismatch, or a repeat
+//     failure of a component re-drawn alone, restarts both and doubles |S|).
 //   * A per-attempt op budget (SolverOptions::op_budget_per_attempt) stops
 //     the Las Vegas loop on pathological inputs and degrades to the dense
 //     baseline (Gaussian elimination on the materialized operator), which
@@ -53,6 +55,7 @@
 
 #include "core/annihilator.h"
 #include "core/krylov.h"
+#include "core/las_vegas.h"
 #include "core/preconditioners.h"
 #include "core/wiedemann.h"
 #include "field/concepts.h"
@@ -128,6 +131,32 @@ struct SolveResult {
   std::uint64_t sample_size_used = 0;  ///< |S| of the last attempt
 };
 
+/// The per-operator half of Theorem 4 (steps 1-3 and the det of step 5):
+/// what prepare leaves for any number of per-right-hand-side finishes.
+/// The box (iterative route) views `a`, `f` and the ring it was prepared
+/// with, so those must outlive the transcript.
+template <kp::field::Field F, matrix::LinOp B>
+struct Transcript {
+  using E = typename F::Element;
+
+  /// Resolves the route (and, on the iterative route, the block width)
+  /// once for the whole run.
+  Transcript(const F& f, const B& a, const SolverOptions& opt)
+      : route(resolve_route(opt.route, matrix::box_structure(a))),
+        block_width(route == KrylovRoute::kIterative
+                        ? detail::effective_block_width(f, opt.block_width,
+                                                        a.dim())
+                        : 1) {}
+
+  KrylovRoute route;        ///< kDoubling or kIterative
+  std::size_t block_width;  ///< b of the iterative route (1: scalar)
+  std::optional<Preconditioner<F>> pre;    ///< H, D
+  std::optional<matrix::Matrix<F>> dense;  ///< A-tilde, doubling route
+  std::optional<matrix::PreconditionedBox<F, B>> box;  ///< lazy A-tilde
+  std::vector<E> g;  ///< charpoly of A-tilde
+  E det{};           ///< det(A)
+};
+
 namespace detail {
 
 /// Steps 3-4a of one attempt: from the projected sequence a_0..a_{2n-1} of
@@ -179,31 +208,9 @@ util::Status generator_from_sequence_status(
   std::vector<typename F::Element> g(n + 1, f.zero());
   g[n] = f.one();
   for (std::size_t i = 0; i < n; ++i) g[n - 1 - i] = f.neg(y[i]);
-  if (KP_FAULT_POINT(util::Stage::kCharpoly)) {
-    return util::Status::Injected(util::FailureKind::kZeroConstantTerm,
-                                  util::Stage::kCharpoly);
-  }
-  if (f.eq(g[0], f.zero())) {
-    return util::Status::Fail(util::FailureKind::kZeroConstantTerm,
-                              util::Stage::kCharpoly,
-                              "g(0) = 0: A-tilde singular");
-  }
-  g_out = std::move(g);
-  return util::Status::Ok();
-}
-
-/// Effective block width for the iterative route: the requested
-/// SolverOptions::block_width clamped to n, or 1 (the scalar sequence) when
-/// blocking is off, the system is trivial, or the field cannot supply the
-/// 2n + 2 distinct evaluation points the sigma-basis det-by-interpolation
-/// recovery may need.
-template <kp::field::Field F>
-std::size_t effective_block_width(const F& f, const SolverOptions& opt,
-                                  std::size_t n) {
-  if (opt.block_width <= 1 || n <= 1) return 1;
-  const std::uint64_t p = f.characteristic();
-  if (p != 0 && p < 2 * n + 2) return 1;
-  return opt.block_width < n ? opt.block_width : n;
+  util::Status st = constant_term_status(f, g, "g(0) = 0: A-tilde singular");
+  if (st.ok()) g_out = std::move(g);
+  return st;
 }
 
 /// Dense A-tilde for the doubling route: the O(n^2 polylog) Hankel-product
@@ -264,287 +271,204 @@ void dense_fallback_run(const F& f, const B& a,
   res.status = util::Status::Ok();
 }
 
-/// One shared Las Vegas loop behind kp_solve (rhs != nullptr) and kp_det
-/// (rhs == nullptr): the pipelines differ only in whether steps 4b-5 solve
-/// and verify, so the draw scheme, retry policy, and diagnostics live here
-/// exactly once.
+/// The per-operator half of one Theorem-4 attempt: draw -> precondition ->
+/// projection -> generator -> det(H D), leaving the transcript `t` ready for
+/// any number of right-hand-side finishes.
+template <kp::field::Field F, matrix::LinOp B>
+util::Status prepare_attempt(const F& f, const kp::poly::PolyRing<F>& ring,
+                             const B& a, const SolverOptions& opt,
+                             Attempt& at, Transcript<F, B>& t) {
+  using E = typename F::Element;
+  using util::FailureKind;
+  using util::Stage;
+  using util::Status;
+  const std::size_t n = a.dim();
+  const std::uint64_t s = at.sample_size();
+
+  // Deadline/cancellation checks share the fault-point boundaries: one at
+  // the draw, one after the Krylov work, one before verification.
+  if (Status ctl = util::ExecControl::check(opt.control, Stage::kDraw);
+      !ctl.ok()) {
+    return ctl;
+  }
+  if (KP_FAULT_POINT(Stage::kDraw)) {
+    return Status::Injected(FailureKind::kInjectedFault, Stage::kDraw);
+  }
+  at.draw();
+  if (at.redraws().precondition) {
+    kp::util::Prng r{at.precondition_seed()};
+    t.pre = Preconditioner<F>::draw(f, n, r, s);
+  }
+  // Proactive Theorem-2 check: a zero diagonal entry makes D -- hence
+  // A-tilde -- singular; catch it before spending the Krylov work.
+  if (KP_FAULT_POINT(Stage::kPrecondition)) {
+    return Status::Injected(FailureKind::kSingularPrecondition,
+                            Stage::kPrecondition);
+  }
+  for (const auto& d : t.pre->diagonal.entries()) {
+    if (f.is_zero(d)) {
+      return Status::Fail(FailureKind::kSingularPrecondition,
+                          Stage::kPrecondition,
+                          "zero diagonal entry: det(D) = 0");
+    }
+  }
+
+  // A kept projection replays its recorded seed bit-identically, so a
+  // redraw targets only the stream the failure implicated.
+  kp::util::Prng r{at.projection_seed()};
+  if (t.route == KrylovRoute::kDoubling) {
+    t.dense = dense_preconditioned(f, ring, a, *t.pre);
+  } else {
+    t.box.emplace(f, ring, a, t.pre->hankel, t.pre->diagonal);
+  }
+  if (t.block_width > 1) {
+    // Block route: ~2n/bw batched block applies feeding the sigma-basis.
+    auto g_or = block_charpoly_candidate(f, *t.box, t.block_width, r, s);
+    if (!g_or.ok()) return g_or.status();
+    t.g = std::move(g_or).value();
+    if (t.g.size() != n + 1) {
+      return Status::Fail(FailureKind::kDegenerateProjection,
+                          Stage::kBlockGenerator,
+                          "deg det G != n: generator misses charpoly");
+    }
+    if (Status gst = constant_term_status(f, t.g, "g(0) = 0: A-tilde singular");
+        !gst.ok()) {
+      return gst;
+    }
+  } else {
+    std::vector<E> u(n), v(n);
+    for (auto& e : u) e = f.sample(r, s);
+    for (auto& e : v) e = f.sample(r, s);
+    // a_i = u A-tilde^i v by doubling (9), or by 2n products (8) with the
+    // lazily composed A H D.
+    const auto seq =
+        t.route == KrylovRoute::kDoubling
+            ? krylov_sequence_doubling(f, *t.dense, u, v, 2 * n, opt.matmul)
+            : matrix::krylov_sequence_iterative(f, *t.box, u, v, 2 * n);
+    if (KP_FAULT_POINT(Stage::kProjection)) {
+      return Status::Injected(FailureKind::kDegenerateProjection,
+                              Stage::kProjection);
+    }
+    Status gst = generator_from_sequence_status(f, seq, n, opt, ring, t.g);
+    if (!gst.ok()) return gst;
+  }
+
+  if (Status ctl = util::ExecControl::check(opt.control, Stage::kSolveFinish);
+      !ctl.ok()) {
+    return ctl;
+  }
+  // det(A-tilde) = (-1)^n g(0); divide out the preconditioner.  det(H D)
+  // can only vanish on an unlucky draw (g(0) != 0 already rules out the
+  // composite), but the zero check guards the division regardless.
+  const auto det_hd = t.pre->det(f, opt.newton);
+  if (f.is_zero(det_hd)) {
+    return Status::Fail(FailureKind::kSingularPrecondition,
+                        Stage::kPrecondition, "det(H D) = 0");
+  }
+  const auto det_at = (n % 2 == 0) ? t.g[0] : f.neg(t.g[0]);
+  t.det = f.div(det_at, det_hd);
+  return Status::Ok();
+}
+
+/// The per-right-hand-side half: the route's Cayley-Hamilton finish
+/// x-tilde = A-tilde^{-1} b, x = H D x-tilde, and (opt.verify) the Las Vegas
+/// check A x = b.
+template <kp::field::Field F, matrix::LinOp B>
+util::Status finish_attempt(const F& f, const kp::poly::PolyRing<F>& ring,
+                            const B& a, const Transcript<F, B>& t,
+                            const std::vector<typename F::Element>& b,
+                            const SolverOptions& opt,
+                            std::vector<typename F::Element>& x) {
+  using util::FailureKind;
+  using util::Stage;
+  using util::Status;
+  std::vector<typename F::Element> xt;
+  if (t.route == KrylovRoute::kDoubling) {
+    // Through the doubling Krylov block of b.
+    const auto q = solution_combination(f, t.g);
+    const auto block = krylov_block(f, *t.dense, b, a.dim(), opt.matmul);
+    xt = krylov_combine(f, block, q);
+  } else {
+    xt = solve_from_annihilator(f, *t.box, t.g, b);
+  }
+  if (KP_FAULT_POINT(Stage::kSolveFinish)) {
+    return Status::Injected(FailureKind::kVerifyMismatch, Stage::kSolveFinish);
+  }
+  x = t.pre->unprecondition(f, ring, xt);
+  if (!opt.verify) return Status::Ok();
+  if (Status ctl = util::ExecControl::check(opt.control, Stage::kVerify);
+      !ctl.ok()) {
+    return ctl;
+  }
+  if (KP_FAULT_POINT(Stage::kVerify)) {
+    return Status::Injected(FailureKind::kVerifyMismatch, Stage::kVerify);
+  }
+  if (a.apply(x) != b) {
+    return Status::Fail(FailureKind::kVerifyMismatch, Stage::kVerify,
+                        "A x != b");
+  }
+  return Status::Ok();
+}
+
+/// The Las Vegas knobs of a Theorem-4 run over an n-dimensional operator.
+inline LasVegasOptions las_vegas_options(const SolverOptions& opt,
+                                         std::size_t n,
+                                         std::optional<std::size_t> rhs_dim) {
+  return {n, rhs_dim, opt.max_attempts, opt.sample_size,
+          opt.op_budget_per_attempt};
+}
+
+/// kp_solve (rhs != nullptr) is prepare + finish in one attempt, so a verify
+/// mismatch is retried like any other failure; kp_det (rhs == nullptr) is
+/// prepare alone.
 template <kp::field::Field F, matrix::LinOp B>
   requires std::same_as<typename B::Element, typename F::Element>
 SolveResult<F> theorem4_run(const F& f, const B& a,
                             const std::vector<typename F::Element>* rhs,
                             kp::util::Prng& prng, const SolverOptions& opt) {
-  using E = typename F::Element;
   using util::FailureKind;
-  using util::Stage;
   using util::Status;
 
   SolveResult<F> res;
   const std::size_t n = a.dim();
-
-  // Public-entry validation: malformed inputs are rejected with a Status,
-  // never fed into the pipeline.
-  Status valid = util::Require(n > 0, FailureKind::kInvalidArgument,
-                               Stage::kNone, "operator dimension is zero");
-  if (valid.ok() && rhs != nullptr) {
-    valid = util::Require(rhs->size() == n, FailureKind::kInvalidArgument,
-                          Stage::kNone, "dim(b) != dim(A)");
-  }
-  if (valid.ok()) {
-    valid = util::Require(opt.max_attempts >= 1, FailureKind::kInvalidArgument,
-                          Stage::kNone, "max_attempts must be >= 1");
-  }
-  if (!valid.ok()) {
-    res.status = valid;
+  kp::poly::PolyRing<F> ring(f);
+  Transcript<F, B> t(f, a, opt);
+  std::vector<typename F::Element> x;
+  const LasVegasRun run = run_las_vegas(
+      prng,
+      las_vegas_options(opt, n,
+                        rhs ? std::optional<std::size_t>(rhs->size())
+                            : std::nullopt),
+      opt.collect_diag ? &res.diags : nullptr, [&](Attempt& at) {
+        Status st = prepare_attempt(f, ring, a, opt, at, t);
+        if (st.ok() && rhs) st = finish_attempt(f, ring, a, t, *rhs, opt, x);
+        return st;
+      });
+  res.status = run.status;
+  res.attempts = run.attempts;
+  if (run.attempts == 0) return res;  // rejected at the entry check
+  res.route_used = t.route;
+  res.sample_size_used = run.sample_size;
+  if (run.status.ok()) {
+    res.ok = true;
+    res.x = std::move(x);
+    res.det = t.det;
+    res.charpoly_at = std::move(t.g);
     return res;
   }
-
-  kp::poly::PolyRing<F> ring(f);
-  const auto route = resolve_route(opt.route, matrix::box_structure(a));
-  res.route_used = route;
-
-  // Independent per-component streams: a targeted re-draw of one component
-  // advances only its own stream, so the other component's randomness (and
-  // hence any backend-independent reproducibility) is untouched.
-  kp::util::Prng pre_stream = prng.fork(0x7072652d48440000ULL);   // "pre-HD"
-  kp::util::Prng proj_stream = prng.fork(0x70726f6a2d757600ULL);  // "proj-uv"
-
-  std::optional<Preconditioner<F>> pre;
-  std::vector<E> u(n), v(n);
-  std::uint64_t pre_seed = 0, proj_seed = 0;
-  bool redraw_pre = true, redraw_proj = true;
-  // Escalation state: has this component already been re-drawn ALONE since
-  // the other last changed?  A second targeted failure then implicates the
-  // pair and forces a full restart.
-  bool pre_alone = false, proj_alone = false;
-  std::uint64_t s = opt.sample_size;
-  Status last = Status::Fail(FailureKind::kNone, Stage::kNone);
-
-  for (res.attempts = 1; res.attempts <= opt.max_attempts; ++res.attempts) {
-    kp::util::fault::AttemptScope attempt_scope(res.attempts);
-    kp::util::OpScope ops;
-    util::Diag diag;
-    diag.attempt = res.attempts;
-    diag.sample_size = s;
-    res.sample_size_used = s;
-
-    const Status st = [&]() -> Status {
-      // Deadline/cancellation checks share the fault-point boundaries: one
-      // at the draw, one after the Krylov work, one before verification.
-      if (Status ctl = util::ExecControl::check(opt.control, Stage::kDraw);
-          !ctl.ok()) {
-        return ctl;
-      }
-      if (KP_FAULT_POINT(Stage::kDraw)) {
-        return Status::Injected(FailureKind::kInjectedFault, Stage::kDraw);
-      }
-      if (redraw_pre) {
-        kp::util::Prng r = pre_stream.fork(static_cast<std::uint64_t>(res.attempts));
-        pre_seed = r.seed();
-        pre = Preconditioner<F>::draw(f, n, r, s);
-      }
-      if (redraw_proj) {
-        kp::util::Prng r = proj_stream.fork(static_cast<std::uint64_t>(res.attempts));
-        proj_seed = r.seed();
-        for (auto& e : u) e = f.sample(r, s);
-        for (auto& e : v) e = f.sample(r, s);
-      }
-      diag.precondition_seed = pre_seed;
-      diag.projection_seed = proj_seed;
-      diag.redrew_precondition = redraw_pre;
-      diag.redrew_projection = redraw_proj;
-
-      // Proactive Theorem-2 check: a zero diagonal entry makes D -- hence
-      // A-tilde -- singular; catch it before spending the Krylov work.
-      if (KP_FAULT_POINT(Stage::kPrecondition)) {
-        return Status::Injected(FailureKind::kSingularPrecondition,
-                                Stage::kPrecondition);
-      }
-      for (const auto& d : pre->diagonal.entries()) {
-        if (f.is_zero(d)) {
-          return Status::Fail(FailureKind::kSingularPrecondition,
-                              Stage::kPrecondition,
-                              "zero diagonal entry: det(D) = 0");
-        }
-      }
-
-      std::vector<E> g;   // charpoly of A-tilde
-      std::vector<E> xt;  // A-tilde^{-1} b
-      if (route == KrylovRoute::kDoubling) {
-        const auto at = dense_preconditioned(f, ring, a, *pre);
-        // a_i = u A-tilde^i v by doubling (9).
-        const auto seq = krylov_sequence_doubling(f, at, u, v, 2 * n, opt.matmul);
-        if (KP_FAULT_POINT(Stage::kProjection)) {
-          return Status::Injected(FailureKind::kDegenerateProjection,
-                                  Stage::kProjection);
-        }
-        Status gst = generator_from_sequence_status(f, seq, n, opt, ring, g);
-        if (!gst.ok()) return gst;
-        if (rhs) {
-          // Cayley-Hamilton solve of A-tilde xt = b through the Krylov block.
-          const auto q = solution_combination(f, g);
-          const auto block = krylov_block(f, at, *rhs, n, opt.matmul);
-          xt = krylov_combine(f, block, q);
-        }
-      } else if (const std::size_t bw = effective_block_width(f, opt, n);
-                 bw > 1) {
-        // Block route: ~2n/bw batched block applies feeding the sigma-basis,
-        // then the same annihilator finish as the scalar path.  U, V are
-        // re-derived from the recorded projection seed, so a kept projection
-        // replays bit-identically and a redraw targets only this stream.
-        const auto at = pre->box(f, ring, a);
-        kp::util::Prng br{proj_seed};
-        auto g_or = detail::block_charpoly_candidate(f, at, bw, br, s);
-        if (!g_or.ok()) return g_or.status();
-        g = std::move(g_or).value();
-        if (g.size() != n + 1) {
-          return Status::Fail(FailureKind::kDegenerateProjection,
-                              Stage::kBlockGenerator,
-                              "deg det G != n: generator misses charpoly");
-        }
-        if (KP_FAULT_POINT(Stage::kCharpoly)) {
-          return Status::Injected(FailureKind::kZeroConstantTerm,
-                                  Stage::kCharpoly);
-        }
-        if (f.eq(g[0], f.zero())) {
-          return Status::Fail(FailureKind::kZeroConstantTerm, Stage::kCharpoly,
-                              "g(0) = 0: A-tilde singular");
-        }
-        if (rhs) xt = solve_from_annihilator(f, at, g, *rhs);
-      } else {
-        // Route (8): 2n products with the lazily composed A*H*D.
-        const auto at = pre->box(f, ring, a);
-        const auto seq = matrix::krylov_sequence_iterative(f, at, u, v, 2 * n);
-        if (KP_FAULT_POINT(Stage::kProjection)) {
-          return Status::Injected(FailureKind::kDegenerateProjection,
-                                  Stage::kProjection);
-        }
-        Status gst = generator_from_sequence_status(f, seq, n, opt, ring, g);
-        if (!gst.ok()) return gst;
-        if (rhs) xt = solve_from_annihilator(f, at, g, *rhs);
-      }
-
-      if (Status ctl =
-              util::ExecControl::check(opt.control, Stage::kSolveFinish);
-          !ctl.ok()) {
-        return ctl;
-      }
-      // det(A-tilde) = (-1)^n g(0); divide out the preconditioner.  det(H D)
-      // can only vanish on an unlucky draw (g(0) != 0 already rules out the
-      // composite), but the zero check guards the division regardless.
-      const auto det_hd = pre->det(f, opt.newton);
-      if (f.is_zero(det_hd)) {
-        return Status::Fail(FailureKind::kSingularPrecondition,
-                            Stage::kPrecondition, "det(H D) = 0");
-      }
-      const auto det_at = (n % 2 == 0) ? g[0] : f.neg(g[0]);
-      const E det_a = f.div(det_at, det_hd);
-
-      std::vector<E> x;
-      if (rhs) {
-        if (KP_FAULT_POINT(Stage::kSolveFinish)) {
-          return Status::Injected(FailureKind::kVerifyMismatch,
-                                  Stage::kSolveFinish);
-        }
-        x = pre->unprecondition(f, ring, xt);
-        if (opt.verify) {
-          if (Status ctl =
-                  util::ExecControl::check(opt.control, Stage::kVerify);
-              !ctl.ok()) {
-            return ctl;
-          }
-          if (KP_FAULT_POINT(Stage::kVerify)) {
-            return Status::Injected(FailureKind::kVerifyMismatch, Stage::kVerify);
-          }
-          if (a.apply(x) != *rhs) {
-            return Status::Fail(FailureKind::kVerifyMismatch, Stage::kVerify,
-                                "A x != b");
-          }
-        }
-      }
-      res.x = std::move(x);
-      res.det = det_a;
-      res.charpoly_at = std::move(g);
-      return Status::Ok();
-    }();
-
-    diag.kind = st.kind();
-    diag.stage = st.stage();
-    diag.injected = st.injected();
-    diag.ops = ops.counts();
-    if (opt.collect_diag) res.diags.push_back(diag);
-
-    if (st.ok()) {
-      res.ok = true;
-      res.status = st;
-      return res;
-    }
-    last = st;
-
-    // A control failure is not bad luck: the caller stopped wanting the
-    // answer, so neither further attempts nor the dense fallback may run.
-    if (util::is_control_failure(st.kind())) {
-      res.status = st;
-      return res;
-    }
-
-    // Op budget: a pathologically expensive failed attempt stops the loop
-    // (the degraded baseline below takes over instead of re-rolling).
-    if (opt.op_budget_per_attempt != 0 &&
-        diag.ops.total() > opt.op_budget_per_attempt) {
-      last = Status::Fail(FailureKind::kOpBudgetExhausted, st.stage(),
-                          "attempt exceeded op_budget_per_attempt");
-      break;
-    }
-
-    // Stage-targeted retry: re-draw only the component the FailureKind
-    // implicates; everything else (verify mismatch, injected synthetic
-    // faults) restarts both.
-    bool want_pre, want_proj;
-    switch (st.kind()) {
-      case FailureKind::kDegenerateProjection:
-        want_pre = false;
-        want_proj = true;
-        break;
-      case FailureKind::kSingularPrecondition:
-      case FailureKind::kZeroConstantTerm:
-        want_pre = true;
-        want_proj = false;
-        break;
-      default:
-        want_pre = true;
-        want_proj = true;
-        break;
-    }
-    if (!want_pre && proj_alone) want_pre = true;    // escalate: pair implicated
-    if (!want_proj && pre_alone) want_proj = true;
-    if (want_pre && want_proj) {
-      pre_alone = proj_alone = false;
-      // Full restarts escalate |S|: estimate (2) halves the failure bound
-      // with every doubling (no-op once S already exceeds the field).
-      if (s < (std::uint64_t{1} << 62)) s *= 2;
-    } else if (want_proj) {
-      proj_alone = true;
-    } else {
-      pre_alone = true;
-    }
-    redraw_pre = want_pre;
-    redraw_proj = want_proj;
-  }
+  if (util::is_control_failure(run.status.kind())) return res;
 
   // Exhausted (or budget-stopped).  When the sample set could never carry
   // the est.-(2) bound, say so: the caller should route through the
   // section-5 field_lift extension (kp_solve_adaptive does).
-  res.status = last;
-  if (last.kind() != FailureKind::kOpBudgetExhausted &&
-      n < (std::uint64_t{1} << 30) && opt.sample_size < 3 * n * n) {
+  const bool budget = run.status.kind() == FailureKind::kOpBudgetExhausted;
+  if (!budget && n < (std::uint64_t{1} << 30) &&
+      opt.sample_size < 3 * n * n) {
     res.status = Status::Fail(
-        FailureKind::kSampleSetTooSmall, Stage::kDraw,
+        FailureKind::kSampleSetTooSmall, util::Stage::kDraw,
         "card(S) < 3 n^2: use the section-5 extension lift");
   }
-
-  if (last.kind() == FailureKind::kOpBudgetExhausted || opt.dense_fallback) {
-    dense_fallback_run(f, a, rhs, res);
-  }
+  if (budget || opt.dense_fallback) dense_fallback_run(f, a, rhs, res);
   return res;
 }
 

@@ -7,13 +7,14 @@
 //
 //   * wiedemann_minpoly       -- minimum polynomial of the projected sequence
 //   * wiedemann_singular_test -- Las Vegas "det(A) = 0" certificate
-//   * wiedemann_solve         -- non-singular solve, Las Vegas (verifies Ax=b)
-//   * wiedemann_det           -- determinant via the Theorem-2 preconditioner
+//   * wiedemann_solve_status  -- non-singular solve, Las Vegas (verifies Ax=b)
+//   * block_wiedemann_solve_status -- the same with block projections
+//   * wiedemann_det           -- determinant via the Theorem-2 preconditioner,
+//                                scalar or block projections
 //
-// The Las Vegas entries thread util::Status through their retry loops
-// (wiedemann_solve_status / wiedemann_det keep per-attempt Diag records and
-// re-draw only the implicated component); the optional-returning forms stay
-// as thin wrappers.
+// The Las Vegas entries run on run_las_vegas (core/las_vegas.h): every
+// attempt leaves a util::Diag, and retries re-draw only the implicated
+// component.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +23,7 @@
 
 #include "core/annihilator.h"
 #include "core/block_krylov.h"
+#include "core/las_vegas.h"
 #include "core/preconditioners.h"
 #include "field/concepts.h"
 #include "matrix/blackbox.h"
@@ -58,265 +60,37 @@ bool wiedemann_singular_test(const F& f, const B& box, kp::util::Prng& prng,
   return mp.size() >= 2 && f.eq(mp[0], f.zero());
 }
 
-/// Status-carrying outcome of the Las Vegas black-box solve.
-template <kp::field::Field F>
-struct WiedemannSolveResult {
-  bool ok = false;
-  std::vector<typename F::Element> x;
-  int attempts = 0;
-  util::Status status;
-  std::vector<util::Diag> diags;  ///< one record per attempt
-};
-
-/// Solves A x = b for non-singular A through the minimum polynomial of the
-/// sequence {A^i b}, with the full failure taxonomy.  The only randomness is
-/// the projection vector u, so every retry is a projection re-draw (Lemma 2
-/// is the only bound in play); failure after max_attempts has probability
-/// <= (2n/|S|)^attempts for non-singular A.
-template <kp::field::Field F, matrix::LinOp B>
-WiedemannSolveResult<F> wiedemann_solve_status(
-    const F& f, const B& box, const std::vector<typename F::Element>& b,
-    kp::util::Prng& prng, std::uint64_t s, int max_attempts = 3) {
-  using util::FailureKind;
-  using util::Stage;
-  using util::Status;
-  WiedemannSolveResult<F> res;
-  const std::size_t n = box.dim();
-  const Status valid =
-      util::Require(b.size() == n && max_attempts >= 1,
-                    FailureKind::kInvalidArgument, Stage::kNone,
-                    "dim(b) != dim(A) or max_attempts < 1");
-  if (!valid.ok()) {
-    res.status = valid;
-    return res;
-  }
-
-  Status last = Status::Fail(FailureKind::kDegenerateProjection,
-                             Stage::kProjection, "no attempt run");
-  for (res.attempts = 1; res.attempts <= max_attempts; ++res.attempts) {
-    kp::util::fault::AttemptScope attempt_scope(res.attempts);
-    kp::util::OpScope ops;
-    util::Diag diag;
-    diag.attempt = res.attempts;
-    diag.sample_size = s;
-    diag.redrew_projection = true;  // u is the attempt's only randomness
-
-    const Status st = [&]() -> Status {
-      // Project {A^i b} through a random u; the sequence's minimum
-      // polynomial f_u^{A,b} divides f^{A,b} and equals it w.h.p.
-      // (Theorem 1 / Lemma 2).
-      kp::util::Prng r = prng.fork(static_cast<std::uint64_t>(res.attempts));
-      diag.projection_seed = r.seed();
-      std::vector<typename F::Element> u(n);
-      for (auto& e : u) e = f.sample(r, s);
-      const auto seq = matrix::krylov_sequence_iterative(f, box, u, b, 2 * n);
-      if (KP_FAULT_POINT(Stage::kProjection)) {
-        return Status::Injected(FailureKind::kDegenerateProjection,
-                                Stage::kProjection);
-      }
-      auto g = seq::berlekamp_massey(f, seq);
-      if (g.size() < 2) {
-        return Status::Fail(FailureKind::kDegenerateProjection,
-                            Stage::kCharpoly, "trivial minimum polynomial");
-      }
-      if (KP_FAULT_POINT(Stage::kCharpoly)) {
-        return Status::Injected(FailureKind::kZeroConstantTerm,
-                                Stage::kCharpoly);
-      }
-      if (f.eq(g[0], f.zero())) {
-        return Status::Fail(FailureKind::kZeroConstantTerm, Stage::kCharpoly,
-                            "f_u(0) = 0: A singular or unlucky projection");
-      }
-      auto x = solve_from_annihilator(f, box, g, b);
-      if (KP_FAULT_POINT(Stage::kVerify)) {
-        return Status::Injected(FailureKind::kVerifyMismatch, Stage::kVerify);
-      }
-      if (box.apply(x) != b) {
-        return Status::Fail(FailureKind::kVerifyMismatch, Stage::kVerify,
-                            "A x != b");
-      }
-      res.x = std::move(x);
-      return Status::Ok();
-    }();
-
-    diag.kind = st.kind();
-    diag.stage = st.stage();
-    diag.injected = st.injected();
-    diag.ops = ops.counts();
-    res.diags.push_back(diag);
-    if (st.ok()) {
-      res.ok = true;
-      res.status = st;
-      return res;
-    }
-    last = st;
-  }
-  res.status = last;
-  return res;
-}
-
-/// Legacy optional-returning form of wiedemann_solve_status.
-template <kp::field::Field F, matrix::LinOp B>
-std::optional<std::vector<typename F::Element>> wiedemann_solve(
-    const F& f, const B& box, const std::vector<typename F::Element>& b,
-    kp::util::Prng& prng, std::uint64_t s, int max_attempts = 3) {
-  auto res = wiedemann_solve_status(f, box, b, prng, s, max_attempts);
-  if (!res.ok) return std::nullopt;
-  return std::move(res.x);
-}
-
-/// Result of the randomized determinant.
-template <kp::field::Field F>
-struct DetResult {
-  bool ok = false;                 ///< false: unlucky randomness (or singular)
-  typename F::Element value{};     ///< det(A) when ok
-  int attempts = 0;
-  util::Status status;
-  std::vector<util::Diag> diags;   ///< one record per attempt
-};
-
-/// Determinant of a non-singular A by Wiedemann's method with the
-/// Saunders/Theorem-2 preconditioner: A-tilde = A H D, the projected minimum
-/// polynomial of A-tilde is its characteristic polynomial w.h.p., and
-/// det(A) = (-1)^n f(0)-style recovery divided by det(H) det(D).
-/// Failure probability <= 3n^2/|S| per attempt (estimate (2)).  Retries are
-/// stage-targeted like the Theorem-4 solver: deg f_u < n re-draws only the
-/// projection pair, a zero constant term or singular H/D re-draws only the
-/// preconditioner, and a repeat of the same component restarts both.
-template <kp::field::Field F>
-DetResult<F> wiedemann_det(const F& f, const matrix::Matrix<F>& a,
-                           kp::util::Prng& prng, std::uint64_t s,
-                           int max_attempts = 3) {
-  using util::FailureKind;
-  using util::Stage;
-  using util::Status;
-  DetResult<F> res;
-  const std::size_t n = a.rows();
-  const Status valid =
-      util::Require(a.is_square() && n > 0 && max_attempts >= 1,
-                    FailureKind::kInvalidArgument, Stage::kNone,
-                    "A must be square and max_attempts >= 1");
-  if (!valid.ok()) {
-    res.status = valid;
-    return res;
-  }
-  kp::poly::PolyRing<F> ring(f);
-
-  kp::util::Prng pre_stream = prng.fork(0x7072652d48440000ULL);   // "pre-HD"
-  kp::util::Prng proj_stream = prng.fork(0x70726f6a2d757600ULL);  // "proj-uv"
-  std::optional<Preconditioner<F>> pre;
-  std::optional<matrix::Matrix<F>> at;
-  std::uint64_t pre_seed = 0, proj_seed = 0;
-  bool redraw_pre = true, redraw_proj = true;
-  bool pre_alone = false, proj_alone = false;
-  Status last = Status::Fail(FailureKind::kDegenerateProjection,
-                             Stage::kProjection, "no attempt run");
-
-  for (res.attempts = 1; res.attempts <= max_attempts; ++res.attempts) {
-    kp::util::fault::AttemptScope attempt_scope(res.attempts);
-    kp::util::OpScope ops;
-    util::Diag diag;
-    diag.attempt = res.attempts;
-    diag.sample_size = s;
-
-    const Status st = [&]() -> Status {
-      if (redraw_pre) {
-        kp::util::Prng r = pre_stream.fork(static_cast<std::uint64_t>(res.attempts));
-        pre_seed = r.seed();
-        pre = Preconditioner<F>::draw(f, n, r, s);
-        at = pre->apply_dense(f, ring, a);
-      }
-      diag.precondition_seed = pre_seed;
-      diag.redrew_precondition = redraw_pre;
-      diag.redrew_projection = redraw_proj;
-
-      matrix::DenseBox<F> box(f, *at);
-      // A kept projection replays its recorded seed bit-for-bit (fork()
-      // consumes parent state, so re-forking would NOT reproduce it).
-      if (redraw_proj) {
-        proj_seed =
-            proj_stream.fork(static_cast<std::uint64_t>(res.attempts)).seed();
-      }
-      kp::util::Prng r{proj_seed};
-      diag.projection_seed = proj_seed;
-      if (KP_FAULT_POINT(Stage::kProjection)) {
-        return Status::Injected(FailureKind::kDegenerateProjection,
-                                Stage::kProjection);
-      }
-      const auto g = wiedemann_minpoly(f, box, r, s);
-      // Failure: deg < n (projection lost information) or g(0) = 0 (the
-      // paper's explicit failure report -- A or the preconditioner).
-      if (g.size() != n + 1) {
-        return Status::Fail(FailureKind::kDegenerateProjection,
-                            Stage::kProjection, "deg f_u < n");
-      }
-      if (KP_FAULT_POINT(Stage::kCharpoly)) {
-        return Status::Injected(FailureKind::kZeroConstantTerm,
-                                Stage::kCharpoly);
-      }
-      if (f.eq(g[0], f.zero())) {
-        return Status::Fail(FailureKind::kZeroConstantTerm, Stage::kCharpoly,
-                            "f_u(0) = 0: A-tilde singular");
-      }
-      // g is the characteristic polynomial of A-tilde:
-      // det(A-tilde) = (-1)^n g(0).
-      const auto det_at = (n % 2 == 0) ? g[0] : f.neg(g[0]);
-      const auto det_hd = pre->det(f);
-      if (f.eq(det_hd, f.zero())) {
-        // Cannot happen organically when g(0) != 0; reachable via the
-        // Preconditioner::det fault site.
-        return Status::Fail(FailureKind::kSingularPrecondition,
-                            Stage::kPrecondition, "det(H D) = 0");
-      }
-      res.value = f.div(det_at, det_hd);
-      return Status::Ok();
-    }();
-
-    diag.kind = st.kind();
-    diag.stage = st.stage();
-    diag.injected = st.injected();
-    diag.ops = ops.counts();
-    res.diags.push_back(diag);
-    if (st.ok()) {
-      res.ok = true;
-      res.status = st;
-      return res;
-    }
-    last = st;
-
-    bool want_pre, want_proj;
-    switch (st.kind()) {
-      case FailureKind::kDegenerateProjection:
-        want_pre = false;
-        want_proj = true;
-        break;
-      case FailureKind::kSingularPrecondition:
-      case FailureKind::kZeroConstantTerm:
-        want_pre = true;
-        want_proj = false;
-        break;
-      default:
-        want_pre = true;
-        want_proj = true;
-        break;
-    }
-    if (!want_pre && proj_alone) want_pre = true;
-    if (!want_proj && pre_alone) want_proj = true;
-    if (want_pre && want_proj) {
-      pre_alone = proj_alone = false;
-    } else if (want_proj) {
-      proj_alone = true;
-    } else {
-      pre_alone = true;
-    }
-    redraw_pre = want_pre;
-    redraw_proj = want_proj;
-  }
-  res.status = last;
-  return res;
-}
-
 namespace detail {
+
+/// Estimate (2)'s failure report: g(0) = 0 means the operator the generator
+/// belongs to is singular (A itself, or an unlucky H, D or projection).
+template <kp::field::Field F>
+util::Status constant_term_status(const F& f,
+                                  const std::vector<typename F::Element>& g,
+                                  const char* what) {
+  if (KP_FAULT_POINT(util::Stage::kCharpoly)) {
+    return util::Status::Injected(util::FailureKind::kZeroConstantTerm,
+                                  util::Stage::kCharpoly);
+  }
+  if (f.eq(g[0], f.zero())) {
+    return util::Status::Fail(util::FailureKind::kZeroConstantTerm,
+                              util::Stage::kCharpoly, what);
+  }
+  return util::Status::Ok();
+}
+
+/// Effective width of the block projections: the requested width clamped
+/// to n, or 1 (the scalar sequence) when blocking is off, the system is
+/// trivial, or the field cannot supply the 2n + 2 distinct evaluation
+/// points the sigma-basis det-by-interpolation recovery may need.
+template <kp::field::Field F>
+std::size_t effective_block_width(const F& f, std::size_t block_width,
+                                  std::size_t n) {
+  if (block_width <= 1 || n <= 1) return 1;
+  const std::uint64_t p = f.characteristic();
+  if (p != 0 && p < 2 * n + 2) return 1;
+  return block_width < n ? block_width : n;
+}
 
 /// One block-Wiedemann charpoly attempt: draw U (b x n rows) and V (b
 /// columns) from `r`, run the block Krylov sequence and the sigma-basis,
@@ -359,7 +133,80 @@ kp::util::StatusOr<std::vector<typename F::Element>> block_charpoly_candidate(
   return g;
 }
 
+/// Las Vegas knobs of the one-component Wiedemann solves: the projection is
+/// re-drawn every attempt from the caller's stream, |S| stays fixed.
+inline LasVegasOptions projection_only(std::size_t n, std::size_t rhs_dim,
+                                       std::uint64_t s, int max_attempts) {
+  return {n, rhs_dim, max_attempts, s, 0, /*preconditioned=*/false};
+}
+
 }  // namespace detail
+
+/// Status-carrying outcome of the Las Vegas black-box solve.
+template <kp::field::Field F>
+struct WiedemannSolveResult {
+  bool ok = false;
+  std::vector<typename F::Element> x;
+  int attempts = 0;
+  util::Status status;
+  std::vector<util::Diag> diags;  ///< one record per attempt
+};
+
+/// Solves A x = b for non-singular A through the minimum polynomial of the
+/// sequence {A^i b}, with the full failure taxonomy.  The only randomness is
+/// the projection vector u, so every retry is a projection re-draw (Lemma 2
+/// is the only bound in play); failure after max_attempts has probability
+/// <= (2n/|S|)^attempts for non-singular A.
+template <kp::field::Field F, matrix::LinOp B>
+WiedemannSolveResult<F> wiedemann_solve_status(
+    const F& f, const B& box, const std::vector<typename F::Element>& b,
+    kp::util::Prng& prng, std::uint64_t s, int max_attempts = 3) {
+  using util::FailureKind;
+  using util::Stage;
+  using util::Status;
+  WiedemannSolveResult<F> res;
+  const std::size_t n = box.dim();
+  const LasVegasRun run = run_las_vegas(
+      prng, detail::projection_only(n, b.size(), s, max_attempts), &res.diags,
+      [&](Attempt& at) -> Status {
+        // Project {A^i b} through a random u; the sequence's minimum
+        // polynomial f_u^{A,b} divides f^{A,b} and equals it w.h.p.
+        // (Theorem 1 / Lemma 2).
+        at.draw();
+        kp::util::Prng r{at.projection_seed()};
+        std::vector<typename F::Element> u(n);
+        for (auto& e : u) e = f.sample(r, s);
+        const auto seq = matrix::krylov_sequence_iterative(f, box, u, b, 2 * n);
+        if (KP_FAULT_POINT(Stage::kProjection)) {
+          return Status::Injected(FailureKind::kDegenerateProjection,
+                                  Stage::kProjection);
+        }
+        auto g = seq::berlekamp_massey(f, seq);
+        if (g.size() < 2) {
+          return Status::Fail(FailureKind::kDegenerateProjection,
+                              Stage::kCharpoly, "trivial minimum polynomial");
+        }
+        if (Status gst = detail::constant_term_status(
+                f, g, "f_u(0) = 0: A singular or unlucky projection");
+            !gst.ok()) {
+          return gst;
+        }
+        auto x = solve_from_annihilator(f, box, g, b);
+        if (KP_FAULT_POINT(Stage::kVerify)) {
+          return Status::Injected(FailureKind::kVerifyMismatch, Stage::kVerify);
+        }
+        if (box.apply(x) != b) {
+          return Status::Fail(FailureKind::kVerifyMismatch, Stage::kVerify,
+                              "A x != b");
+        }
+        res.x = std::move(x);
+        return Status::Ok();
+      });
+  res.ok = run.status.ok();
+  res.attempts = run.attempts;
+  res.status = run.status;
+  return res;
+}
 
 /// Block-Wiedemann solve of A x = b for non-singular A (Coppersmith).  The
 /// right block is V = [b | A z_1 | ... | A z_{bw-1}] for random z_k, so a
@@ -392,260 +239,179 @@ WiedemannSolveResult<F> block_wiedemann_solve_status(
   const std::size_t bw = block_width < n ? block_width : n;
 
   WiedemannSolveResult<F> res;
-  const Status valid =
-      util::Require(b.size() == n && max_attempts >= 1,
-                    FailureKind::kInvalidArgument, Stage::kNone,
-                    "dim(b) != dim(A) or max_attempts < 1");
-  if (!valid.ok()) {
-    res.status = valid;
-    return res;
-  }
-
-  Status last = Status::Fail(FailureKind::kDegenerateProjection,
-                             Stage::kBlockProjection, "no attempt run");
-  for (res.attempts = 1; res.attempts <= max_attempts; ++res.attempts) {
-    kp::util::fault::AttemptScope attempt_scope(res.attempts);
-    kp::util::OpScope ops;
-    util::Diag diag;
-    diag.attempt = res.attempts;
-    diag.sample_size = s;
-    diag.redrew_projection = true;  // U, V, Z are the attempt's randomness
-
-    const Status st = [&]() -> Status {
-      kp::util::Prng r = prng.fork(static_cast<std::uint64_t>(res.attempts));
-      diag.projection_seed = r.seed();
-      const auto ut = random_block_rows(f, bw, n, r, s);
-      const auto z = random_block_columns(f, bw - 1, n, r, s);
-      // V = [b | A Z]: Coppersmith's construction, so the x^0 coefficient
-      // of a generator column carries b's contribution explicitly.
-      std::vector<std::vector<E>> v;
-      v.reserve(bw);
-      v.push_back(b);
-      for (auto& az : matrix::apply_columns(box, z)) v.push_back(std::move(az));
-      const std::size_t count = 2 * ((n + bw - 1) / bw) + 2;
-      const auto sq = block_krylov_sequence(f, box, ut, v, count);
-      if (KP_FAULT_POINT(Stage::kBlockProjection)) {
-        return Status::Injected(FailureKind::kDegenerateProjection,
-                                Stage::kBlockProjection);
-      }
-      auto gen_or = seq::matrix_berlekamp_massey(f, sq);
-      if (!gen_or.ok()) return gen_or.status();
-      if (KP_FAULT_POINT(Stage::kBlockGenerator)) {
-        return Status::Injected(FailureKind::kDegenerateProjection,
-                                Stage::kBlockGenerator);
-      }
-      const auto& gen = gen_or.value();
-      // First (lowest-degree) column whose constant coefficient touches b.
-      std::size_t pick = gen.columns.size();
-      for (std::size_t c = 0; c < gen.columns.size(); ++c) {
-        if (!f.eq(gen.columns[c][0][0], f.zero())) {
-          pick = c;
-          break;
+  const LasVegasRun run = run_las_vegas(
+      prng, detail::projection_only(n, b.size(), s, max_attempts), &res.diags,
+      [&](Attempt& at) -> Status {
+        at.draw();
+        kp::util::Prng r{at.projection_seed()};
+        const auto ut = random_block_rows(f, bw, n, r, s);
+        const auto z = random_block_columns(f, bw - 1, n, r, s);
+        // V = [b | A Z]: Coppersmith's construction, so the x^0 coefficient
+        // of a generator column carries b's contribution explicitly.
+        std::vector<std::vector<E>> v;
+        v.reserve(bw);
+        v.push_back(b);
+        for (auto& az : matrix::apply_columns(box, z)) v.push_back(std::move(az));
+        const std::size_t count = 2 * ((n + bw - 1) / bw) + 2;
+        const auto sq = block_krylov_sequence(f, box, ut, v, count);
+        if (KP_FAULT_POINT(Stage::kBlockProjection)) {
+          return Status::Injected(FailureKind::kDegenerateProjection,
+                                  Stage::kBlockProjection);
         }
-      }
-      if (pick == gen.columns.size()) {
-        return Status::Fail(FailureKind::kDegenerateProjection,
-                            Stage::kBlockGenerator,
-                            "no generator column usable for extraction");
-      }
-      const auto& col = gen.columns[pick];
-      const std::size_t d = col.size() - 1;
-      // w = sum_{j>=1} A^{j-1} V c_j by Horner: d block combinations and
-      // d - 1 single-vector products.
-      std::vector<E> w(n, f.zero());
-      if (d >= 1) {
-        w = block_combine(f, v, col[d]);
-        for (std::size_t j = d; j-- > 1;) {
-          w = box.apply(w);
-          const auto vc = block_combine(f, v, col[j]);
-          for (std::size_t i = 0; i < n; ++i) w[i] = f.add(w[i], vc[i]);
+        auto gen_or = seq::matrix_berlekamp_massey(f, sq);
+        if (!gen_or.ok()) return gen_or.status();
+        if (KP_FAULT_POINT(Stage::kBlockGenerator)) {
+          return Status::Injected(FailureKind::kDegenerateProjection,
+                                  Stage::kBlockGenerator);
         }
-      }
-      if (bw > 1) {
-        const std::vector<E> ctail(col[0].begin() + 1, col[0].end());
-        const auto zc = block_combine(f, z, ctail);
-        for (std::size_t i = 0; i < n; ++i) w[i] = f.add(w[i], zc[i]);
-      }
-      const E scale = f.neg(f.inv(col[0][0]));
-      std::vector<E> x(n);
-      for (std::size_t i = 0; i < n; ++i) x[i] = f.mul(scale, w[i]);
-      if (KP_FAULT_POINT(Stage::kVerify)) {
-        return Status::Injected(FailureKind::kVerifyMismatch, Stage::kVerify);
-      }
-      if (box.apply(x) != b) {
-        return Status::Fail(FailureKind::kVerifyMismatch, Stage::kVerify,
-                            "A x != b");
-      }
-      res.x = std::move(x);
-      return Status::Ok();
-    }();
-
-    diag.kind = st.kind();
-    diag.stage = st.stage();
-    diag.injected = st.injected();
-    diag.ops = ops.counts();
-    res.diags.push_back(diag);
-    if (st.ok()) {
-      res.ok = true;
-      res.status = st;
-      return res;
-    }
-    last = st;
-  }
-  res.status = last;
+        const auto& gen = gen_or.value();
+        // First (lowest-degree) column whose constant coefficient touches b.
+        std::size_t pick = gen.columns.size();
+        for (std::size_t c = 0; c < gen.columns.size(); ++c) {
+          if (!f.eq(gen.columns[c][0][0], f.zero())) {
+            pick = c;
+            break;
+          }
+        }
+        if (pick == gen.columns.size()) {
+          return Status::Fail(FailureKind::kDegenerateProjection,
+                              Stage::kBlockGenerator,
+                              "no generator column usable for extraction");
+        }
+        const auto& col = gen.columns[pick];
+        const std::size_t d = col.size() - 1;
+        // w = sum_{j>=1} A^{j-1} V c_j by Horner: d block combinations and
+        // d - 1 single-vector products.
+        std::vector<E> w(n, f.zero());
+        if (d >= 1) {
+          w = block_combine(f, v, col[d]);
+          for (std::size_t j = d; j-- > 1;) {
+            w = box.apply(w);
+            const auto vc = block_combine(f, v, col[j]);
+            for (std::size_t i = 0; i < n; ++i) w[i] = f.add(w[i], vc[i]);
+          }
+        }
+        if (bw > 1) {
+          const std::vector<E> ctail(col[0].begin() + 1, col[0].end());
+          const auto zc = block_combine(f, z, ctail);
+          for (std::size_t i = 0; i < n; ++i) w[i] = f.add(w[i], zc[i]);
+        }
+        const E scale = f.neg(f.inv(col[0][0]));
+        std::vector<E> x(n);
+        for (std::size_t i = 0; i < n; ++i) x[i] = f.mul(scale, w[i]);
+        if (KP_FAULT_POINT(Stage::kVerify)) {
+          return Status::Injected(FailureKind::kVerifyMismatch, Stage::kVerify);
+        }
+        if (box.apply(x) != b) {
+          return Status::Fail(FailureKind::kVerifyMismatch, Stage::kVerify,
+                              "A x != b");
+        }
+        res.x = std::move(x);
+        return Status::Ok();
+      });
+  res.ok = run.status.ok();
+  res.attempts = run.attempts;
+  res.status = run.status;
   return res;
 }
 
-/// Legacy optional-returning form of block_wiedemann_solve_status.
-template <kp::field::Field F, matrix::LinOp B>
-std::optional<std::vector<typename F::Element>> block_wiedemann_solve(
-    const F& f, const B& box, const std::vector<typename F::Element>& b,
-    kp::util::Prng& prng, std::uint64_t s, std::size_t block_width,
-    int max_attempts = 3) {
-  auto res =
-      block_wiedemann_solve_status(f, box, b, prng, s, block_width, max_attempts);
-  if (!res.ok) return std::nullopt;
-  return std::move(res.x);
-}
-
-/// Determinant by the block-Wiedemann route: the Theorem-2 preconditioner
-/// makes minpoly = charpoly w.h.p., the block generator's determinant is
-/// then a scalar multiple of the charpoly of A-tilde, and
-/// det(A) = (-1)^n g(0) / det(H D) exactly as in the scalar route.  Retries
-/// are stage-targeted with the same policy switch as wiedemann_det:
-/// degenerate block projections / generators re-draw only U, V, a zero
-/// constant term or singular H/D re-draws only the preconditioner.  Fields
-/// too small for the det-by-interpolation step (characteristic <= 2n + 1)
-/// and block_width <= 1 fall back to the scalar route.
+/// Result of the randomized determinant.
 template <kp::field::Field F>
-DetResult<F> block_wiedemann_det(const F& f, const matrix::Matrix<F>& a,
-                                 kp::util::Prng& prng, std::uint64_t s,
-                                 std::size_t block_width, int max_attempts = 3) {
+struct DetResult {
+  bool ok = false;                 ///< false: unlucky randomness (or singular)
+  typename F::Element value{};     ///< det(A) when ok
+  int attempts = 0;
+  util::Status status;
+  std::vector<util::Diag> diags;   ///< one record per attempt
+};
+
+/// Determinant of a non-singular A by Wiedemann's method with the
+/// Saunders/Theorem-2 preconditioner: A-tilde = A H D, the projected minimum
+/// polynomial g of A-tilde is its characteristic polynomial w.h.p., and
+/// det(A) = (-1)^n g(0) / (det(H) det(D)).  Failure probability <= 3n^2/|S|
+/// per attempt (estimate (2)).
+///
+/// block_width > 1 projects through U, V blocks instead of u, b: the block
+/// generator's determinant is then a scalar multiple of the charpoly of
+/// A-tilde.  Fields too small for its det-by-interpolation step
+/// (characteristic <= 2n + 1) and n <= 1 use the scalar projection.
+///
+/// Retries are stage-targeted like the Theorem-4 solver (same loop): a
+/// degenerate projection re-draws only the projection, a zero constant term
+/// or singular H, D only the preconditioner, and a repeat of a component
+/// re-drawn alone restarts both with |S| doubled.
+template <kp::field::Field F>
+DetResult<F> wiedemann_det(const F& f, const matrix::Matrix<F>& a,
+                           kp::util::Prng& prng, std::uint64_t s,
+                           int max_attempts = 3, std::size_t block_width = 1) {
   using util::FailureKind;
   using util::Stage;
   using util::Status;
-  const std::size_t n = a.rows();
-  const std::uint64_t p = f.characteristic();
-  if (block_width <= 1 || n <= 1 || (p != 0 && p < 2 * n + 2)) {
-    return wiedemann_det(f, a, prng, s, max_attempts);
-  }
-  const std::size_t bw = block_width < n ? block_width : n;
-
   DetResult<F> res;
-  const Status valid =
-      util::Require(a.is_square() && n > 0 && max_attempts >= 1,
-                    FailureKind::kInvalidArgument, Stage::kNone,
-                    "A must be square and max_attempts >= 1");
-  if (!valid.ok()) {
-    res.status = valid;
+  if (!a.is_square()) {
+    res.status = Status::Fail(FailureKind::kInvalidArgument, Stage::kNone,
+                              "A must be square");
     return res;
   }
+  const std::size_t n = a.rows();
+  const std::size_t bw = detail::effective_block_width(f, block_width, n);
   kp::poly::PolyRing<F> ring(f);
-
-  kp::util::Prng pre_stream = prng.fork(0x7072652d48440000ULL);   // "pre-HD"
-  kp::util::Prng proj_stream = prng.fork(0x70726f6a2d757600ULL);  // "proj-uv"
   std::optional<Preconditioner<F>> pre;
-  std::optional<matrix::Matrix<F>> at;
-  std::uint64_t pre_seed = 0, proj_seed = 0;
-  bool redraw_pre = true, redraw_proj = true;
-  bool pre_alone = false, proj_alone = false;
-  Status last = Status::Fail(FailureKind::kDegenerateProjection,
-                             Stage::kBlockProjection, "no attempt run");
+  std::optional<matrix::Matrix<F>> at;  // A-tilde, kept with H, D
 
-  for (res.attempts = 1; res.attempts <= max_attempts; ++res.attempts) {
-    kp::util::fault::AttemptScope attempt_scope(res.attempts);
-    kp::util::OpScope ops;
-    util::Diag diag;
-    diag.attempt = res.attempts;
-    diag.sample_size = s;
-
-    const Status st = [&]() -> Status {
-      if (redraw_pre) {
-        kp::util::Prng r =
-            pre_stream.fork(static_cast<std::uint64_t>(res.attempts));
-        pre_seed = r.seed();
-        pre = Preconditioner<F>::draw(f, n, r, s);
-        at = pre->apply_dense(f, ring, a);
-      }
-      diag.precondition_seed = pre_seed;
-      diag.redrew_precondition = redraw_pre;
-      diag.redrew_projection = redraw_proj;
-
-      matrix::DenseBox<F> box(f, *at);
-      // A kept projection replays its recorded seed bit-for-bit (fork()
-      // consumes parent state, so re-forking would NOT reproduce it).
-      if (redraw_proj) {
-        proj_seed =
-            proj_stream.fork(static_cast<std::uint64_t>(res.attempts)).seed();
-      }
-      kp::util::Prng r{proj_seed};
-      diag.projection_seed = proj_seed;
-      auto g_or = detail::block_charpoly_candidate(f, box, bw, r, s);
-      if (!g_or.ok()) return g_or.status();
-      const auto& g = g_or.value();
-      if (g.size() != n + 1) {
-        return Status::Fail(FailureKind::kDegenerateProjection,
-                            Stage::kBlockGenerator, "deg det G != n");
-      }
-      if (KP_FAULT_POINT(Stage::kCharpoly)) {
-        return Status::Injected(FailureKind::kZeroConstantTerm,
-                                Stage::kCharpoly);
-      }
-      if (f.eq(g[0], f.zero())) {
-        return Status::Fail(FailureKind::kZeroConstantTerm, Stage::kCharpoly,
-                            "g(0) = 0: A-tilde singular");
-      }
-      const auto det_at = (n % 2 == 0) ? g[0] : f.neg(g[0]);
-      const auto det_hd = pre->det(f);
-      if (f.eq(det_hd, f.zero())) {
-        return Status::Fail(FailureKind::kSingularPrecondition,
-                            Stage::kPrecondition, "det(H D) = 0");
-      }
-      res.value = f.div(det_at, det_hd);
-      return Status::Ok();
-    }();
-
-    diag.kind = st.kind();
-    diag.stage = st.stage();
-    diag.injected = st.injected();
-    diag.ops = ops.counts();
-    res.diags.push_back(diag);
-    if (st.ok()) {
-      res.ok = true;
-      res.status = st;
-      return res;
-    }
-    last = st;
-
-    bool want_pre, want_proj;
-    switch (st.kind()) {
-      case FailureKind::kDegenerateProjection:
-        want_pre = false;
-        want_proj = true;
-        break;
-      case FailureKind::kSingularPrecondition:
-      case FailureKind::kZeroConstantTerm:
-        want_pre = true;
-        want_proj = false;
-        break;
-      default:
-        want_pre = true;
-        want_proj = true;
-        break;
-    }
-    if (!want_pre && proj_alone) want_pre = true;
-    if (!want_proj && pre_alone) want_proj = true;
-    if (want_pre && want_proj) {
-      pre_alone = proj_alone = false;
-    } else if (want_proj) {
-      proj_alone = true;
-    } else {
-      pre_alone = true;
-    }
-    redraw_pre = want_pre;
-    redraw_proj = want_proj;
-  }
-  res.status = last;
+  const LasVegasRun run = run_las_vegas(
+      prng, {n, std::nullopt, max_attempts, s}, &res.diags,
+      [&](Attempt& attempt) -> Status {
+        attempt.draw();
+        if (attempt.redraws().precondition) {
+          kp::util::Prng r{attempt.precondition_seed()};
+          pre = Preconditioner<F>::draw(f, n, r, attempt.sample_size());
+          at = pre->apply_dense(f, ring, a);
+        }
+        const matrix::DenseViewBox<F> box(f, *at);
+        // A kept projection replays its recorded seed bit-for-bit.
+        kp::util::Prng r{attempt.projection_seed()};
+        std::vector<typename F::Element> g;
+        if (bw > 1) {
+          auto g_or = detail::block_charpoly_candidate(f, box, bw, r,
+                                                       attempt.sample_size());
+          if (!g_or.ok()) return g_or.status();
+          g = std::move(g_or).value();
+          if (g.size() != n + 1) {
+            return Status::Fail(FailureKind::kDegenerateProjection,
+                                Stage::kBlockGenerator, "deg det G != n");
+          }
+        } else {
+          if (KP_FAULT_POINT(Stage::kProjection)) {
+            return Status::Injected(FailureKind::kDegenerateProjection,
+                                    Stage::kProjection);
+          }
+          g = wiedemann_minpoly(f, box, r, attempt.sample_size());
+          // deg < n: the projection lost information.
+          if (g.size() != n + 1) {
+            return Status::Fail(FailureKind::kDegenerateProjection,
+                                Stage::kProjection, "deg f_u < n");
+          }
+        }
+        if (Status gst = detail::constant_term_status(
+                f, g, "g(0) = 0: A-tilde singular");
+            !gst.ok()) {
+          return gst;
+        }
+        const auto det_at = (n % 2 == 0) ? g[0] : f.neg(g[0]);
+        const auto det_hd = pre->det(f);
+        if (f.eq(det_hd, f.zero())) {
+          // Cannot happen organically when g(0) != 0; reachable via the
+          // Preconditioner::det fault site.
+          return Status::Fail(FailureKind::kSingularPrecondition,
+                              Stage::kPrecondition, "det(H D) = 0");
+        }
+        res.value = f.div(det_at, det_hd);
+        return Status::Ok();
+      });
+  res.ok = run.status.ok();
+  res.attempts = run.attempts;
+  res.status = run.status;
   return res;
 }
 

@@ -244,9 +244,9 @@ TEST(BlackboxSolverTest, WiedemannSolveThroughAnyBox) {
   std::vector<F::Element> x(n);
   for (auto& e : x) e = f.random(prng);
   auto b = sp.apply(f, x);
-  auto sol = core::wiedemann_solve(f, box, b, prng, 1u << 20);
-  ASSERT_TRUE(sol.has_value());
-  EXPECT_EQ(sp.apply(f, *sol), b);
+  auto sol = core::wiedemann_solve_status(f, box, b, prng, 1u << 20);
+  ASSERT_TRUE(sol.ok);
+  EXPECT_EQ(sp.apply(f, sol.x), b);
 }
 
 }  // namespace

@@ -385,7 +385,7 @@ TEST(BlockWiedemannTest, DetMatchesGauss) {
     const auto expect = matrix::det_gauss(f, a);
     for (std::size_t bw : {2u, 4u}) {
       util::Prng p(1000 + n);
-      auto res = core::block_wiedemann_det(f, a, p, 1u << 20, bw);
+      auto res = core::wiedemann_det(f, a, p, 1u << 20, 3, bw);
       ASSERT_TRUE(res.ok) << "n=" << n << " bw=" << bw << ": "
                           << res.status.message();
       EXPECT_TRUE(f.eq(res.value, expect)) << "n=" << n << " bw=" << bw;

@@ -202,7 +202,21 @@ TEST(ValidationTest, WiedemannRejectsDimensionMismatch) {
   auto res = core::wiedemann_solve_status(f, box, b_bad, prng, 1u << 20);
   EXPECT_FALSE(res.ok);
   EXPECT_EQ(res.status.kind(), FailureKind::kInvalidArgument);
-  EXPECT_FALSE(core::wiedemann_solve(f, box, b_bad, prng, 1u << 20));
+
+  // An empty operator is rejected before any attempt, scalar and block.
+  const matrix::Matrix<F> empty(0, 0, f.zero());
+  const matrix::DenseViewBox<F> empty_box(f, empty);
+  const std::vector<F::Element> b_empty;
+  auto scalar0 =
+      core::wiedemann_solve_status(f, empty_box, b_empty, prng, 1u << 20);
+  EXPECT_EQ(scalar0.status.kind(), FailureKind::kInvalidArgument);
+  EXPECT_EQ(scalar0.attempts, 0);
+  EXPECT_TRUE(scalar0.diags.empty());
+  auto block0 = core::block_wiedemann_solve_status(f, empty_box, b_empty, prng,
+                                                   1u << 20, 4);
+  EXPECT_EQ(block0.status.kind(), FailureKind::kInvalidArgument);
+  EXPECT_EQ(block0.attempts, 0);
+  EXPECT_TRUE(block0.diags.empty());
 
   auto rect = matrix::random_matrix(f, 4, 6, prng);
   auto det = core::wiedemann_det(f, rect, prng, 1u << 20);
@@ -479,6 +493,31 @@ TEST(FaultInjectionTest, RepeatedTargetedFailureEscalatesToFullRestart) {
   EXPECT_EQ(res.diags[2].sample_size, 2 * res.diags[0].sample_size);
   EXPECT_EQ(res.status.kind(), FailureKind::kDegenerateProjection);
   EXPECT_EQ(fi.fired(), 3u);
+}
+
+TEST(FaultInjectionTest, SoloRedrawClearsTheOtherComponentsEscalation) {
+  KP_REQUIRE_FAULT_INJECTION();
+  SolveFixture fx;
+  core::SolverOptions opt;
+  opt.max_attempts = 4;
+  // Attempt 2 re-draws u, v alone, attempt 3 re-draws H, D alone.  The
+  // projection kept its value through that change, so its failure in
+  // attempt 3 implicates u, v alone again: no full restart, |S| unchanged.
+  util::fault::ScopedFault f1(Stage::kProjection, /*attempt=*/1);
+  util::fault::ScopedFault f2(Stage::kCharpoly, /*attempt=*/2);
+  util::fault::ScopedFault f3(Stage::kProjection, /*attempt=*/3);
+  util::Prng prng(85);
+  auto res = core::kp_solve(f, fx.a, fx.b, prng, opt);
+  ASSERT_TRUE(res.ok);
+  EXPECT_EQ(res.attempts, 4);
+  EXPECT_EQ(res.x, fx.x_true);
+  ASSERT_EQ(res.diags.size(), 4u);
+  EXPECT_TRUE(res.diags[2].redrew_precondition);
+  EXPECT_FALSE(res.diags[2].redrew_projection);
+  EXPECT_TRUE(res.diags[3].redrew_projection);
+  EXPECT_FALSE(res.diags[3].redrew_precondition);
+  EXPECT_EQ(res.diags[3].precondition_seed, res.diags[2].precondition_seed);
+  EXPECT_EQ(res.diags[3].sample_size, res.diags[0].sample_size);
 }
 
 TEST(FaultInjectionTest, EveryFailureKindIsReachable) {

@@ -179,6 +179,35 @@ TEST(SessionTest, SolveManyBatchIsExact) {
   }
 }
 
+TEST(SessionTest, BlockWidthPreparesThroughTheBlockRoute) {
+  Fixture fx(40);
+  SessionOptions opt;
+  opt.solver.block_width = 4;
+  Session<F> sess(f, fx.box(), 5, opt);
+  ASSERT_TRUE(sess.prepare().ok());
+  EXPECT_EQ(sess.transcript().route, core::KrylovRoute::kIterative);
+  EXPECT_EQ(sess.transcript().block_width, 4u);
+  EXPECT_TRUE(f.eq(sess.det(), matrix::det_gauss(f, fx.a.to_dense(f))));
+  std::vector<const std::vector<F::Element>*> rhs;
+  for (const auto& b : fx.b) rhs.push_back(&b);
+  auto out = sess.solve_many(rhs);
+  for (std::size_t i = 0; i < out.items.size(); ++i) {
+    ASSERT_TRUE(out.items[i].status.ok()) << out.items[i].status.message();
+    EXPECT_EQ(out.items[i].x, fx.x[i]);
+  }
+  EXPECT_EQ(sess.prepares(), 1u);
+}
+
+TEST(SessionTest, NonPositiveMaxAttemptsIsRejected) {
+  Fixture fx(8);
+  SessionOptions opt;
+  opt.solver.max_attempts = 0;
+  Session<F> sess(f, fx.box(), 5, opt);
+  EXPECT_EQ(sess.prepare().kind(), FailureKind::kInvalidArgument);
+  EXPECT_FALSE(sess.prepared());
+  EXPECT_EQ(sess.prepares(), 0u);
+}
+
 TEST(SessionTest, DimensionMismatchIsInvalidArgument) {
   Fixture fx(16);
   Session<F> sess(f, fx.box(), 5);
@@ -286,6 +315,26 @@ TEST(SessionTest, QuarantineTripsOnMismatchStreakAndResets) {
   auto ok = sess.solve_one(fx.b[0]);
   ASSERT_TRUE(ok.status.ok()) << ok.status.message();
   EXPECT_EQ(ok.x, fx.x[0]);
+}
+
+TEST(SessionTest, ProjectionFaultRedrawsOnlyTheProjection) {
+  Fixture fx(16);
+  Session<F> sess(f, fx.box(), 5);
+  util::fault::ScopedFault fi(Stage::kProjection, /*attempt=*/1);
+  ASSERT_TRUE(sess.prepare().ok());
+  EXPECT_EQ(fi.fired(), 1u);
+  const auto& d = sess.prepare_diags();
+  ASSERT_EQ(d.size(), 2u);
+  EXPECT_EQ(d[0].kind, FailureKind::kDegenerateProjection);
+  EXPECT_TRUE(d[0].injected);
+  EXPECT_TRUE(d[1].redrew_projection);
+  EXPECT_FALSE(d[1].redrew_precondition);
+  EXPECT_EQ(d[1].precondition_seed, d[0].precondition_seed);
+  EXPECT_NE(d[1].projection_seed, d[0].projection_seed);
+  EXPECT_EQ(d[1].sample_size, d[0].sample_size);
+  auto item = sess.solve_one(fx.b[0]);
+  ASSERT_TRUE(item.status.ok()) << item.status.message();
+  EXPECT_EQ(item.x, fx.x[0]);
 }
 
 TEST(SessionTest, RetryBudgetSurvivesTransientVerifyFaults) {
