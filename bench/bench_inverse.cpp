@@ -43,7 +43,7 @@ int main() {
     const kp::circuit::TapeEvaluator<F> ev(f, tape);
 
     // Evaluate through the compiled tape on a random non-singular matrix
-    // and verify against Gauss, with node-at-a-time evaluate() as the
+    // and verify against Gauss, with node-at-a-time evaluate_status() as the
     // checked reference for the tape path.
     std::string check = "-";
     auto a = kp::matrix::random_matrix(f, n, n, prng);
@@ -58,8 +58,8 @@ int main() {
         for (auto v : rnd) rnd_lanes.push_back({v});
         auto res = ev.evaluate(in_lanes, rnd_lanes);
         if (!res.status.ok()) continue;  // unlucky draw
-        auto node = inv.evaluate(f, {a.data().begin(), a.data().end()}, rnd);
-        bool good = node.ok;
+        auto node = inv.evaluate_status(f, {a.data().begin(), a.data().end()}, rnd);
+        bool good = node.status.ok();
         for (std::size_t i = 0; i < n && good; ++i) {
           for (std::size_t j = 0; j < n && good; ++j) {
             good = f.eq(res.outputs[i * n + j][0], ref->at(i, j)) &&

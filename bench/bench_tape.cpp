@@ -103,8 +103,8 @@ int main() {
         rnd1.reserve(d.rnd.size());
         for (const auto& v : d.in) in1.push_back(v[lane]);
         for (const auto& v : d.rnd) rnd1.push_back(v[lane]);
-        const auto ref = cs.c.evaluate(f, in1, rnd1);
-        if (!ref.ok) {
+        const auto ref = cs.c.evaluate_status(f, in1, rnd1);
+        if (!ref.status.ok()) {
           std::fprintf(stderr, "reference eval failed\n");
           return 2;
         }
@@ -172,6 +172,6 @@ int main() {
   tbl.print();
   std::printf(
       "\nper-input speedup of compiled SoA batch evaluation; identity with\n"
-      "node-at-a-time evaluate() is checksummed per lane (exit 1 on drift).\n");
+      "node-at-a-time evaluate_status() is checksummed per lane (exit 1 on drift).\n");
   return all_ok ? 0 : 1;
 }

@@ -32,7 +32,7 @@ int main() {
     auto trans = kp::circuit::build_transposed_solver_circuit(n, kp::field::kNttPrime);
 
     // Evaluate through the compiled tape: outputs must solve A^T y = b,
-    // and must match node-at-a-time evaluate() (the checked reference).
+    // and must match node-at-a-time evaluate_status() (the checked reference).
     const auto tape = kp::circuit::compile(trans);
     const kp::circuit::TapeEvaluator<F> ev(f, tape);
     std::string check = "-";
@@ -53,9 +53,9 @@ int main() {
         for (auto v : rnd) rnd_lanes.push_back({v});
         auto res = ev.evaluate(in_lanes, rnd_lanes);
         if (!res.status.ok()) continue;
-        auto node = trans.evaluate(f, in, rnd);
+        auto node = trans.evaluate_status(f, in, rnd);
         std::vector<F::Element> y(res.outputs.size());
-        bool identical = node.ok;
+        bool identical = node.status.ok();
         for (std::size_t i = 0; i < y.size(); ++i) {
           y[i] = res.outputs[i][0];
           identical = identical && f.eq(node.outputs[i], y[i]);

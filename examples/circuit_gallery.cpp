@@ -68,18 +68,18 @@ int main() {
   for (auto v : in) in_lanes.push_back({v});
   for (auto v : rnd) rnd_lanes.push_back({v});
   const auto res = ev.evaluate(in_lanes, rnd_lanes);
-  const auto ref = solver.evaluate(f, in, rnd);
+  const auto ref = solver.evaluate_status(f, in, rnd);
   std::printf("\ntape evaluation with |S| = 2^30 random leaves: %s\n",
               res.status.ok() ? "no zero-division"
                               : "zero-division (unlucky!)");
   if (res.status.ok()) {
-    bool solves = true, matches = ref.ok;
+    bool solves = true, matches = ref.status.ok();
     for (std::size_t i = 0; i < n; ++i) {
       solves = solves && res.outputs[i][0] == x[i];
       matches = matches && ref.outputs[i] == res.outputs[i][0];
     }
     std::printf("  solves the system: %s\n", solves ? "yes" : "no");
-    std::printf("  matches node-at-a-time evaluate(): %s\n",
+    std::printf("  matches node-at-a-time evaluate_status(): %s\n",
                 matches ? "yes" : "NO (bug!)");
   }
 

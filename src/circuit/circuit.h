@@ -4,7 +4,7 @@
 // random-element leaves.  The two complexity measures of every theorem in
 // the paper are exactly this module's size() (number of arithmetic nodes)
 // and depth() (longest path of arithmetic nodes), and the "division by
-// zero" failure event of Theorems 4 and 6 is what evaluate() reports.
+// zero" failure event of Theorems 4 and 6 is what evaluate_status() reports.
 //
 // Circuits are built either directly through the node factories here or --
 // the way the Theorem-4/6 circuits are realized -- by running the generic
@@ -78,14 +78,6 @@ class Circuit {
   std::size_t num_randoms() const { return randoms_.size(); }
   std::size_t num_outputs() const { return outputs_.size(); }
 
-  /// Result of an evaluation: ok == false reports the division-by-zero
-  /// failure event (unlucky randoms or a singular input, Theorem 4).
-  template <class F>
-  struct Eval {
-    bool ok = false;
-    std::vector<typename F::Element> outputs;
-  };
-
   /// Result of a Status-reporting evaluation.  On kDivisionByZero the id of
   /// the failing kDiv node is carried alongside the Status so callers can
   /// map the failure event back into the DAG (depth_of(failed_node), dot
@@ -155,19 +147,6 @@ class Circuit {
     }
     res.outputs.reserve(outputs_.size());
     for (NodeId id : outputs_) res.outputs.push_back(val[id]);
-    return res;
-  }
-
-  /// Legacy bool-reporting evaluation -- a thin wrapper over
-  /// evaluate_status() (ok == status.ok()).
-  template <kp::field::Field F>
-  Eval<F> evaluate(const F& f,
-                   const std::vector<typename F::Element>& input_values,
-                   const std::vector<typename F::Element>& random_values) const {
-    auto st = evaluate_status(f, input_values, random_values);
-    Eval<F> res;
-    res.ok = st.status.ok();
-    res.outputs = std::move(st.outputs);
     return res;
   }
 

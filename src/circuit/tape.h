@@ -6,7 +6,7 @@
 //   * constants are pooled by value (one register per distinct payload);
 //   * dead nodes are eliminated, EXCEPT that every kDiv node stays live:
 //     a division by zero is the paper's Las Vegas failure event, and the
-//     tape must fail exactly when node-at-a-time evaluate() fails;
+//     tape must fail exactly when node-at-a-time evaluate_status() fails;
 //   * arithmetic nodes are renumbered into contiguous topological levels
 //     (level d holds exactly the nodes of arithmetic depth d+1, the paper's
 //     depth measure), each level a block of {op, dst, a, b} instructions
@@ -100,10 +100,11 @@ inline Tape compile(const Circuit& c) {
   };
 
   // ---- liveness ----------------------------------------------------------
-  // Roots: the outputs, plus every kDiv node -- node-at-a-time evaluate()
-  // walks the whole arena, so a dead division still triggers the failure
-  // event and the tape must preserve that.  One reverse sweep closes the
-  // set (operands have smaller ids than their consumers).
+  // Roots: the outputs, plus every kDiv node -- node-at-a-time
+  // evaluate_status() walks the whole arena, so a dead division still
+  // triggers the failure event and the tape must preserve that.  One
+  // reverse sweep closes the set (operands have smaller ids than their
+  // consumers).
   std::vector<char> live(n, 0);
   for (NodeId id : c.outputs()) live[id] = 1;
   for (std::size_t i = 0; i < n; ++i) {

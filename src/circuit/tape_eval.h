@@ -9,8 +9,8 @@
 //
 // Determinism contract (tested in tests/test_tape.cpp):
 //   * element values are bit-identical to node-at-a-time
-//     Circuit::evaluate() for every lane, at every worker count and every
-//     SIMD dispatch level (canonical residues are unique; the kernels
+//     Circuit::evaluate_status() for every lane, at every worker count and
+//     every SIMD dispatch level (canonical residues are unique; the kernels
 //     reproduce the fields' exact scalar formulas);
 //   * lane-chunk boundaries depend only on B (fixed kLaneGrain), never on
 //     the worker count, and chunks write disjoint lane ranges, so the

@@ -67,118 +67,148 @@ struct NullspaceResult {
   util::Status status;      ///< Ok, or why the computation was rejected
 };
 
+namespace detail {
+
+/// One section-5 draw: U, V with entries from S, Ahat = U A V, and r, the
+/// order of Ahat's largest non-singular leading principal block (== rank A
+/// w.h.p.).  U, V come from the attempt's projection seed, so a failing
+/// attempt replays from its Diag.
+template <kp::field::Field F>
+struct LeadingBlock {
+  matrix::Matrix<F> u, v, ahat;
+  std::size_t r = 0;
+};
+
+template <kp::field::Field F>
+LeadingBlock<F> draw_leading_block(const F& f, const matrix::Matrix<F>& a,
+                                   Attempt& at, std::uint64_t s) {
+  const std::size_t n = a.rows();
+  at.draw();
+  kp::util::Prng prng{at.projection_seed()};
+  LeadingBlock<F> lb;
+  lb.u = matrix::sample_matrix(f, n, n, prng, s);
+  lb.v = matrix::sample_matrix(f, n, n, prng, s);
+  lb.ahat = matrix::mat_mul(f, matrix::mat_mul(f, lb.u, a), lb.v);
+  for (std::size_t k = n; k >= 1; --k) {
+    if (!f.is_zero(matrix::det_gauss(f, matrix::leading_principal(f, lb.ahat, k)))) {
+      lb.r = k;
+      break;
+    }
+  }
+  return lb;
+}
+
+}  // namespace detail
+
 /// Basis of the right nullspace by the section-5 construction.  Las Vegas:
 /// the basis is verified (A N = 0 and N has full column rank) and the draw
-/// is retried on bad randomness.
+/// is retried on bad randomness (run_las_vegas).
 template <kp::field::Field F>
 NullspaceResult<F> nullspace_randomized(const F& f, const matrix::Matrix<F>& a,
                                         kp::util::Prng& prng, std::uint64_t s,
                                         int max_attempts = 3) {
+  using util::FailureKind;
+  using util::Stage;
+  using util::Status;
   const std::size_t n = a.rows();
   NullspaceResult<F> res;
-  res.status = util::Require(a.is_square(), util::FailureKind::kInvalidArgument,
-                             util::Stage::kNone,
+  res.status = util::Require(a.is_square(), FailureKind::kInvalidArgument,
+                             Stage::kNone,
                              "section-5 construction stated for square A");
   if (!res.status.ok()) return res;
-  res.status = util::Status::Fail(util::FailureKind::kVerifyMismatch,
-                                  util::Stage::kVerify,
-                                  "all attempts failed verification");
 
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    const auto u = matrix::sample_matrix(f, n, n, prng, s);
-    const auto v = matrix::sample_matrix(f, n, n, prng, s);
-    if (f.is_zero(matrix::det_gauss(f, u)) || f.is_zero(matrix::det_gauss(f, v))) {
-      continue;
-    }
-    const auto ahat = matrix::mat_mul(f, matrix::mat_mul(f, u, a), v);
+  const LasVegasRun run = run_las_vegas(
+      prng, {n, std::nullopt, max_attempts, s, 0, /*preconditioned=*/false},
+      nullptr, [&](Attempt& at) {
+        const auto lb = detail::draw_leading_block(f, a, at, s);
+        if (f.is_zero(matrix::det_gauss(f, lb.u)) ||
+            f.is_zero(matrix::det_gauss(f, lb.v))) {
+          return Status::Fail(FailureKind::kDegenerateProjection,
+                              Stage::kProjection, "U or V singular");
+        }
+        const std::size_t r = lb.r;
+        if (r == n) {  // full rank: empty kernel
+          res.rank = n;
+          res.basis = matrix::Matrix<F>(n, 0, f.zero());
+          return Status::Ok();
+        }
+        // Solve Ahat_r X = B for B the top-right r x (n-r) block, then
+        // W = (-X ; I_{n-r}) spans ker(Ahat); ker(A) = V W.
+        const auto ar = matrix::leading_principal(f, lb.ahat, r);
+        matrix::Matrix<F> w(n, n - r, f.zero());
+        for (std::size_t col = 0; col < n - r; ++col) {
+          std::vector<typename F::Element> b(r, f.zero());
+          for (std::size_t i = 0; i < r; ++i) b[i] = lb.ahat.at(i, r + col);
+          auto x = matrix::solve_gauss(f, ar, b);
+          if (!x) {
+            return Status::Fail(FailureKind::kDegenerateProjection,
+                                Stage::kProjection, "leading block singular");
+          }
+          for (std::size_t i = 0; i < r; ++i) w.at(i, col) = f.neg((*x)[i]);
+          w.at(r + col, col) = f.one();
+        }
+        auto basis = matrix::mat_mul(f, lb.v, w);
 
-    // Find r = largest non-singular leading block (== rank w.h.p.).
-    std::size_t r = 0;
-    for (std::size_t k = n; k >= 1; --k) {
-      if (!f.is_zero(matrix::det_gauss(f, matrix::leading_principal(f, ahat, k)))) {
-        r = k;
-        break;
-      }
-    }
-    if (r == n) {  // full rank: empty kernel
-      res.ok = true;
-      res.rank = n;
-      res.basis = matrix::Matrix<F>(n, 0, f.zero());
-      res.status = util::Status::Ok();
-      return res;
-    }
-
-    // Solve Ahat_r X = B for B the top-right r x (n-r) block, then
-    // W = (-X ; I_{n-r}) spans ker(Ahat); ker(A) = V W.
-    const auto ar = matrix::leading_principal(f, ahat, r);
-    matrix::Matrix<F> w(n, n - r, f.zero());
-    bool bad = false;
-    for (std::size_t col = 0; col < n - r && !bad; ++col) {
-      std::vector<typename F::Element> b(r, f.zero());
-      for (std::size_t i = 0; i < r; ++i) b[i] = ahat.at(i, r + col);
-      auto x = matrix::solve_gauss(f, ar, b);
-      if (!x) {
-        bad = true;
-        break;
-      }
-      for (std::size_t i = 0; i < r; ++i) w.at(i, col) = f.neg((*x)[i]);
-      w.at(r + col, col) = f.one();
-    }
-    if (bad) continue;
-    auto basis = matrix::mat_mul(f, v, w);
-
-    // Las Vegas verification: A * basis = 0 and full column rank.
-    const auto prod = matrix::mat_mul(f, a, basis);
-    if (!matrix::mat_eq(f, prod, matrix::zero_matrix(f, n, n - r))) continue;
-    if (matrix::rank_gauss(f, basis) != n - r) continue;
-
-    res.ok = true;
-    res.rank = r;
-    res.basis = std::move(basis);
-    res.status = util::Status::Ok();
-    return res;
-  }
+        // Las Vegas verification: A * basis = 0 and full column rank.
+        const auto prod = matrix::mat_mul(f, a, basis);
+        if (!matrix::mat_eq(f, prod, matrix::zero_matrix(f, n, n - r)) ||
+            matrix::rank_gauss(f, basis) != n - r) {
+          return Status::Fail(FailureKind::kVerifyMismatch, Stage::kVerify,
+                              "basis fails A N = 0 or full rank");
+        }
+        res.rank = r;
+        res.basis = std::move(basis);
+        return Status::Ok();
+      });
+  res.status = run.status;
+  res.ok = run.status.ok();
   return res;
 }
 
 /// One solution of a (possibly singular) consistent square system A x = b,
-/// via the same leading-block factorization; nullopt when the system is
-/// detected to be inconsistent or the randomness is unlucky.
+/// via the same leading-block factorization; nullopt when the input is
+/// malformed (A not square, dim(b) != n, n = 0), or the system is detected
+/// to be inconsistent or the randomness is unlucky on every attempt.
 template <kp::field::Field F>
 std::optional<std::vector<typename F::Element>> singular_solve_randomized(
     const F& f, const matrix::Matrix<F>& a,
     const std::vector<typename F::Element>& b, kp::util::Prng& prng,
     std::uint64_t s, int max_attempts = 3) {
+  using util::FailureKind;
+  using util::Stage;
+  using util::Status;
+  if (!a.is_square()) return std::nullopt;
   const std::size_t n = a.rows();
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    const auto u = matrix::sample_matrix(f, n, n, prng, s);
-    const auto v = matrix::sample_matrix(f, n, n, prng, s);
-    const auto ahat = matrix::mat_mul(f, matrix::mat_mul(f, u, a), v);
-    const auto ub = matrix::mat_vec(f, u, b);
-
-    std::size_t r = 0;
-    for (std::size_t k = n; k >= 1; --k) {
-      if (!f.is_zero(matrix::det_gauss(f, matrix::leading_principal(f, ahat, k)))) {
-        r = k;
-        break;
-      }
-    }
-    // Solve the leading block against the first r entries of U b, pad with
-    // zeros, map back through V.
-    std::vector<typename F::Element> y(n, f.zero());
-    if (r > 0) {
-      const auto ar = matrix::leading_principal(f, ahat, r);
-      std::vector<typename F::Element> rhs(ub.begin(),
-                                           ub.begin() + static_cast<std::ptrdiff_t>(r));
-      auto top = matrix::solve_gauss(f, ar, rhs);
-      if (!top) continue;
-      for (std::size_t i = 0; i < r; ++i) y[i] = (*top)[i];
-    }
-    auto x = matrix::mat_vec(f, v, y);
-    if (matrix::mat_vec(f, a, x) == b) return x;  // Las Vegas verification
-    // Either unlucky randomness or the system is inconsistent; retry.
-  }
-  return std::nullopt;
+  std::vector<typename F::Element> x;
+  const LasVegasRun run = run_las_vegas(
+      prng, {n, b.size(), max_attempts, s, 0, /*preconditioned=*/false}, nullptr,
+      [&](Attempt& at) {
+        const auto lb = detail::draw_leading_block(f, a, at, s);
+        const auto ub = matrix::mat_vec(f, lb.u, b);
+        // Solve the leading block against the first r entries of U b, pad
+        // with zeros, map back through V.
+        std::vector<typename F::Element> y(n, f.zero());
+        if (lb.r > 0) {
+          const auto ar = matrix::leading_principal(f, lb.ahat, lb.r);
+          std::vector<typename F::Element> rhs(
+              ub.begin(), ub.begin() + static_cast<std::ptrdiff_t>(lb.r));
+          auto top = matrix::solve_gauss(f, ar, rhs);
+          if (!top) {
+            return Status::Fail(FailureKind::kDegenerateProjection,
+                                Stage::kProjection, "leading block singular");
+          }
+          for (std::size_t i = 0; i < lb.r; ++i) y[i] = (*top)[i];
+        }
+        x = matrix::mat_vec(f, lb.v, y);
+        // Either unlucky randomness or an inconsistent system; retry.
+        if (matrix::mat_vec(f, a, x) != b) {
+          return Status::Fail(FailureKind::kVerifyMismatch, Stage::kVerify,
+                              "A x != b");
+        }
+        return Status::Ok();
+      });
+  if (!run.status.ok()) return std::nullopt;
+  return x;
 }
 
 /// Least-squares solution over a characteristic-zero field (Pan 1990a):

@@ -13,21 +13,23 @@
 //     which is why the session is immovable and hands out batch solves
 //     rather than the box);
 //   * the Transcript of kp_solve's prepare (core/solver.h): H, D, the
-//     charpoly g, det(A), and the combination coefficients q_j; the Diag
-//     seeds that drew it make a solve failure replayable in isolation;
+//     charpoly g and det(A); the Diag seeds that drew it make a solve
+//     failure replayable in isolation;
 //   * for Q (RationalSession below), the CRT prime set and shard transcript
 //     a previous solve certified, warm-starting the next one.
 //
-// The second phase is BATCHED: solve_many advances all pending right-hand
-// sides through the annihilator recurrence together (apply_columns, so the
+// The second phase is BATCHED and is kp_solve's own finish: solve_many hands
+// all pending right-hand sides to detail::finish_many, which advances them
+// through the annihilator recurrence together (apply_columns, so the
 // operator's apply_many / shared-spectrum paths fire once per step for the
-// whole batch) and verifies them in one batched apply.  Per-column failures
-// stay per-column: a verify mismatch re-draws the transcript and retries
-// only the failed columns, under a bounded retry budget with exponential
-// backoff; repeated mismatches open the session's circuit breaker
-// (kSessionQuarantined) so a poisoned session fails fast instead of burning
-// pool time.  Cooperative deadlines/cancellation (util/deadline.h) are
-// checked at the same boundaries the one-shot pipeline checks them.
+// whole batch) and verifies them in one batched apply.  The session adds
+// only policy on top.  Per-column failures stay per-column: a verify
+// mismatch re-draws the transcript and retries only the failed columns,
+// under a bounded retry budget with exponential backoff; repeated
+// mismatches open the session's circuit breaker (kSessionQuarantined) so a
+// poisoned session fails fast instead of burning pool time.  Cooperative
+// deadlines/cancellation (util/deadline.h) are checked at the same
+// boundaries the one-shot pipeline checks them.
 //
 // Sessions are NOT thread-safe: the service layer (core/service.h) owns the
 // locking and the cross-request coalescing; a session is the single-owner
@@ -41,7 +43,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/annihilator.h"
 #include "core/crt_shard.h"
 #include "core/preconditioners.h"
 #include "core/solver.h"
@@ -171,7 +172,6 @@ class Session {
         });
     prepares_ += prepare_diags_.size() - before;
     if (!run.status.ok()) return run.status;
-    q_ = solution_combination(f_, t_->g);
     prepared_ = true;
     return run.status;
   }
@@ -184,8 +184,9 @@ class Session {
   /// Phase 2: solve A x_k = b_k for a batch of right-hand sides through the
   /// pinned transcript.  `control` bounds the whole batch (the service
   /// passes the earliest member deadline); `member_controls`, when given,
-  /// carries each column's own token, checked before that column's
-  /// verification so a cancelled request never claims a result.
+  /// carries each column's own token, checked (in place of `control`)
+  /// before that column's verification so a cancelled request never claims
+  /// a result.
   SessionBatchResult<F> solve_many(
       const std::vector<const std::vector<E>*>& rhs,
       const util::ExecControl* control = nullptr,
@@ -237,89 +238,41 @@ class Session {
         }
       }
 
-      // The coalesced Cayley-Hamilton finish: every pending column advances
-      // through the same A-tilde power, so the operator's batch path (one
-      // diagonal pass, one shared-spectrum Hankel product, one inner batch
-      // apply) fires once per step for the whole batch.
-      std::vector<std::vector<E>> w;
-      w.reserve(pending.size());
-      std::vector<std::vector<E>> x(pending.size(),
-                                    std::vector<E>(n_, f_.zero()));
-      for (const std::size_t k : pending) w.push_back(*rhs[k]);
-      bool aborted = false;
-      Status abort_status;
-      for (std::size_t j = 0; j < q_.size(); ++j) {
-        if ((j & 15u) == 0) {
-          if (Status ctl =
-                  util::ExecControl::check(control, Stage::kServiceExecute);
-              !ctl.ok()) {
-            aborted = true;
-            abort_status = ctl;
-            break;
-          }
-        }
-        if (j) w = matrix::apply_columns(*t_->box, w);
-        if (f_.eq(q_[j], f_.zero())) continue;
-        for (std::size_t c = 0; c < pending.size(); ++c) {
-          for (std::size_t i = 0; i < n_; ++i) {
-            x[c][i] = f_.add(x[c][i], f_.mul(q_[j], w[c][i]));
-          }
-        }
+      // The coalesced finish (detail::finish_many): one batched recurrence
+      // and one batched verify through the ORIGINAL operator, so a wrong
+      // transcript can never leak a wrong answer (Las Vegas).
+      std::vector<const std::vector<E>*> cols;
+      std::vector<const util::ExecControl*> members;
+      for (const std::size_t k : pending) {
+        cols.push_back(rhs[k]);
+        members.push_back(member_controls != nullptr && k < member_controls->size()
+                              ? (*member_controls)[k]
+                              : nullptr);
       }
-      if (aborted) {
-        fail_all_pending(pending, abort_status);
-        return out;
-      }
-
-      // Unprecondition and verify -- batched through the ORIGINAL operator,
-      // so a wrong transcript can never leak a wrong answer (Las Vegas).
-      std::vector<std::vector<E>> xs(pending.size());
-      for (std::size_t c = 0; c < pending.size(); ++c) {
-        xs[c] = t_->pre->unprecondition(f_, ring_, x[c]);
-      }
-      std::vector<std::size_t> verify_cols;
-      std::vector<const std::vector<E>*> verify_ptrs;
-      for (std::size_t c = 0; c < pending.size(); ++c) {
-        const std::size_t k = pending[c];
-        const util::ExecControl* member =
-            member_controls != nullptr && k < member_controls->size()
-                ? (*member_controls)[k]
-                : nullptr;
-        if (Status ctl = util::ExecControl::check(member, Stage::kVerify);
-            !ctl.ok()) {
-          out.items[k].status = ctl;  // cancelled mid-batch: result dropped
-          continue;
-        }
-        verify_cols.push_back(c);
-        verify_ptrs.push_back(&xs[c]);
-      }
-      const auto ax = matrix::apply_columns(a_, verify_ptrs);
+      SolverOptions opt = opt_.solver;
+      opt.verify = true;
+      opt.control = control;
+      auto fin = detail::finish_many(f_, ring_, a_, *t_, cols, opt, &members);
       std::vector<std::size_t> mismatched;
-      for (std::size_t m = 0; m < verify_cols.size(); ++m) {
-        const std::size_t c = verify_cols[m];
+      for (std::size_t c = 0; c < pending.size(); ++c) {
         const std::size_t k = pending[c];
-        const bool injected = KP_FAULT_POINT(Stage::kVerify);
-        if (injected || ax[m] != *rhs[k]) {
-          mismatched.push_back(k);
-          out.items[k].status =
-              injected ? Status::Injected(FailureKind::kVerifyMismatch,
-                                          Stage::kVerify)
-                       : Status::Fail(FailureKind::kVerifyMismatch,
-                                      Stage::kVerify, "A x != b");
-          util::Diag d;
-          d.kind = FailureKind::kVerifyMismatch;
-          d.stage = Stage::kVerify;
-          d.attempt = redraws + 1;
-          d.injected = injected;
-          out.diags.push_back(d);
-        } else {
-          out.items[k].status = Status::Ok();
-          out.items[k].x = std::move(xs[c]);
+        const Status& st = fin[c].status;
+        out.items[k].status = st;
+        if (st.ok()) {
+          out.items[k].x = std::move(fin[c].x);
           out.items[k].level = pending.size() > 1
                                    ? DegradationLevel::kBatched
                                    : DegradationLevel::kSingleRhs;
           ++solves_completed_;
-        }
+        } else if (st.kind() == FailureKind::kVerifyMismatch) {
+          mismatched.push_back(k);
+          util::Diag d;
+          d.kind = FailureKind::kVerifyMismatch;
+          d.stage = st.stage();
+          d.attempt = redraws + 1;
+          d.injected = st.injected();
+          out.diags.push_back(d);
+        }  // else a control failure: the result is dropped, no retry
       }
 
       if (mismatched.empty()) return out;
@@ -414,7 +367,6 @@ class Session {
 
   // The pinned transcript; its box views a_ and ring_.
   std::optional<Transcript<F, matrix::AnyBox<F>>> t_;
-  std::vector<E> q_;  ///< combination coefficients -g_{j+1}/g_0
   bool prepared_ = false;
   std::optional<matrix::Matrix<F>> dense_;  ///< lazy baseline materialization
 

@@ -25,9 +25,9 @@
 //
 // The pipeline splits into a per-OPERATOR prepare (steps 1-3 and det(H D):
 // detail::prepare_attempt fills a Transcript) and a per-RHS finish (steps
-// 4b-5: detail::finish_attempt).  kp_det is prepare alone, kp_solve is
-// prepare + finish, and a Session (core/session.h) pins one Transcript and
-// batches its finishes.
+// 4b-5: detail::finish_many, batched over k columns).  kp_det is prepare
+// alone, kp_solve is prepare + a one-column finish, and a Session
+// (core/session.h) pins one Transcript and finishes batches through it.
 //
 // Failure handling (the Las Vegas layer, see DESIGN.md section 9):
 //
@@ -370,44 +370,89 @@ util::Status prepare_attempt(const F& f, const kp::poly::PolyRing<F>& ring,
   return Status::Ok();
 }
 
-/// The per-right-hand-side half: the route's Cayley-Hamilton finish
-/// x-tilde = A-tilde^{-1} b, x = H D x-tilde, and (opt.verify) the Las Vegas
-/// check A x = b.
+/// One right-hand side's outcome of finish_many.
+template <kp::field::Field F>
+struct FinishedRhs {
+  util::Status status;
+  std::vector<typename F::Element> x;  ///< the solution; valid iff status.ok()
+};
+
+/// The per-right-hand-side half, for k columns through one prepared
+/// transcript: the Cayley-Hamilton finish x-tilde = A-tilde^{-1} b, then
+/// x = H D x-tilde and (opt.verify) the Las Vegas check A x = b.
+///
+///   * q = solution_combination(g) once per call.  The doubling route
+///     combines each column's Krylov block; the iterative route advances all
+///     k columns through one batched recurrence (combine_powers), checking
+///     opt.control every 16 steps at kSolveFinish.  A control trip fails
+///     every column.
+///   * Per column, in order: the kSolveFinish fault site, unpreconditioning,
+///     then (opt.verify) the column's own control check at kVerify (its
+///     member_controls entry when non-null, else opt.control) and the
+///     kVerify fault site.
+///   * The columns still live are verified with ONE batched apply of A.
 template <kp::field::Field F, matrix::LinOp B>
-util::Status finish_attempt(const F& f, const kp::poly::PolyRing<F>& ring,
-                            const B& a, const Transcript<F, B>& t,
-                            const std::vector<typename F::Element>& b,
-                            const SolverOptions& opt,
-                            std::vector<typename F::Element>& x) {
+std::vector<FinishedRhs<F>> finish_many(
+    const F& f, const kp::poly::PolyRing<F>& ring, const B& a,
+    const Transcript<F, B>& t,
+    const std::vector<const std::vector<typename F::Element>*>& rhs,
+    const SolverOptions& opt,
+    const std::vector<const util::ExecControl*>* member_controls = nullptr) {
+  using E = typename F::Element;
   using util::FailureKind;
   using util::Stage;
   using util::Status;
-  std::vector<typename F::Element> xt;
+  const std::size_t k = rhs.size();
+  std::vector<FinishedRhs<F>> out(k);
+  const auto q = solution_combination(f, t.g);
+  std::vector<std::vector<E>> xt;
   if (t.route == KrylovRoute::kDoubling) {
-    // Through the doubling Krylov block of b.
-    const auto q = solution_combination(f, t.g);
-    const auto block = krylov_block(f, *t.dense, b, a.dim(), opt.matmul);
-    xt = krylov_combine(f, block, q);
-  } else {
-    xt = solve_from_annihilator(f, *t.box, t.g, b);
+    for (const auto* b : rhs) {
+      const auto block = krylov_block(f, *t.dense, *b, a.dim(), opt.matmul);
+      xt.push_back(krylov_combine(f, block, q));
+    }
+  } else if (Status st = combine_powers(f, *t.box, q, rhs, opt.control, xt);
+             !st.ok()) {
+    for (auto& o : out) o.status = st;
+    return out;
   }
-  if (KP_FAULT_POINT(Stage::kSolveFinish)) {
-    return Status::Injected(FailureKind::kVerifyMismatch, Stage::kSolveFinish);
+
+  std::vector<std::size_t> live;
+  std::vector<const std::vector<E>*> live_x;
+  for (std::size_t c = 0; c < k; ++c) {
+    if (KP_FAULT_POINT(Stage::kSolveFinish)) {
+      out[c].status =
+          Status::Injected(FailureKind::kVerifyMismatch, Stage::kSolveFinish);
+      continue;
+    }
+    out[c].x = t.pre->unprecondition(f, ring, xt[c]);
+    if (opt.verify) {
+      const util::ExecControl* member =
+          member_controls != nullptr ? (*member_controls)[c] : nullptr;
+      if (Status ctl = util::ExecControl::check(member ? member : opt.control,
+                                                Stage::kVerify);
+          !ctl.ok()) {
+        out[c].status = ctl;
+        continue;
+      }
+      if (KP_FAULT_POINT(Stage::kVerify)) {
+        out[c].status =
+            Status::Injected(FailureKind::kVerifyMismatch, Stage::kVerify);
+        continue;
+      }
+    }
+    live.push_back(c);
+    live_x.push_back(&out[c].x);
   }
-  x = t.pre->unprecondition(f, ring, xt);
-  if (!opt.verify) return Status::Ok();
-  if (Status ctl = util::ExecControl::check(opt.control, Stage::kVerify);
-      !ctl.ok()) {
-    return ctl;
+  if (!opt.verify) return out;  // live columns already carry Ok
+  const auto ax = matrix::apply_columns(a, live_x);
+  for (std::size_t m = 0; m < live.size(); ++m) {
+    if (ax[m] != *rhs[live[m]]) {
+      out[live[m]].status = Status::Fail(FailureKind::kVerifyMismatch,
+                                         Stage::kVerify, "A x != b");
+    }
   }
-  if (KP_FAULT_POINT(Stage::kVerify)) {
-    return Status::Injected(FailureKind::kVerifyMismatch, Stage::kVerify);
-  }
-  if (a.apply(x) != b) {
-    return Status::Fail(FailureKind::kVerifyMismatch, Stage::kVerify,
-                        "A x != b");
-  }
-  return Status::Ok();
+  return out;
 }
 
 /// The Las Vegas knobs of a Theorem-4 run over an n-dimensional operator.
@@ -441,8 +486,10 @@ SolveResult<F> theorem4_run(const F& f, const B& a,
                             : std::nullopt),
       opt.collect_diag ? &res.diags : nullptr, [&](Attempt& at) {
         Status st = prepare_attempt(f, ring, a, opt, at, t);
-        if (st.ok() && rhs) st = finish_attempt(f, ring, a, t, *rhs, opt, x);
-        return st;
+        if (!st.ok() || !rhs) return st;
+        auto fin = finish_many(f, ring, a, t, {rhs}, opt);
+        x = std::move(fin[0].x);
+        return fin[0].status;
       });
   res.status = run.status;
   res.attempts = run.attempts;

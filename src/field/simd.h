@@ -21,7 +21,6 @@
 //
 // Dispatch levels (runtime, overridable):
 //   kScalar -- always available; every entry point returns false.
-//   kNeon   -- aarch64: 2x64 lanes via vmull_u32 limb products (dot, sum).
 //   kAvx2   -- x86-64: 4x64 lanes via _mm256_mul_epu32 odd/even splitting
 //              (dot, sum, zero-skipping dot).  For ~64-bit moduli AVX2 has
 //              no 64x64 multiplier, so the 4-limb scheme roughly ties the
@@ -31,7 +30,7 @@
 //              vpmadd52 accumulation, the fastest path for any p < 2^63.
 //
 // The level is detected once (cpuid via __builtin_cpu_supports), can be
-// capped by the KP_SIMD environment variable (off|scalar|neon|avx2|avx512),
+// capped by the KP_SIMD environment variable (off|scalar|avx2|avx512),
 // and can be changed at runtime with set_simd_level() (the equivalence tests
 // sweep it).  A -DKP_SIMD=OFF CMake build defines KP_SIMD_DISABLED and folds
 // everything here to the `return false` stubs at compile time.
@@ -50,9 +49,6 @@
 #if defined(__x86_64__)
 #define KP_SIMD_X86 1
 #include <immintrin.h>
-#elif defined(__aarch64__)
-#define KP_SIMD_NEON 1
-#include <arm_neon.h>
 #endif
 #endif
 
@@ -63,12 +59,11 @@ using fastmod::u64;
 
 /// Dispatch levels, ordered so that "walk down until available" degrades
 /// an unavailable request sensibly (avx512 -> avx2 -> scalar on x86).
-enum class SimdLevel : int { kScalar = 0, kNeon = 1, kAvx2 = 2, kAvx512 = 3 };
+enum class SimdLevel : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
 inline const char* to_string(SimdLevel l) {
   switch (l) {
     case SimdLevel::kScalar: return "scalar";
-    case SimdLevel::kNeon: return "neon";
     case SimdLevel::kAvx2: return "avx2";
     case SimdLevel::kAvx512: return "avx512";
   }
@@ -85,12 +80,6 @@ inline bool level_supported(SimdLevel l) {
   switch (l) {
     case SimdLevel::kScalar:
       return true;
-    case SimdLevel::kNeon:
-#if defined(KP_SIMD_NEON)
-      return true;
-#else
-      return false;
-#endif
     case SimdLevel::kAvx2:
 #if defined(KP_SIMD_X86)
       return __builtin_cpu_supports("avx2");
@@ -141,7 +130,6 @@ inline SimdLevel env_level(SimdLevel fallback) {
       std::strcmp(e, "0") == 0) {
     return SimdLevel::kScalar;
   }
-  if (std::strcmp(e, "neon") == 0) return clamp_level(SimdLevel::kNeon);
   if (std::strcmp(e, "avx2") == 0) return clamp_level(SimdLevel::kAvx2);
   if (std::strcmp(e, "avx512") == 0) return clamp_level(SimdLevel::kAvx512);
   return fallback;
@@ -187,7 +175,7 @@ inline void bump(std::atomic<std::uint64_t>& c, std::uint64_t groups) {
 inline SimdLevel simd_max_level() { return detail::detect_max_level(); }
 
 inline SimdLevel simd_level() {
-#if defined(KP_SIMD_X86) || defined(KP_SIMD_NEON)
+#if defined(KP_SIMD_X86)
   return static_cast<SimdLevel>(
       detail::config().level.load(std::memory_order_relaxed));
 #else
@@ -267,6 +255,8 @@ inline void reset_simd_stats() {
   c.vec.store(0, std::memory_order_relaxed);
 }
 
+#if defined(KP_SIMD_X86)
+
 // ---------------------------------------------------------------------------
 // Shared scalar pieces: limb-accumulator recombination and tails.  These run
 // on the host ISA (no target attributes) and use the same Barrett
@@ -333,8 +323,6 @@ inline constexpr std::size_t kIfmaBlock = std::size_t{1} << 11;
 
 // ---------------------------------------------------------------------------
 // x86-64 kernel bodies.
-
-#if defined(KP_SIMD_X86)
 
 // GCC's AVX-512 headers route many intrinsics through
 // _mm512_undefined_epi32(), which -Wmaybe-uninitialized flags at every
@@ -1245,78 +1233,6 @@ KP_TGT_AVX2 inline void vec_neg_256(u64 p, const u64* a, u64* dst,
 #pragma GCC diagnostic pop
 #endif
 
-#endif  // KP_SIMD_X86
-
-// ---------------------------------------------------------------------------
-// NEON kernel bodies (aarch64; compile-gated, exercised by the CI
-// cross-compile leg).  Mirrors the AVX2 4-limb / carry-tracking math on
-// 2x64 lanes.
-
-#if defined(KP_SIMD_NEON)
-
-namespace detail {
-
-inline u128 hsum_neon(uint64x2_t v) {
-  return static_cast<u128>(vgetq_lane_u64(v, 0)) + vgetq_lane_u64(v, 1);
-}
-
-inline u64 dot_4limb_neon(const fastmod::Barrett& bar, const u64* a,
-                          const u64* b, std::size_t n) {
-  const uint64x2_t zero = vdupq_n_u64(0);
-  const uint64x2_t m32 = vdupq_n_u64(0xffffffffULL);
-  u64 acc = 0;
-  std::size_t i = 0;
-  while (i + 2 <= n) {
-    std::size_t iters = (n - i) / 2;
-    if (iters > kLimbBlock) iters = kLimbBlock;
-    const std::size_t end = i + iters * 2;
-    uint64x2_t s0 = zero, s1 = zero, s2 = zero, s3 = zero;
-    for (; i < end; i += 2) {
-      const uint64x2_t va = vld1q_u64(a + i);
-      const uint64x2_t vb = vld1q_u64(b + i);
-      const uint32x2_t al = vmovn_u64(va);
-      const uint32x2_t ah = vshrn_n_u64(va, 32);
-      const uint32x2_t bl = vmovn_u64(vb);
-      const uint32x2_t bh = vshrn_n_u64(vb, 32);
-      const uint64x2_t ll = vmull_u32(al, bl);
-      const uint64x2_t lh = vmull_u32(al, bh);
-      const uint64x2_t hl = vmull_u32(ah, bl);
-      const uint64x2_t hh = vmull_u32(ah, bh);
-      s0 = vaddq_u64(s0, vandq_u64(ll, m32));
-      s1 = vaddq_u64(
-          s1, vaddq_u64(vshrq_n_u64(ll, 32),
-                        vaddq_u64(vandq_u64(lh, m32), vandq_u64(hl, m32))));
-      s2 = vaddq_u64(
-          s2, vaddq_u64(vandq_u64(hh, m32),
-                        vaddq_u64(vshrq_n_u64(lh, 32), vshrq_n_u64(hl, 32))));
-      s3 = vaddq_u64(s3, vshrq_n_u64(hh, 32));
-    }
-    acc = fold_4limb(bar, hsum_neon(s0), hsum_neon(s1), hsum_neon(s2),
-                     hsum_neon(s3), acc);
-  }
-  return dot_tail(bar, a, b, i, n, acc);
-}
-
-inline u64 sum_neon(const fastmod::Barrett& bar, const u64* a, std::size_t n) {
-  uint64x2_t lo = vdupq_n_u64(0);
-  uint64x2_t hi = vdupq_n_u64(0);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint64x2_t x = vld1q_u64(a + i);
-    lo = vaddq_u64(lo, x);
-    // wrapped iff new lo < x (all-ones lanes); subtracting adds the carry.
-    hi = vsubq_u64(hi, vreinterpretq_u64_u32(vreinterpretq_u32_u64(
-                           vcltq_u64(lo, x))));
-  }
-  u128 t = hsum_neon(lo) + (hsum_neon(hi) << 64);
-  for (; i < n; ++i) t += a[i];
-  return bar.reduce_full(t);
-}
-
-}  // namespace detail
-
-#endif  // KP_SIMD_NEON
-
 // ---------------------------------------------------------------------------
 // Public entry points: dispatch + diagnostics.  Each returns true only when
 // the request was fully handled bit-identically; the caller's scalar loop is
@@ -1325,32 +1241,17 @@ inline u64 sum_neon(const fastmod::Barrett& bar, const u64* a, std::size_t n) {
 /// Contiguous (stride-1) delayed-reduction dot product.
 inline bool dot(const fastmod::Barrett& bar, const u64* a, const u64* b,
                 std::size_t n, u64* out) {
-#if defined(KP_SIMD_X86)
   const SimdLevel lvl = simd_level();
   if (n < kMinSimdN || lvl < SimdLevel::kAvx2) return false;
   *out = detail::dot_dispatch(lvl, bar, a, b, n);
   detail::bump(detail::stat_counters().dot,
                n / (lvl == SimdLevel::kAvx512 ? 8 : 4));
   return true;
-#elif defined(KP_SIMD_NEON)
-  if (n < kMinSimdN || simd_level() != SimdLevel::kNeon) return false;
-  *out = detail::dot_4limb_neon(bar, a, b, n);
-  detail::bump(detail::stat_counters().dot, n / 2);
-  return true;
-#else
-  (void)bar;
-  (void)a;
-  (void)b;
-  (void)n;
-  (void)out;
-  return false;
-#endif
 }
 
 /// Sum of n residues.
 inline bool sum(const fastmod::Barrett& bar, const u64* a, std::size_t n,
                 u64* out) {
-#if defined(KP_SIMD_X86)
   const SimdLevel lvl = simd_level();
   if (n < kMinSimdN || lvl < SimdLevel::kAvx2) return false;
   *out = lvl == SimdLevel::kAvx512 ? detail::sum_512(bar, a, n)
@@ -1358,30 +1259,13 @@ inline bool sum(const fastmod::Barrett& bar, const u64* a, std::size_t n,
   detail::bump(detail::stat_counters().sum,
                n / (lvl == SimdLevel::kAvx512 ? 8 : 4));
   return true;
-#elif defined(KP_SIMD_NEON)
-  if (n < kMinSimdN || simd_level() != SimdLevel::kNeon) return false;
-  *out = detail::sum_neon(bar, a, n);
-  detail::bump(detail::stat_counters().sum, n / 2);
-  return true;
-#else
-  (void)bar;
-  (void)a;
-  (void)n;
-  (void)out;
-  return false;
-#endif
 }
 
 /// Whether the batched CSR row kernel (spmm_row) can run for this modulus
 /// at the current dispatch level.  Callers check once per batched apply and
 /// fall back to per-vector dot_gather otherwise.
 inline bool spmm_ready(const fastmod::Barrett& bar) {
-#if defined(KP_SIMD_X86)
   return bar.p <= detail::kSmallPMax && simd_level() == SimdLevel::kAvx512;
-#else
-  (void)bar;
-  return false;
-#endif
 }
 
 /// Batched CSR row product out[k] = sum_j val[j] * xt[col[j] * b + k] for a
@@ -1390,42 +1274,20 @@ inline bool spmm_ready(const fastmod::Barrett& bar) {
 inline bool spmm_row(const fastmod::Barrett& bar, const u64* val,
                      const std::size_t* col, const u64* xt, std::size_t b,
                      std::size_t chunk, std::size_t nnz, u64* out) {
-#if defined(KP_SIMD_X86)
   if (chunk == 0 || chunk > 8 || !spmm_ready(bar)) return false;
   detail::spmm_row_smallp_512(bar, val, col, xt, b, chunk, nnz, out);
   detail::bump(detail::stat_counters().spmm, nnz);
   return true;
-#else
-  (void)bar;
-  (void)val;
-  (void)col;
-  (void)xt;
-  (void)b;
-  (void)chunk;
-  (void)nnz;
-  (void)out;
-  return false;
-#endif
 }
 
 /// Gathered dot sum_k val[k] * x[col[k]] (AVX-512 only: hardware gather).
 inline bool dot_gather(const fastmod::Barrett& bar, const u64* val,
                        const std::size_t* col, const u64* x, std::size_t n,
                        u64* out) {
-#if defined(KP_SIMD_X86)
   if (n < kMinSimdN || simd_level() != SimdLevel::kAvx512) return false;
   *out = detail::dot_gather_512(bar, val, col, x, n);
   detail::bump(detail::stat_counters().gather, n / 8);
   return true;
-#else
-  (void)bar;
-  (void)val;
-  (void)col;
-  (void)x;
-  (void)n;
-  (void)out;
-  return false;
-#endif
 }
 
 /// Zero-skipping dot (stride-1 b only).  Zero entries of `a` contribute 0 to
@@ -1435,7 +1297,6 @@ inline bool dot_gather(const fastmod::Barrett& bar, const u64* val,
 inline bool dot_skip_zero(const fastmod::Barrett& bar, const u64* a,
                           const u64* b, std::size_t n, u64* out,
                           std::size_t* nnz) {
-#if defined(KP_SIMD_X86)
   const SimdLevel lvl = simd_level();
   if (n < kMinSimdN || lvl < SimdLevel::kAvx2) return false;
   *nnz = lvl == SimdLevel::kAvx512 ? detail::count_nonzero_512(a, n)
@@ -1444,15 +1305,6 @@ inline bool dot_skip_zero(const fastmod::Barrett& bar, const u64* a,
   detail::bump(detail::stat_counters().skip_zero,
                n / (lvl == SimdLevel::kAvx512 ? 8 : 4));
   return true;
-#else
-  (void)bar;
-  (void)a;
-  (void)b;
-  (void)n;
-  (void)out;
-  (void)nnz;
-  return false;
-#endif
 }
 
 /// Lane-blocked Montgomery-trick batched inversion (AVX-512, odd p).  All
@@ -1461,7 +1313,6 @@ inline bool dot_skip_zero(const fastmod::Barrett& bar, const u64* a,
 /// inverse (passed in to keep this header below field/zp.h in the include
 /// order).
 inline bool batch_inverse(u64 p, u64* a, std::size_t n, u64 (*inv)(u64, u64)) {
-#if defined(KP_SIMD_X86)
   if (n < kMinSimdN || (p & 1) == 0 || simd_level() != SimdLevel::kAvx512) {
     return false;
   }
@@ -1469,13 +1320,6 @@ inline bool batch_inverse(u64 p, u64* a, std::size_t n, u64 (*inv)(u64, u64)) {
   detail::batch_inverse_512(mont, a, n, inv);
   detail::bump(detail::stat_counters().batch_inverse, n / 8);
   return true;
-#else
-  (void)p;
-  (void)a;
-  (void)n;
-  (void)inv;
-  return false;
-#endif
 }
 
 /// Harvey lazy butterflies for flat indices [b0, b1) of one level of an
@@ -1487,7 +1331,6 @@ inline bool batch_inverse(u64 p, u64* a, std::size_t n, u64 (*inv)(u64, u64)) {
 inline bool ntt_level_lazy(u64* d, const u64* tw, const u64* twq,
                            std::size_t half, std::size_t b0, std::size_t b1,
                            u64 p) {
-#if defined(KP_SIMD_X86)
   if (b1 - b0 < kMinSimdN || simd_level() != SimdLevel::kAvx512) return false;
   if (half >= 8) {
     detail::ntt_level_big_512(d, tw, twq, half, b0, b1, p);
@@ -1497,65 +1340,31 @@ inline bool ntt_level_lazy(u64* d, const u64* tw, const u64* twq,
   }
   detail::bump(detail::stat_counters().ntt, (b1 - b0) / 8);
   return true;
-#else
-  (void)d;
-  (void)tw;
-  (void)twq;
-  (void)half;
-  (void)b0;
-  (void)b1;
-  (void)p;
-  return false;
-#endif
 }
 
 /// The transform's final [0, 4p) -> [0, p) normalization pass.
 inline bool ntt_normalize4p(u64* x, std::size_t n, u64 p) {
-#if defined(KP_SIMD_X86)
   if (n < kMinSimdN || simd_level() != SimdLevel::kAvx512) return false;
   detail::normalize4p_512(x, n, p);
   detail::bump(detail::stat_counters().scale, n / 8);
   return true;
-#else
-  (void)x;
-  (void)n;
-  (void)p;
-  return false;
-#endif
 }
 
 /// Pointwise spectrum product c[i] = c[i] * b[i] mod p (canonical).
 inline bool ntt_pointwise_mul(const fastmod::Barrett& bar, u64* c,
                               const u64* b, std::size_t n) {
-#if defined(KP_SIMD_X86)
   if (n < kMinSimdN || simd_level() != SimdLevel::kAvx512) return false;
   detail::pointwise_512(bar, c, b, n);
   detail::bump(detail::stat_counters().pointwise, n / 8);
   return true;
-#else
-  (void)bar;
-  (void)c;
-  (void)b;
-  (void)n;
-  return false;
-#endif
 }
 
 /// Constant-multiplier scale c[i] = c[i] * w mod p with w's Shoup quotient.
 inline bool ntt_shoup_scale(u64* c, std::size_t n, u64 w, u64 wq, u64 p) {
-#if defined(KP_SIMD_X86)
   if (n < kMinSimdN || simd_level() != SimdLevel::kAvx512) return false;
   detail::shoup_scale_512(c, n, w, wq, p);
   detail::bump(detail::stat_counters().scale, n / 8);
   return true;
-#else
-  (void)c;
-  (void)n;
-  (void)w;
-  (void)wq;
-  (void)p;
-  return false;
-#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -1565,7 +1374,6 @@ inline bool ntt_shoup_scale(u64* c, std::size_t n, u64 w, u64 wq, u64 p) {
 /// dst[i] = a[i] + b[i] mod p.
 inline bool vec_mod_add(u64 p, const u64* a, const u64* b, u64* dst,
                         std::size_t n) {
-#if defined(KP_SIMD_X86)
   const SimdLevel l = simd_level();
   if (n < kMinSimdN || l < SimdLevel::kAvx2) return false;
   if (l == SimdLevel::kAvx512) {
@@ -1576,20 +1384,11 @@ inline bool vec_mod_add(u64 p, const u64* a, const u64* b, u64* dst,
     detail::bump(detail::stat_counters().vec, n / 4);
   }
   return true;
-#else
-  (void)p;
-  (void)a;
-  (void)b;
-  (void)dst;
-  (void)n;
-  return false;
-#endif
 }
 
 /// dst[i] = a[i] - b[i] mod p.
 inline bool vec_mod_sub(u64 p, const u64* a, const u64* b, u64* dst,
                         std::size_t n) {
-#if defined(KP_SIMD_X86)
   const SimdLevel l = simd_level();
   if (n < kMinSimdN || l < SimdLevel::kAvx2) return false;
   if (l == SimdLevel::kAvx512) {
@@ -1600,19 +1399,10 @@ inline bool vec_mod_sub(u64 p, const u64* a, const u64* b, u64* dst,
     detail::bump(detail::stat_counters().vec, n / 4);
   }
   return true;
-#else
-  (void)p;
-  (void)a;
-  (void)b;
-  (void)dst;
-  (void)n;
-  return false;
-#endif
 }
 
 /// dst[i] = -a[i] mod p.
 inline bool vec_mod_neg(u64 p, const u64* a, u64* dst, std::size_t n) {
-#if defined(KP_SIMD_X86)
   const SimdLevel l = simd_level();
   if (n < kMinSimdN || l < SimdLevel::kAvx2) return false;
   if (l == SimdLevel::kAvx512) {
@@ -1623,50 +1413,81 @@ inline bool vec_mod_neg(u64 p, const u64* a, u64* dst, std::size_t n) {
     detail::bump(detail::stat_counters().vec, n / 4);
   }
   return true;
-#else
-  (void)p;
-  (void)a;
-  (void)dst;
-  (void)n;
-  return false;
-#endif
 }
 
 /// dst[i] = a[i] * b[i] mod p, canonical (AVX-512 only: the vector
 /// Moller-Granlund reduction needs mullo_epi64 and unsigned compares).
 inline bool vec_mod_mul(const fastmod::Barrett& bar, const u64* a,
                         const u64* b, u64* dst, std::size_t n) {
-#if defined(KP_SIMD_X86)
   if (n < kMinSimdN || simd_level() != SimdLevel::kAvx512) return false;
   detail::vec_mul_512(bar, a, b, dst, n);
   detail::bump(detail::stat_counters().vec, n / 8);
   return true;
-#else
-  (void)bar;
-  (void)a;
-  (void)b;
-  (void)dst;
-  (void)n;
-  return false;
-#endif
 }
 
 /// Fused axpy dst[i] = (dst[i] - coef * a[i]) mod p.
 inline bool vec_mod_submul(const fastmod::Barrett& bar, u64 coef, const u64* a,
                            u64* dst, std::size_t n) {
-#if defined(KP_SIMD_X86)
   if (n < kMinSimdN || simd_level() != SimdLevel::kAvx512) return false;
   detail::vec_submul_512(bar, coef, a, dst, n);
   detail::bump(detail::stat_counters().vec, n / 8);
   return true;
-#else
-  (void)bar;
-  (void)coef;
-  (void)a;
-  (void)dst;
-  (void)n;
-  return false;
-#endif
 }
+
+#else  // !KP_SIMD_X86
+
+// No vector backend (other architectures, or -DKP_SIMD=OFF): every entry
+// point declines and the callers' scalar loops run.
+
+inline bool dot(const fastmod::Barrett&, const u64*, const u64*, std::size_t,
+                u64*) {
+  return false;
+}
+inline bool sum(const fastmod::Barrett&, const u64*, std::size_t, u64*) {
+  return false;
+}
+inline bool spmm_ready(const fastmod::Barrett&) { return false; }
+inline bool spmm_row(const fastmod::Barrett&, const u64*, const std::size_t*,
+                     const u64*, std::size_t, std::size_t, std::size_t, u64*) {
+  return false;
+}
+inline bool dot_gather(const fastmod::Barrett&, const u64*, const std::size_t*,
+                       const u64*, std::size_t, u64*) {
+  return false;
+}
+inline bool dot_skip_zero(const fastmod::Barrett&, const u64*, const u64*,
+                          std::size_t, u64*, std::size_t*) {
+  return false;
+}
+inline bool batch_inverse(u64, u64*, std::size_t, u64 (*)(u64, u64)) {
+  return false;
+}
+inline bool ntt_level_lazy(u64*, const u64*, const u64*, std::size_t,
+                           std::size_t, std::size_t, u64) {
+  return false;
+}
+inline bool ntt_normalize4p(u64*, std::size_t, u64) { return false; }
+inline bool ntt_pointwise_mul(const fastmod::Barrett&, u64*, const u64*,
+                              std::size_t) {
+  return false;
+}
+inline bool ntt_shoup_scale(u64*, std::size_t, u64, u64, u64) { return false; }
+inline bool vec_mod_add(u64, const u64*, const u64*, u64*, std::size_t) {
+  return false;
+}
+inline bool vec_mod_sub(u64, const u64*, const u64*, u64*, std::size_t) {
+  return false;
+}
+inline bool vec_mod_neg(u64, const u64*, u64*, std::size_t) { return false; }
+inline bool vec_mod_mul(const fastmod::Barrett&, const u64*, const u64*, u64*,
+                        std::size_t) {
+  return false;
+}
+inline bool vec_mod_submul(const fastmod::Barrett&, u64, const u64*, u64*,
+                           std::size_t) {
+  return false;
+}
+
+#endif  // KP_SIMD_X86
 
 }  // namespace kp::field::simd

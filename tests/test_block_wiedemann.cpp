@@ -419,8 +419,8 @@ TEST(BlockWiedemannTest, BitIdenticalAcrossWorkersAndSimdLevels) {
   ASSERT_EQ(base.x, x_true);
 
   constexpr field::simd::SimdLevel kSweep[] = {
-      field::simd::SimdLevel::kScalar, field::simd::SimdLevel::kNeon,
-      field::simd::SimdLevel::kAvx2, field::simd::SimdLevel::kAvx512};
+      field::simd::SimdLevel::kScalar, field::simd::SimdLevel::kAvx2,
+      field::simd::SimdLevel::kAvx512};
   for (unsigned workers : {1u, 2u, 8u}) {
     for (const auto want : kSweep) {
       ctx.set_worker_limit(workers);

@@ -42,8 +42,8 @@ TEST(CircuitTest, SizeDepthAndEval) {
   EXPECT_EQ(c.size(), 2u);
   EXPECT_EQ(c.depth(), 2u);
   EXPECT_EQ(c.num_inputs(), 2u);
-  auto res = c.evaluate(f, {3, 4}, {});
-  ASSERT_TRUE(res.ok);
+  auto res = c.evaluate_status(f, {3, 4}, {});
+  ASSERT_TRUE(res.status.ok());
   EXPECT_EQ(res.outputs, std::vector<F::Element>{49});
 }
 
@@ -52,9 +52,9 @@ TEST(CircuitTest, DivisionByZeroIsTheFailureEvent) {
   const auto x = c.input();
   const auto y = c.input();
   c.mark_output(c.div(x, y));
-  EXPECT_FALSE(c.evaluate(f, {5, 0}, {}).ok);
-  auto ok = c.evaluate(f, {10, 5}, {});
-  ASSERT_TRUE(ok.ok);
+  EXPECT_FALSE(c.evaluate_status(f, {5, 0}, {}).status.ok());
+  auto ok = c.evaluate_status(f, {10, 5}, {});
+  ASSERT_TRUE(ok.status.ok());
   EXPECT_EQ(ok.outputs[0], 2u);
 }
 
@@ -64,8 +64,8 @@ TEST(CircuitTest, RandomLeavesConsumeRandomValues) {
   const auto r = c.random_element();
   c.mark_output(c.mul(x, r));
   EXPECT_EQ(c.num_randoms(), 1u);
-  auto res = c.evaluate(f, {7}, {6});
-  ASSERT_TRUE(res.ok);
+  auto res = c.evaluate_status(f, {7}, {6});
+  ASSERT_TRUE(res.status.ok());
   EXPECT_EQ(res.outputs[0], 42u);
 }
 
@@ -95,8 +95,8 @@ TEST(CircuitTest, ConstantsMaterializeViaFromInt) {
   Circuit c;
   const auto x = c.input();
   c.mark_output(c.add(x, c.constant(-3)));
-  auto res = c.evaluate(f, {1}, {});
-  ASSERT_TRUE(res.ok);
+  auto res = c.evaluate_status(f, {1}, {});
+  ASSERT_TRUE(res.status.ok());
   EXPECT_EQ(res.outputs[0], f.from_int(-2));
 }
 
@@ -127,8 +127,8 @@ TEST(BuilderFieldTest, RecordedProgramMatchesDirectEvaluation) {
   // (a + b) * (a - b) + a / b
   const auto expr = cf.add(cf.mul(cf.add(a, b), cf.sub(a, b)), cf.div(a, b));
   c.mark_output(expr);
-  auto res = c.evaluate(f, {10, 2}, {});
-  ASSERT_TRUE(res.ok);
+  auto res = c.evaluate_status(f, {10, 2}, {});
+  ASSERT_TRUE(res.status.ok());
   EXPECT_EQ(res.outputs[0], f.add(f.mul(12, 8), 5));
 }
 
@@ -150,8 +150,8 @@ TEST(BuilderFieldTest, BerkowitzRecordsDivisionFreeDetCircuit) {
   util::Prng prng(2);
   auto m = matrix::random_matrix(f, n, n, prng);
   std::vector<F::Element> in(m.data().begin(), m.data().end());
-  auto res = c.evaluate(f, in, {});
-  ASSERT_TRUE(res.ok);
+  auto res = c.evaluate_status(f, in, {});
+  ASSERT_TRUE(res.status.ok());
   EXPECT_EQ(res.outputs[0], matrix::det_gauss(f, m));
 }
 
@@ -166,8 +166,8 @@ TEST(GradientTest, ProductRule) {
   const auto z = c.input();
   c.mark_output(c.add(c.mul(x, y), z));
   auto g = circuit::gradient(c);
-  auto res = g.evaluate(f, {3, 5, 11}, {});
-  ASSERT_TRUE(res.ok);
+  auto res = g.evaluate_status(f, {3, 5, 11}, {});
+  ASSERT_TRUE(res.status.ok());
   EXPECT_EQ(res.outputs, (std::vector<F::Element>{26, 5, 3, 1}));
 }
 
@@ -183,8 +183,8 @@ TEST(GradientTest, QuotientRule) {
     const auto xv = f.random(prng);
     auto yv = f.random(prng);
     if (f.is_zero(yv)) yv = f.one();
-    auto res = g.evaluate(f, {xv, yv}, {});
-    ASSERT_TRUE(res.ok);
+    auto res = g.evaluate_status(f, {xv, yv}, {});
+    ASSERT_TRUE(res.status.ok());
     EXPECT_EQ(res.outputs[0], f.div(xv, yv));
     EXPECT_EQ(res.outputs[1], f.inv(yv));
     EXPECT_EQ(res.outputs[2], f.neg(f.div(xv, f.mul(yv, yv))));
@@ -200,8 +200,8 @@ TEST(GradientTest, PowerByRepeatedSquaring) {
   c.mark_output(p);
   auto g = circuit::gradient(c);
   const F::Element xv = 7;
-  auto res = g.evaluate(f, {xv}, {});
-  ASSERT_TRUE(res.ok);
+  auto res = g.evaluate_status(f, {xv}, {});
+  ASSERT_TRUE(res.status.ok());
   // 8 * 7^7 mod p.
   auto x7 = f.one();
   for (int i = 0; i < 7; ++i) x7 = f.mul(x7, xv);
@@ -214,8 +214,8 @@ TEST(GradientTest, UnusedInputGetsZeroGradient) {
   c.input();  // y: unused
   c.mark_output(c.mul(x, x));
   auto g = circuit::gradient(c);
-  auto res = g.evaluate(f, {5, 9}, {});
-  ASSERT_TRUE(res.ok);
+  auto res = g.evaluate_status(f, {5, 9}, {});
+  ASSERT_TRUE(res.status.ok());
   EXPECT_EQ(res.outputs[2], f.zero());
 }
 
@@ -235,8 +235,8 @@ TEST(GradientTest, DetGradientIsTransposedAdjugate) {
   auto inv = matrix::inverse_gauss(f, m);
   ASSERT_TRUE(inv.has_value());
   const auto det = matrix::det_gauss(f, m);
-  auto res = g.evaluate(f, {m.data().begin(), m.data().end()}, {});
-  ASSERT_TRUE(res.ok);
+  auto res = g.evaluate_status(f, {m.data().begin(), m.data().end()}, {});
+  ASSERT_TRUE(res.status.ok());
   EXPECT_EQ(res.outputs[0], det);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
@@ -287,9 +287,9 @@ TEST(GradientTest, BalancedAccumulationBeatsLinearDepth) {
   auto gbal = circuit::gradient(c, Accumulation::kBalanced);
   EXPECT_GT(glin.depth(), 2 * gbal.depth());
   // Both compute the same values.
-  auto r1 = glin.evaluate(f, {17}, {});
-  auto r2 = gbal.evaluate(f, {17}, {});
-  ASSERT_TRUE(r1.ok && r2.ok);
+  auto r1 = glin.evaluate_status(f, {17}, {});
+  auto r2 = gbal.evaluate_status(f, {17}, {});
+  ASSERT_TRUE(r1.status.ok() && r2.status.ok());
   EXPECT_EQ(r1.outputs, r2.outputs);
 }
 
@@ -305,8 +305,8 @@ TEST(GradientTest, NoNewZeroDivisions) {
   for (int trial = 0; trial < 50; ++trial) {
     const auto xv = f.random(prng);
     const auto yv = f.random(prng);
-    const bool p_ok = c.evaluate(f, {xv, yv}, {}).ok;
-    const bool q_ok = g.evaluate(f, {xv, yv}, {}).ok;
+    const bool p_ok = c.evaluate_status(f, {xv, yv}, {}).status.ok();
+    const bool q_ok = g.evaluate_status(f, {xv, yv}, {}).status.ok();
     EXPECT_EQ(p_ok, q_ok);
   }
 }
@@ -317,15 +317,16 @@ TEST(GradientTest, NoNewZeroDivisions) {
 /// Evaluates a randomized circuit, retrying with fresh random leaf values
 /// until it avoids the division-by-zero event.
 template <class FieldT>
-Circuit::Eval<FieldT> eval_with_randoms(const Circuit& c, const FieldT& fld,
-                                        const std::vector<typename FieldT::Element>& in,
-                                        util::Prng& prng, int attempts = 5) {
-  Circuit::Eval<FieldT> res;
+Circuit::EvalResult<FieldT> eval_with_randoms(
+    const Circuit& c, const FieldT& fld,
+    const std::vector<typename FieldT::Element>& in, util::Prng& prng,
+    int attempts = 5) {
+  Circuit::EvalResult<FieldT> res;
   for (int k = 0; k < attempts; ++k) {
     std::vector<typename FieldT::Element> rnd(c.num_randoms());
     for (auto& e : rnd) e = fld.sample(prng, 1u << 20);
-    res = c.evaluate(fld, in, rnd);
-    if (res.ok) return res;
+    res = c.evaluate_status(fld, in, rnd);
+    if (res.status.ok()) return res;
   }
   return res;
 }
@@ -344,7 +345,7 @@ TEST(BuildersTest, SolverCircuitSolvesSystems) {
     std::vector<F::Element> in(a.data().begin(), a.data().end());
     in.insert(in.end(), b.begin(), b.end());
     auto res = eval_with_randoms(c, f, in, prng);
-    ASSERT_TRUE(res.ok) << n;
+    ASSERT_TRUE(res.status.ok()) << n;
     EXPECT_EQ(res.outputs, x) << n;
   }
 }
@@ -373,7 +374,7 @@ TEST(BuildersTest, SolverCircuitFailsOnSingularInput) {
   std::vector<F::Element> b{1, 2, 3};
   in.insert(in.end(), b.begin(), b.end());
   auto res = eval_with_randoms(c, f, in, prng);
-  EXPECT_FALSE(res.ok);
+  EXPECT_FALSE(res.status.ok());
 }
 
 TEST(BuildersTest, DetCircuitMatchesGauss) {
@@ -383,7 +384,7 @@ TEST(BuildersTest, DetCircuitMatchesGauss) {
     auto a = matrix::random_matrix(f, n, n, prng);
     if (f.is_zero(matrix::det_gauss(f, a))) continue;
     auto res = eval_with_randoms(c, f, {a.data().begin(), a.data().end()}, prng);
-    ASSERT_TRUE(res.ok) << n;
+    ASSERT_TRUE(res.status.ok()) << n;
     EXPECT_EQ(res.outputs[0], matrix::det_gauss(f, a)) << n;
   }
 }
@@ -399,7 +400,7 @@ TEST(BuildersTest, InverseCircuitMatchesGauss) {
     auto inv = matrix::inverse_gauss(f, a);
     if (!inv) continue;
     auto res = eval_with_randoms(c, f, {a.data().begin(), a.data().end()}, prng);
-    ASSERT_TRUE(res.ok) << n;
+    ASSERT_TRUE(res.status.ok()) << n;
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
         EXPECT_EQ(res.outputs[i * n + j], inv->at(i, j)) << n << ":" << i << "," << j;
@@ -424,7 +425,7 @@ TEST(BuildersTest, TransposedSolverCircuit) {
   in.insert(in.end(), xdummy.begin(), xdummy.end());
   in.insert(in.end(), b.begin(), b.end());
   auto res = eval_with_randoms(c, f, in, prng);
-  ASSERT_TRUE(res.ok);
+  ASSERT_TRUE(res.status.ok());
   // res.outputs solves A^T y = b.
   auto check = matrix::mat_vec(f, matrix::mat_transpose(f, a), res.outputs);
   EXPECT_EQ(check, b);
@@ -439,8 +440,8 @@ TEST(BuildersTest, ToeplitzCharpolyCircuit) {
     std::vector<F::Element> diag(2 * n - 1);
     for (auto& v : diag) v = f.random(prng);
     matrix::Toeplitz<F> t(n, diag);
-    auto res = c.evaluate(f, diag, {});
-    ASSERT_TRUE(res.ok) << n;
+    auto res = c.evaluate_status(f, diag, {});
+    ASSERT_TRUE(res.status.ok()) << n;
     EXPECT_EQ(res.outputs, seq::toeplitz_charpoly(f, t)) << n;
   }
 }
@@ -457,8 +458,8 @@ TEST(BuildersTest, NttStructuredCircuitEvaluatesCorrectly) {
     std::vector<field::GFp::Element> diag(2 * n - 1);
     for (auto& v : diag) v = fq.random(prng);
     matrix::Toeplitz<field::GFp> t(n, diag);
-    auto res = c.evaluate(fq, diag, {});
-    ASSERT_TRUE(res.ok) << n;
+    auto res = c.evaluate_status(fq, diag, {});
+    ASSERT_TRUE(res.status.ok()) << n;
     EXPECT_EQ(res.outputs, seq::toeplitz_charpoly(fq, t)) << n;
   }
 }

@@ -282,10 +282,22 @@ TEST(ValidationTest, ExtensionsRejectMalformedInputs) {
   auto ns = core::nullspace_randomized(f, rect, prng, 1u << 20);
   EXPECT_FALSE(ns.ok);
   EXPECT_EQ(ns.status.kind(), FailureKind::kInvalidArgument);
+  const matrix::Matrix<F> empty(0, 0, f.zero());
+  auto ns0 = core::nullspace_randomized(f, empty, prng, 1u << 20);
+  EXPECT_FALSE(ns0.ok);
+  EXPECT_EQ(ns0.status.kind(), FailureKind::kInvalidArgument);
+
+  // singular_solve_randomized: a non-square A or a short b is rejected
+  // before any product reads past the operands.
+  auto sq = matrix::random_matrix(f, 4, 4, prng);
+  std::vector<F::Element> b3(3, f.one());
+  EXPECT_FALSE(
+      core::singular_solve_randomized(f, rect, b3, prng, 1u << 20).has_value());
+  EXPECT_FALSE(
+      core::singular_solve_randomized(f, sq, b3, prng, 1u << 20).has_value());
 
   // least_squares is meaningful only in characteristic zero: over Zp it is
   // rejected instead of asserting.
-  auto sq = matrix::random_matrix(f, 4, 4, prng);
   std::vector<F::Element> b(4, f.one());
   EXPECT_FALSE(core::least_squares(f, sq, b).has_value());
   EXPECT_FALSE(core::least_squares_randomized(f, sq, b, prng).has_value());

@@ -26,6 +26,7 @@
 #include "matrix/gauss.h"
 #include "matrix/sparse.h"
 #include "pram/parallel_for.h"
+#include "poly/poly_ring.h"
 #include "util/deadline.h"
 #include "util/fault.h"
 #include "util/prng.h"
@@ -290,7 +291,106 @@ TEST(SessionTest, RationalSessionPinsPrimesAcrossSolves) {
   }
 }
 
+/// finish_many over k columns against k one-column calls through the same
+/// prepared transcript, at 1, 2 and 8 workers.
+template <class B>
+void expect_batched_finish_matches_solo(const B& a, const Fixture& fx) {
+  poly::PolyRing<F> ring(f);
+  const core::SolverOptions opt;
+  core::Transcript<F, B> t(f, a, opt);
+  util::Prng prng(3);
+  const auto run = core::run_las_vegas(
+      prng, core::detail::las_vegas_options(opt, a.dim(), std::nullopt),
+      nullptr, [&](core::Attempt& at) {
+        return core::detail::prepare_attempt(f, ring, a, opt, at, t);
+      });
+  ASSERT_TRUE(run.status.ok()) << run.status.message();
+  for (const unsigned workers : {1u, 2u, 8u}) {
+    pram::ExecutionContext::global().set_worker_limit(workers);
+    std::vector<core::detail::FinishedRhs<F>> solo;
+    for (const auto& b : fx.b) {
+      solo.push_back(std::move(core::detail::finish_many(f, ring, a, t, {&b}, opt)[0]));
+    }
+    for (const std::size_t k : {1u, 3u, 8u}) {
+      std::vector<const std::vector<F::Element>*> rhs;
+      for (std::size_t c = 0; c < k; ++c) rhs.push_back(&fx.b[c]);
+      const auto many = core::detail::finish_many(f, ring, a, t, rhs, opt);
+      ASSERT_EQ(many.size(), k);
+      for (std::size_t c = 0; c < k; ++c) {
+        ASSERT_TRUE(many[c].status.ok()) << many[c].status.message();
+        EXPECT_EQ(many[c].status.kind(), solo[c].status.kind());
+        EXPECT_EQ(many[c].x, solo[c].x) << "k=" << k << " column " << c;
+        EXPECT_EQ(many[c].x, fx.x[c]);
+      }
+    }
+  }
+  pram::ExecutionContext::global().set_worker_limit(0);
+}
+
+TEST(SessionTest, FinishManyMatchesOneColumnFinishes) {
+  Fixture fx(24);
+  const matrix::SparseBox<F> sparse(f, fx.a);
+  ASSERT_EQ(core::resolve_route(core::KrylovRoute::kAuto,
+                                matrix::box_structure(sparse)),
+            core::KrylovRoute::kIterative);
+  expect_batched_finish_matches_solo(sparse, fx);
+  const matrix::Matrix<F> dense = fx.a.to_dense(f);
+  const matrix::DenseViewBox<F> dense_box(f, dense);
+  ASSERT_EQ(core::resolve_route(core::KrylovRoute::kAuto,
+                                matrix::box_structure(dense_box)),
+            core::KrylovRoute::kDoubling);
+  expect_batched_finish_matches_solo(dense_box, fx);
+}
+
+TEST(SessionTest, FinishManyControlTripFailsEveryColumnAtSolveFinish) {
+  Fixture fx(24);
+  Session<F> sess(f, fx.box(), 5);
+  ASSERT_TRUE(sess.prepare().ok());
+  poly::PolyRing<F> ring(f);
+  matrix::AnyBox<F> a = fx.box();
+  core::SolverOptions opt;
+  ExecControl expired(Deadline::after(std::chrono::nanoseconds(-1)));
+  opt.control = &expired;
+  // The token trips before the first product, so `a` only supplies the
+  // operator type and dimension.
+  const auto out = core::detail::finish_many(
+      f, ring, a, sess.transcript(), {&fx.b[0], &fx.b[1], &fx.b[2]}, opt);
+  ASSERT_EQ(out.size(), 3u);
+  for (const auto& col : out) {
+    EXPECT_EQ(col.status.kind(), FailureKind::kDeadlineExceeded);
+    EXPECT_EQ(col.status.stage(), Stage::kSolveFinish);
+  }
+}
+
 #if KP_FAULT_INJECTION_ENABLED
+TEST(FaultInjectionTest, SessionFinishFaultRedrawsTranscript) {
+  Fixture fx(16);
+  SessionOptions opt;
+  opt.quarantine_threshold = 10;  // keep the breaker out of the way
+  Session<F> sess(f, fx.box(), 5, opt);
+  util::fault::ScopedFault fi(Stage::kSolveFinish);  // first column, once
+  std::vector<const std::vector<F::Element>*> rhs{&fx.b[0], &fx.b[1],
+                                                  &fx.b[2]};
+  auto out = sess.solve_many(rhs);
+  EXPECT_EQ(fi.fired(), 1u);
+  for (std::size_t i = 0; i < rhs.size(); ++i) {
+    ASSERT_TRUE(out.items[i].status.ok()) << out.items[i].status.message();
+    EXPECT_EQ(out.items[i].x, fx.x[i]);
+  }
+  // The faulted column was retried alone on a fresh transcript.
+  EXPECT_EQ(out.items[0].level, DegradationLevel::kSingleRhs);
+  EXPECT_EQ(out.items[1].level, DegradationLevel::kBatched);
+  EXPECT_EQ(out.transcript_redraws, 1);
+  EXPECT_EQ(sess.prepares(), 2u);
+  const auto mismatch =
+      std::find_if(out.diags.begin(), out.diags.end(), [](const util::Diag& d) {
+        return d.kind == FailureKind::kVerifyMismatch;
+      });
+  ASSERT_NE(mismatch, out.diags.end());
+  EXPECT_EQ(mismatch->stage, Stage::kSolveFinish);
+  EXPECT_TRUE(mismatch->injected);
+}
+
 TEST(SessionTest, QuarantineTripsOnMismatchStreakAndResets) {
   Fixture fx(16);
   SessionOptions opt;

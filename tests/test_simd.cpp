@@ -42,9 +42,10 @@ using simd::SimdLevel;
 
 // All levels the sweep requests; set_simd_level clamps each to the nearest
 // available one, so on any hardware the sweep covers scalar plus whatever
-// vector levels exist (requesting kNeon on x86 lands on scalar, etc.).
-constexpr SimdLevel kSweep[] = {SimdLevel::kScalar, SimdLevel::kNeon,
-                                SimdLevel::kAvx2, SimdLevel::kAvx512};
+// vector levels exist (requesting kAvx512 on an AVX2-only CPU lands on
+// kAvx2, any vector level off x86 lands on scalar).
+constexpr SimdLevel kSweep[] = {SimdLevel::kScalar, SimdLevel::kAvx2,
+                                SimdLevel::kAvx512};
 
 /// Restores the ambient dispatch level (and IFMA flag) on scope exit so a
 /// failing assertion cannot leak a forced level into later tests.
@@ -137,7 +138,7 @@ TEST(SimdKernels, CrossLevelBitIdentityIncludingOpCounts) {
       const auto dot0 = field::kernels::dot(fast, b.data(), a.data(), n);
       const auto skip0 = field::kernels::dot_skip_zero(fast, b.data(), a.data(), n);
       const auto c0 = s0.counts();
-      for (auto want : {SimdLevel::kNeon, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+      for (auto want : {SimdLevel::kAvx2, SimdLevel::kAvx512}) {
         for (int ifma = 0; ifma < 2; ++ifma) {
           simd::set_simd_level(want);
           simd::set_simd_ifma(ifma != 0);

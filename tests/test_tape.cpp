@@ -38,8 +38,8 @@ using field::Zp;
 namespace simd = field::simd;
 using simd::SimdLevel;
 
-constexpr SimdLevel kSweep[] = {SimdLevel::kScalar, SimdLevel::kNeon,
-                                SimdLevel::kAvx2, SimdLevel::kAvx512};
+constexpr SimdLevel kSweep[] = {SimdLevel::kScalar, SimdLevel::kAvx2,
+                                SimdLevel::kAvx512};
 
 struct LevelGuard {
   SimdLevel saved = simd::simd_level();
@@ -206,8 +206,8 @@ TEST(CircuitTest, EvaluateStatusReportsFailingNode) {
   EXPECT_EQ(bad.status.kind(), util::FailureKind::kDivisionByZero);
   EXPECT_EQ(bad.status.stage(), util::Stage::kCircuitEval);
   EXPECT_EQ(bad.failed_node, q);
-  // Legacy wrapper agrees.
-  EXPECT_FALSE(c.evaluate(f, {3, 65534}, {}).ok);
+  // A second evaluation reports the same failure.
+  EXPECT_FALSE(c.evaluate_status(f, {3, 65534}, {}).status.ok());
   const auto good = c.evaluate_status(f, {3, 4}, {});
   ASSERT_TRUE(good.status.ok());
   EXPECT_EQ(good.outputs[0], f.div(3, 7));
@@ -312,8 +312,8 @@ TEST(TapeEval, AccountingMatchesNodeEvalOnLiveCircuit) {
   util::OpCounts node_total;
   for (std::size_t lane = 0; lane < B; ++lane) {
     util::OpScope scope;
-    const auto ref = c.evaluate(f, {l.in[0][lane], l.in[1][lane]}, {});
-    ASSERT_TRUE(ref.ok);
+    const auto ref = c.evaluate_status(f, {l.in[0][lane], l.in[1][lane]}, {});
+    ASSERT_TRUE(ref.status.ok());
     node_total += scope.counts();
   }
   util::OpScope scope;
