@@ -8,12 +8,15 @@
 // >= 1 - n(2n-2)/|S|; together with Lemma 2 this gives the paper's combined
 // failure bound 3n^2/|S| (estimate (2)).
 //
-// det(H) is recovered with the Theorem-3 Toeplitz machinery through the
-// row-mirror trick of section 4, so the whole pipeline stays within the
-// stated complexity.
+// det(H) comes from the Berlekamp-Massey discrepancies of H's entries in
+// O(n^2) (seq::hankel_det), the paper's preferred sequential method.  The
+// section-4 route -- the row-mirror Toeplitz and the Theorem-3 charpoly --
+// settles a non-normal H (a vanishing leading minor) and is the only route
+// under depth_optimal, so recorded circuits keep O(log^2 n) depth.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "field/concepts.h"
@@ -21,6 +24,7 @@
 #include "matrix/dense.h"
 #include "matrix/structured.h"
 #include "poly/poly.h"
+#include "seq/berlekamp_massey.h"
 #include "seq/newton_toeplitz.h"
 #include "util/fault.h"
 #include "util/prng.h"
@@ -85,18 +89,25 @@ struct Preconditioner {
     return hankel.apply(ring, diagonal.apply(f, y));
   }
 
-  /// det(H * D).  det(H) goes through the Toeplitz row-mirror and Theorem 3;
-  /// det(D) is a product of the diagonal entries.
+  /// det(H * D), with det(D) the product of the diagonal entries.  det(H)
+  /// takes seq::hankel_det (O(n^2), Berlekamp-Massey) unless H is not
+  /// normal or `depth_optimal` is set; then it goes through the Toeplitz
+  /// row-mirror and Theorem 3 with `method`.  Berlekamp-Massey branches on
+  /// zero tests and is O(n) deep, so circuit builds must pass depth_optimal.
   typename F::Element det(const F& f,
                           seq::NewtonIdentityMethod method =
-                              seq::NewtonIdentityMethod::kTriangularSolve) const {
+                              seq::NewtonIdentityMethod::kTriangularSolve,
+                          bool depth_optimal = false) const {
     // Fault site: a zero return exercises the caller's det(H D) = 0 branch,
     // which cannot trigger organically once g(0) != 0 is established.
     if (KP_FAULT_POINT(util::Stage::kPrecondition)) return f.zero();
-    const auto t = hankel.row_mirror_toeplitz();
-    auto det_t = seq::toeplitz_det(f, t, method);
-    if (hankel.mirror_det_sign() < 0) det_t = f.neg(det_t);
-    return f.mul(det_t, diagonal.det(f));
+    std::optional<typename F::Element> det_h;
+    if (!depth_optimal) det_h = seq::hankel_det(f, hankel.entries());
+    if (!det_h) {
+      det_h = seq::toeplitz_det(f, hankel.row_mirror_toeplitz(), method);
+      if (hankel.mirror_det_sign() < 0) det_h = f.neg(*det_h);
+    }
+    return f.mul(*det_h, diagonal.det(f));
   }
 };
 

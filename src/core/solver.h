@@ -14,8 +14,10 @@
 //   4. c is w.h.p. the characteristic polynomial of A-tilde     [est. (2)];
 //      Cayley-Hamilton on A-tilde (through the Krylov block of b) gives
 //      x-tilde = A-tilde^{-1} b, and x = H D x-tilde.
-//   5. det(A) = (-1)^n g(0) / (det(H) det(D)), det(H) via the row-mirror
-//      Toeplitz and Theorem 3.
+//   5. det(A) = (-1)^n g(0) / (det(H) det(D)), det(H) from the
+//      Berlekamp-Massey discrepancies of H in O(n^2); via the row-mirror
+//      Toeplitz and Theorem 3 (section 4) when H is not normal or the run
+//      is depth_optimal.
 //
 // Every stage touches A only through matrix-vector products, so kp_solve /
 // kp_det accept any matrix::LinOp; dense matrix::Matrix<F> call sites keep
@@ -83,11 +85,13 @@ struct SolverOptions {
   /// (8) for sparse/structured ones where n black-box products beat an
   /// O(n^omega log n) dense doubling.
   KrylovRoute route = KrylovRoute::kAuto;
-  /// Replace the two O(n)-deep sequential finishes (the Toeplitz
-  /// Cayley-Hamilton iteration and the triangular Newton-identity solve)
-  /// with their doubling / power-series counterparts, so that the realized
-  /// CIRCUIT has poly-logarithmic depth as Theorem 4 states.  Costs a
-  /// little more work; the default optimizes sequential work instead.
+  /// Replace the three O(n)-deep sequential steps (the Toeplitz
+  /// Cayley-Hamilton iteration, the triangular Newton-identity solve and
+  /// the Berlekamp-Massey det(H)) with their doubling / power-series /
+  /// Theorem-3 counterparts, so that the realized CIRCUIT has
+  /// poly-logarithmic depth as Theorem 4 states.  Costs more work (det(H)
+  /// by Theorem 3 is O(n^2 polylog n) against O(n^2)); the default
+  /// optimizes sequential work instead.
   bool depth_optimal = false;
   /// Cap on the field operations one attempt may spend (0 = unlimited).
   /// When a failed attempt exceeds it, the Las Vegas loop stops and the
@@ -360,7 +364,7 @@ util::Status prepare_attempt(const F& f, const kp::poly::PolyRing<F>& ring,
   // det(A-tilde) = (-1)^n g(0); divide out the preconditioner.  det(H D)
   // can only vanish on an unlucky draw (g(0) != 0 already rules out the
   // composite), but the zero check guards the division regardless.
-  const auto det_hd = t.pre->det(f, opt.newton);
+  const auto det_hd = t.pre->det(f, opt.newton, opt.depth_optimal);
   if (f.is_zero(det_hd)) {
     return Status::Fail(FailureKind::kSingularPrecondition,
                         Stage::kPrecondition, "det(H D) = 0");

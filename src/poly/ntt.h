@@ -136,6 +136,8 @@ struct CacheStats {
 /// service can bound its footprint without a restart.  Each cache enforces
 /// the budget on its own contents; the twiddle cache dominates (its tables
 /// are O(n) words), the others hold a few machine words per entry.
+/// Lowering the budget trims every live cache to it at once (LRU first), so
+/// a warm cache does not wait for its next miss to shrink.
 inline std::atomic<std::size_t>& cache_budget_ref() {
   static std::atomic<std::size_t> budget{[] {
     const char* env = std::getenv("KP_CACHE_BUDGET");
@@ -146,12 +148,40 @@ inline std::atomic<std::size_t>& cache_budget_ref() {
   return budget;
 }
 
-inline void set_cache_budget(std::size_t bytes) {
-  cache_budget_ref().store(bytes, std::memory_order_relaxed);
-}
-
 inline std::size_t cache_budget() {
   return cache_budget_ref().load(std::memory_order_relaxed);
+}
+
+namespace detail {
+
+/// A process-wide cache that set_cache_budget can trim to the budget.
+class BudgetedCache {
+ public:
+  virtual void trim_to_budget() = 0;
+
+ protected:
+  ~BudgetedCache() = default;
+};
+
+/// The live BudgetedCache instances.  Caches register on construction, so
+/// this function-local static is built before (and destroyed after) them.
+struct CacheRegistry {
+  std::mutex mu;
+  std::vector<BudgetedCache*> caches;
+};
+
+inline CacheRegistry& cache_registry() {
+  static CacheRegistry registry;
+  return registry;
+}
+
+}  // namespace detail
+
+inline void set_cache_budget(std::size_t bytes) {
+  cache_budget_ref().store(bytes, std::memory_order_relaxed);
+  auto& reg = detail::cache_registry();
+  std::lock_guard<std::mutex> lk(reg.mu);
+  for (detail::BudgetedCache* c : reg.caches) c->trim_to_budget();
 }
 
 namespace detail {
@@ -171,11 +201,24 @@ namespace detail {
 /// retired list.  Values live behind shared_ptr, so a caller's copy pins the
 /// payload across eviction for as long as it needs it.
 template <class K, class V>
-class SharedCache {
+class SharedCache final : public BudgetedCache {
  public:
   using ValuePtr = std::shared_ptr<const V>;
 
+  SharedCache() {
+    auto& reg = cache_registry();
+    std::lock_guard<std::mutex> lk(reg.mu);
+    reg.caches.push_back(this);
+  }
+  SharedCache(const SharedCache&) = delete;
+  SharedCache& operator=(const SharedCache&) = delete;
+
   ~SharedCache() {
+    {
+      auto& reg = cache_registry();
+      std::lock_guard<std::mutex> lk(reg.mu);
+      std::erase(reg.caches, this);
+    }
     Node* cur = head_.load(std::memory_order_acquire);
     while (cur != nullptr) {
       Node* next = cur->next.load(std::memory_order_acquire);
@@ -220,6 +263,12 @@ class SharedCache {
                        [](const V&) { return sizeof(V); });
   }
 
+  /// Evicts LRU entries until the cache fits the current budget.
+  void trim_to_budget() override {
+    std::lock_guard<std::mutex> lk(mu_);
+    evict_over_budget(nullptr);
+  }
+
   CacheStats stats() const {
     CacheStats s;
     s.hits = hits_.load(std::memory_order_relaxed);
@@ -262,18 +311,18 @@ class SharedCache {
     return out;
   }
 
-  /// Called with mu_ held, right after inserting `keep`.  Unlinks LRU nodes
-  /// until the cache fits the budget (the fresh node is exempt so a budget
-  /// smaller than one entry still makes forward progress), then frees
-  /// whatever retired nodes the reader count allows.
+  /// Called with mu_ held, right after inserting `keep` (or, from
+  /// trim_to_budget, with keep = nullptr).  Unlinks LRU nodes until the
+  /// cache fits the budget (a fresh node is exempt so a budget smaller than
+  /// one entry still makes forward progress), then frees whatever retired
+  /// nodes the reader count allows.
   void evict_over_budget(const Node* keep) {
     const std::size_t budget = cache_budget();
     if (budget == 0) {
       free_retired();
       return;
     }
-    while (bytes_.load(std::memory_order_relaxed) > budget &&
-           entries_.load(std::memory_order_relaxed) > 1) {
+    while (bytes_.load(std::memory_order_relaxed) > budget) {
       // Find the LRU node (excluding the one just inserted) and its
       // predecessor.  The list is short by construction -- a handful of
       // (modulus, size) combinations -- so a linear scan per eviction is

@@ -277,9 +277,10 @@ std::optional<GohbergSemencul<F>> gs_from_toeplitz(
 }
 
 /// Minimum polynomial of a linearly generated sequence by the PARALLEL
-/// route of Lemma 1: binary-search the largest mu with det(T_mu) != 0
-/// through the Theorem-3 determinant (O(log n) independent determinant
-/// evaluations, each NC^2), then one Toeplitz solve for the coefficients.
+/// route of Lemma 1: scan mu down from max_degree to the largest mu with
+/// det(T_mu) != 0 through the Theorem-3 determinant (up to max_degree
+/// determinant evaluations, each NC^2 and independent of the others), then
+/// one Toeplitz solve for the coefficients.
 /// The sequential counterpart is Berlekamp-Massey; the two are checked
 /// against each other in the tests.  Needs seq[0..2*max_degree-1] and
 /// char(K) = 0 or > max_degree; assumes the determinant pattern of Lemma 1

@@ -464,6 +464,25 @@ TEST(BuildersTest, NttStructuredCircuitEvaluatesCorrectly) {
   }
 }
 
+TEST(BuildersTest, DetAndSolverCircuitsArePinned) {
+  // The recorded Theorem-4 programs, node for node.  A depth ratio alone
+  // cannot tell an O(n)-deep step (e.g. a sequential det(H)) leaking into
+  // the depth_optimal build from polylog growth at these sizes; exact size
+  // and depth can.  Any intended change to the circuits must update these.
+  struct Pin {
+    std::size_t n, det_size, det_depth, solver_size, solver_depth;
+  };
+  for (const Pin& p : {Pin{4, 8758, 79, 9037, 88},
+                       Pin{8, 161458, 131, 164573, 142}}) {
+    const auto det = circuit::build_det_circuit(p.n);
+    const auto solver = circuit::build_solver_circuit(p.n);
+    EXPECT_EQ(det.size(), p.det_size) << p.n;
+    EXPECT_EQ(det.depth(), p.det_depth) << p.n;
+    EXPECT_EQ(solver.size(), p.solver_size) << p.n;
+    EXPECT_EQ(solver.depth(), p.solver_depth) << p.n;
+  }
+}
+
 TEST(BuildersTest, SolverCircuitDepthIsPolylog) {
   // The depth should grow far slower than the size: check that depth at
   // n=8 stays within a small factor of depth at n=4 while size grows ~8x.

@@ -21,7 +21,9 @@
 #include "field/zp.h"
 #include "matrix/blackbox.h"
 #include "matrix/gauss.h"
+#include "seq/berlekamp_massey.h"
 #include "seq/newton_toeplitz.h"
+#include "util/op_count.h"
 #include "util/prng.h"
 
 namespace kp {
@@ -140,6 +142,89 @@ TEST(PreconditionerTest, LeadingMinorsNonzeroWithHighProbability) {
   EXPECT_GE(successes, 19);  // bound: failure <= n(n-1)/2 / 2^20 per trial
 }
 
+/// det(H D) through both det(H) routes -- Berlekamp-Massey with the
+/// Theorem-3 fallback (default) and Theorem 3 alone (depth_optimal) --
+/// against Gaussian elimination.  Returns whether H was normal.
+template <class G>
+bool expect_det_both_paths(const G& g, const core::Preconditioner<G>& pre) {
+  const auto expect = g.mul(matrix::det_gauss(g, pre.hankel.to_dense(g)),
+                            pre.diagonal.det(g));
+  const auto method = seq::NewtonIdentityMethod::kTriangularSolve;
+  EXPECT_EQ(pre.det(g), expect) << pre.hankel.dim();
+  EXPECT_EQ(pre.det(g, method, /*depth_optimal=*/true), expect)
+      << pre.hankel.dim();
+  return seq::hankel_det(g, pre.hankel.entries()).has_value();
+}
+
+core::Preconditioner<F> preconditioner_of(std::vector<std::uint64_t> h) {
+  const std::size_t n = (h.size() + 1) / 2;
+  std::vector<F::Element> d(n);
+  for (std::size_t i = 0; i < n; ++i) d[i] = f.from_int(static_cast<std::int64_t>(i) + 2);
+  return {matrix::Hankel<F>(n, std::vector<F::Element>(h.begin(), h.end())),
+          matrix::Diagonal<F>(std::move(d))};
+}
+
+TEST(PreconditionerTest, HankelDetAdversarialCorpusBothPaths) {
+  struct Case {
+    const char* what;
+    std::vector<std::uint64_t> h;
+    bool normal;
+    bool singular;
+  };
+  const std::vector<Case> corpus = {
+      {"n = 1", {5}, true, false},
+      {"n = 1, zero", {0}, false, true},
+      {"n = 2", {2, 3, 5}, true, false},
+      {"n = 2, h0 = 0, non-singular", {0, 1, 0}, false, false},
+      {"n = 4, h0 = 0, non-singular", {0, 1, 2, 3, 5, 8, 14}, false, false},
+      {"n = 4, det H_2 = 0 mid-way", {1, 1, 1, 2, 5, 3, 7}, false, false},
+      {"n = 4, rank 1", {1, 2, 4, 8, 16, 32, 64}, false, true},
+      {"n = 4, all zero", {0, 0, 0, 0, 0, 0, 0}, false, true},
+      // h_i = 1 + 2^i + 3^i: rank 3, only the last minor vanishes.
+      {"n = 4, rank 3", {3, 6, 14, 36, 98, 276, 794}, false, true},
+  };
+  for (const Case& c : corpus) {
+    const auto pre = preconditioner_of(c.h);
+    EXPECT_EQ(expect_det_both_paths(f, pre), c.normal) << c.what;
+    EXPECT_EQ(f.is_zero(pre.det(f)), c.singular) << c.what;
+  }
+}
+
+template <class G>
+void check_small_sample_set(const G& g, std::size_t max_n, int draws) {
+  // |S| = 3 makes vanishing leading minors common, so both det(H) routes
+  // -- and the fallback between them -- are exercised on every field.
+  util::Prng prng(11);
+  int non_normal = 0;
+  for (int i = 0; i < draws; ++i) {
+    const std::size_t n = 1 + static_cast<std::size_t>(i) % max_n;
+    const auto pre = core::Preconditioner<G>::draw(g, n, prng, 3);
+    non_normal += !expect_det_both_paths(g, pre);
+  }
+  EXPECT_GT(non_normal, draws / 4);
+  EXPECT_LT(non_normal, draws);
+}
+
+TEST(PreconditionerTest, HankelDetSmallSampleSetBothPaths) {
+  check_small_sample_set(Zp<7>{}, 6, 300);  // Theorem 3 needs char > n
+  check_small_sample_set(Zp<13>{}, 8, 300);
+  check_small_sample_set(f, 10, 300);
+}
+
+TEST(PreconditionerTest, HankelDetIsQuadraticOnNormalDraw) {
+  // Guard against det(H D) drifting back onto the O(n^2 polylog n)
+  // Theorem-3 route: Berlekamp-Massey spends about 4 n^2 field operations.
+  util::Prng prng(12);
+  const std::size_t n = 256;
+  const auto pre = core::Preconditioner<F>::draw(f, n, prng, 1u << 30);
+  ASSERT_TRUE(seq::hankel_det(f, pre.hankel.entries()).has_value());
+  util::OpScope ops;
+  const auto det = pre.det(f);
+  EXPECT_LE(ops.counts().total(), 5 * n * n);
+  EXPECT_EQ(det, f.mul(matrix::det_gauss(f, pre.hankel.to_dense(f)),
+                       pre.diagonal.det(f)));
+}
+
 // ---------------------------------------------------------------------------
 // Theorem-4 solver.
 
@@ -166,6 +251,33 @@ TEST(SolverTest, DetMatchesGauss) {
     if (f.is_zero(expect)) continue;  // singular: pipeline correctly fails
     ASSERT_TRUE(res.ok) << n;
     EXPECT_EQ(res.det, expect) << n;
+  }
+}
+
+TEST(SolverTest, DetIdenticalWithDepthOptimalOnAndOff) {
+  // det(H) takes Berlekamp-Massey by default and Theorem 3 under
+  // depth_optimal; det(A), the attempt count and the draws must not move.
+  // A small sample set makes non-normal H and retries part of the run.
+  util::Prng data(13);
+  for (const std::uint64_t s : {std::uint64_t{1} << 30, std::uint64_t{400}}) {
+    for (std::size_t n : {1u, 3u, 6u, 11u}) {
+      const auto a = random_mat(n, data);
+      core::SolverOptions fast;
+      fast.sample_size = s;
+      fast.max_attempts = 8;
+      core::SolverOptions deep = fast;
+      deep.depth_optimal = true;
+      util::Prng p1(100 + n), p2(100 + n);
+      const auto r1 = core::kp_det(f, a, p1, fast);
+      const auto r2 = core::kp_det(f, a, p2, deep);
+      ASSERT_EQ(r1.ok, r2.ok) << n;
+      EXPECT_EQ(r1.det, r2.det) << n;
+      EXPECT_EQ(r1.attempts, r2.attempts) << n;
+      EXPECT_EQ(r1.charpoly_at, r2.charpoly_at) << n;
+      if (r1.ok) {
+        EXPECT_EQ(r1.det, matrix::det_gauss(f, a)) << n;
+      }
+    }
   }
 }
 

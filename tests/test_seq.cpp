@@ -182,6 +182,45 @@ TEST(BerlekampMasseyTest, WorksOverGF256) {
 }
 
 // ---------------------------------------------------------------------------
+// Hankel determinant from the Berlekamp-Massey discrepancies.
+
+/// hankel_det must return det H exactly when every leading minor det H_k is
+/// non-zero, and nullopt otherwise (checked minor by minor with Gauss).
+template <class G>
+void check_hankel_det_characterization(const G& g, std::uint64_t s,
+                                       std::size_t max_n, int draws) {
+  util::Prng prng(21);
+  int normal = 0;
+  for (int i = 0; i < draws; ++i) {
+    const std::size_t n = 1 + static_cast<std::size_t>(i) % max_n;
+    const auto h = matrix::Hankel<G>::random(g, n, prng, s);
+    const auto dense = h.to_dense(g);
+    bool all_minors_nonzero = true;
+    for (std::size_t k = 1; k <= n; ++k) {
+      all_minors_nonzero =
+          all_minors_nonzero &&
+          !g.is_zero(matrix::det_gauss(g, matrix::leading_principal(g, dense, k)));
+    }
+    const auto det = seq::hankel_det(g, h.entries());
+    ASSERT_EQ(det.has_value(), all_minors_nonzero) << n;
+    if (det) {
+      EXPECT_EQ(*det, matrix::det_gauss(g, dense)) << n;
+    }
+    normal += all_minors_nonzero;
+  }
+  EXPECT_GT(normal, 0);
+  EXPECT_LT(normal, draws);
+}
+
+TEST(HankelDetTest, ExactIffAllLeadingMinorsNonzero) {
+  check_hankel_det_characterization(Zp<7>{}, 7, 6, 400);
+  check_hankel_det_characterization(Zp<13>{}, 3, 9, 400);
+  check_hankel_det_characterization(f, 3, 12, 400);
+  // Any characteristic: Berlekamp-Massey needs no char > n.
+  check_hankel_det_characterization(field::GFpk(2, 8), 4, 10, 200);
+}
+
+// ---------------------------------------------------------------------------
 // Newton identities.
 
 TEST(NewtonIdentitiesTest, RoundTripBothMethods) {

@@ -493,6 +493,25 @@ TEST(SharedTwiddleCacheTest, ByteBudgetEvictsLruAndStaysCorrect) {
   EXPECT_LE(after.entries, 2u);  // budget held (evictor keeps >= 1 entry)
 }
 
+TEST(SharedTwiddleCacheTest, LoweringBudgetTrimsWarmCache) {
+  // A cache that already holds every size it needs never misses again, so
+  // the budget must be enforced when it is set, not at the next miss.
+  poly::set_cache_budget(0);
+  for (const std::size_t n : {1u << 4, 1u << 6, 1u << 8}) {
+    checked_mul(field::kNttPrime, n, 5);
+  }
+  const auto warm = poly::twiddle_cache_stats();
+  ASSERT_GE(warm.entries, 3u);
+  poly::set_cache_budget(1);
+  const auto trimmed = poly::twiddle_cache_stats();
+  EXPECT_EQ(trimmed.entries, 0u);
+  EXPECT_EQ(trimmed.bytes, 0u);
+  EXPECT_EQ(trimmed.evictions, warm.evictions + warm.entries);
+  EXPECT_EQ(trimmed.misses, warm.misses);  // trimmed without a miss
+  checked_mul(field::kNttPrime, 1u << 6, 6);  // still correct when cold
+  poly::set_cache_budget(0);
+}
+
 TEST(SharedTwiddleCacheTest, UnlimitedBudgetCachesAndCountsHits) {
   poly::set_cache_budget(0);
   checked_mul(field::kNttPrime, 1u << 5, 3);
