@@ -375,7 +375,9 @@ inline CrtSolveResult crt_solve(const field::RationalField& f,
     // fallback goes directly to the cheaper exact route -- which is also
     // the one that PROVES kSingularInput.
     out.used_generic = true;
-    out.det = matrix::det_gauss(f, a);
+    // One elimination settles both det A and x.
+    const auto fac = matrix::plu_decompose(f, a);
+    out.det = fac.det;
     out.det_certified = true;  // exact by construction, even when zero
     if (f.is_zero(out.det)) {
       out.ok = false;
@@ -384,17 +386,7 @@ inline CrtSolveResult crt_solve(const field::RationalField& f,
                                       "Gaussian elimination: det(A) = 0");
       return;
     }
-    if (!det_only) {
-      auto x = matrix::solve_gauss(f, a, *rhs);
-      if (!x) {
-        out.ok = false;
-        out.status = util::Status::Fail(util::FailureKind::kSingularInput,
-                                        util::Stage::kSolveFinish,
-                                        "Gaussian elimination: no solution");
-        return;
-      }
-      out.x = *std::move(x);
-    }
+    if (!det_only) out.x = matrix::solve_plu(f, fac, *rhs);
     out.ok = true;
     out.status = std::move(why);
   };

@@ -251,7 +251,9 @@ void dense_fallback_run(const F& f, const B& a,
       return matrix::materialize_dense(f, a);
     }
   }();
-  res.det = matrix::det_gauss(f, dense);
+  // One elimination settles both det A and x.
+  const auto fac = matrix::plu_decompose(f, dense);
+  res.det = fac.det;
   if (f.is_zero(res.det)) {
     res.ok = false;
     res.status = util::Status::Fail(util::FailureKind::kSingularInput,
@@ -259,17 +261,7 @@ void dense_fallback_run(const F& f, const B& a,
                                     "Gaussian elimination: det(A) = 0");
     return;
   }
-  if (rhs) {
-    auto x = matrix::solve_gauss(f, dense, *rhs);
-    if (!x) {
-      res.ok = false;
-      res.status = util::Status::Fail(util::FailureKind::kSingularInput,
-                                      util::Stage::kSolveFinish,
-                                      "Gaussian elimination: no solution");
-      return;
-    }
-    res.x = *std::move(x);
-  }
+  if (rhs) res.x = matrix::solve_plu(f, fac, *rhs);
   res.charpoly_at.clear();  // the baseline route does not produce one
   res.ok = true;
   res.status = util::Status::Ok();

@@ -470,7 +470,8 @@ std::int64_t BigInt::to_int64() const {
   for (std::size_t i = limbs_.size(); i-- > 0;) {
     mag = (mag << kLimbBits) | limbs_[i];
   }
-  return negative_ ? -static_cast<std::int64_t>(mag) : static_cast<std::int64_t>(mag);
+  // Negate in unsigned arithmetic: -2^63 has no positive int64 counterpart.
+  return static_cast<std::int64_t>(negative_ ? 0 - mag : mag);
 }
 
 double BigInt::to_double() const {

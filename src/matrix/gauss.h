@@ -89,16 +89,14 @@ std::size_t rank_gauss(const F& f, const Matrix<F>& a) {
   return plu_decompose(f, a).rank;
 }
 
-/// Solves A x = b for square A; nullopt when A is singular (this baseline is
-/// deterministic, unlike the paper's pipeline which reports failure).
+/// Solves A x = b by substitution through the factorization `fac` of a
+/// non-singular square A (fac.rank == n), so one elimination can yield both
+/// det A and x.
 template <kp::field::Field F>
-std::optional<std::vector<typename F::Element>> solve_gauss(
-    const F& f, const Matrix<F>& a, const std::vector<typename F::Element>& b) {
-  assert(a.is_square() && a.rows() == b.size());
-  const std::size_t n = a.rows();
-  const Plu<F> fac = plu_decompose(f, a);
-  if (fac.rank < n) return std::nullopt;
-
+std::vector<typename F::Element> solve_plu(
+    const F& f, const Plu<F>& fac, const std::vector<typename F::Element>& b) {
+  const std::size_t n = fac.lu.rows();
+  assert(fac.lu.is_square() && fac.rank == n && n == b.size());
   // Forward substitution L y = P b.
   std::vector<typename F::Element> y(n, f.zero());
   for (std::size_t i = 0; i < n; ++i) {
@@ -118,6 +116,17 @@ std::optional<std::vector<typename F::Element>> solve_gauss(
     x[i] = f.div(acc, fac.lu.at(i, i));
   }
   return x;
+}
+
+/// Solves A x = b for square A; nullopt when A is singular (this baseline is
+/// deterministic, unlike the paper's pipeline which reports failure).
+template <kp::field::Field F>
+std::optional<std::vector<typename F::Element>> solve_gauss(
+    const F& f, const Matrix<F>& a, const std::vector<typename F::Element>& b) {
+  assert(a.is_square() && a.rows() == b.size());
+  const Plu<F> fac = plu_decompose(f, a);
+  if (fac.rank < a.rows()) return std::nullopt;
+  return solve_plu(f, fac, b);
 }
 
 /// Inverse of a square matrix; nullopt when singular.

@@ -90,8 +90,7 @@ Matrix<kp::poly::PolyRing<R>> matpoly_mul(
         !kp::poly::NttTraits<F>::available(f, out_len_packed)) {
       return mat_mul(ring, a, b);
     }
-    const std::uint64_t p = f.characteristic();
-    const std::uint64_t w = kp::poly::detail::root_of_unity(p, n);
+    const auto tables = kp::poly::detail::ntt_tables(f.characteristic(), n);
 
     // One batched forward pass over every operand entry.
     std::vector<std::vector<FE>*> batch;
@@ -104,13 +103,12 @@ Matrix<kp::poly::PolyRing<R>> matpoly_mul(
       v.resize(n, f.zero());
       batch.push_back(&v);
     }
-    kp::poly::ntt_many(f, batch, w, p);
+    kp::poly::ntt_many(f, batch, tables->forward);
     kp::poly::detail::transform_counters().forward.fetch_add(
         batch.size(), std::memory_order_relaxed);
 
     // Accumulate + inverse-transform + unpack each output entry; entries
     // are independent, so they form one pool region.
-    const std::uint64_t w_inv = kp::field::detail::invmod(w, p);
     const auto compute = [&](std::size_t idx) {
       const std::size_t i = idx / cols, j = idx % cols;
       std::size_t out_len = 0;  // ring-level product length for unpacking
@@ -127,7 +125,7 @@ Matrix<kp::poly::PolyRing<R>> matpoly_mul(
           acc[t] = f.add(acc[t], f.mul(fa[t], fb[t]));
         }
       }
-      kp::poly::detail::ntt_inplace(f, acc, w_inv, p);
+      kp::poly::detail::ntt_inplace(f, acc, tables->inverse);
       const auto n_inv = f.inv(f.from_int(static_cast<std::int64_t>(n)));
       for (auto& c : acc) c = f.mul(c, n_inv);
       auto entry = S::unpack(r, std::move(acc), out_len);

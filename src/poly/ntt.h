@@ -5,23 +5,22 @@
 // butterflies go through the field domain, so NTT work is measured in the
 // same unit cost model as everything else.
 //
-// Twiddle factors are cached per (modulus, root, transform size) in a
-// process-wide table shared by every thread: lookups walk a lock-free list
-// (hits take no lock at all), and only a miss takes the mutex to build and
-// publish a new entry -- so pooled workers issuing their own transforms stop
-// duplicating both the setup work and the table memory the per-thread caches
-// of the previous revision paid.  A byte budget (KP_CACHE_BUDGET /
-// set_cache_budget) bounds the cache with LRU eviction for long-running
+// Everything a size-n transform over Z/pZ needs beyond the data -- the
+// twiddles of both directions and 1/n -- is built once per (modulus, size)
+// pair and kept in one process-wide table cache shared by every thread: a
+// mutex-guarded map, so pooled workers issuing their own transforms share
+// both the setup work and the table memory.  A byte budget (KP_CACHE_BUDGET
+// / set_cache_budget) bounds the cache with LRU eviction for long-running
 // services; evicted tables stay alive as long as an in-flight transform
-// holds their shared_ptr.  Each cached table also
-// carries Shoup precomputed quotients in a per-level streamed layout, so
-// word-sized prime fields (FieldKernels, field/kernels.h) run Harvey-style
-// lazy butterflies -- three word multiplies each, residues in [0, 4p), one
-// normalization pass at the end, no 128-bit division anywhere -- while
-// producing exactly the canonical values and charging exactly the logical op
-// counts of the generic path.  Symbolic domains (CircuitBuilderField) keep
-// the generic path: cached INTEGER powers injected with from_int, preserving
-// the O(log n)-depth circuits.
+// holds their shared_ptr.  Each twiddle table also carries Shoup
+// precomputed quotients in a per-level streamed layout, so word-sized prime
+// fields (FieldKernels, field/kernels.h) run Harvey-style lazy butterflies
+// -- three word multiplies each, residues in [0, 4p), one normalization pass
+// at the end, no 128-bit division anywhere -- while producing exactly the
+// canonical values and charging exactly the logical op counts of the
+// generic path.  Symbolic domains (CircuitBuilderField) keep the generic
+// path: cached INTEGER powers injected with from_int, preserving the
+// O(log n)-depth circuits.
 //
 // Two parallel axes sit on top (both bit-identical for every worker count):
 //   * ntt_many runs B independent transforms with whole transforms per
@@ -39,13 +38,15 @@
 // inverse transforms executed and forwards avoided by such caches.
 #pragma once
 
-#include <array>
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "field/kernels.h"
@@ -104,6 +105,15 @@ inline void reset_transform_stats() {
   c.forward_avoided.store(0, std::memory_order_relaxed);
 }
 
+/// Observable state of the process-wide NTT table cache.
+struct CacheStats {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;      ///< entries built (includes rebuilds)
+  std::uint64_t evictions = 0;   ///< entries dropped by the byte budget
+  std::size_t bytes = 0;         ///< live payload bytes currently cached
+  std::size_t entries = 0;       ///< live entries currently cached
+};
+
 namespace detail {
 
 /// Largest k with 2^k | p - 1.
@@ -117,282 +127,7 @@ inline int two_adicity(std::uint64_t p) {
   return k;
 }
 
-}  // namespace detail
-
-/// Observable state of one process-wide SharedCache instance.
-struct CacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;      ///< entries built (includes rebuilds)
-  std::uint64_t evictions = 0;   ///< entries dropped by the byte budget
-  std::size_t bytes = 0;         ///< live payload bytes currently cached
-  std::size_t entries = 0;       ///< live entries currently cached
-};
-
-/// Per-cache byte budget for the process-wide SharedCache instances below
-/// (twiddle tables, scale inverses, primitive roots) and the spectrum caches
-/// layered on them.  0 (the default) means unlimited -- the pre-service
-/// behavior.  Initialized once from the KP_CACHE_BUDGET environment variable
-/// (bytes); set_cache_budget overrides it at runtime so a long-running
-/// service can bound its footprint without a restart.  Each cache enforces
-/// the budget on its own contents; the twiddle cache dominates (its tables
-/// are O(n) words), the others hold a few machine words per entry.
-/// Lowering the budget trims every live cache to it at once (LRU first), so
-/// a warm cache does not wait for its next miss to shrink.
-inline std::atomic<std::size_t>& cache_budget_ref() {
-  static std::atomic<std::size_t> budget{[] {
-    const char* env = std::getenv("KP_CACHE_BUDGET");
-    return env != nullptr
-               ? static_cast<std::size_t>(std::strtoull(env, nullptr, 10))
-               : std::size_t{0};
-  }()};
-  return budget;
-}
-
-inline std::size_t cache_budget() {
-  return cache_budget_ref().load(std::memory_order_relaxed);
-}
-
-namespace detail {
-
-/// A process-wide cache that set_cache_budget can trim to the budget.
-class BudgetedCache {
- public:
-  virtual void trim_to_budget() = 0;
-
- protected:
-  ~BudgetedCache() = default;
-};
-
-/// The live BudgetedCache instances.  Caches register on construction, so
-/// this function-local static is built before (and destroyed after) them.
-struct CacheRegistry {
-  std::mutex mu;
-  std::vector<BudgetedCache*> caches;
-};
-
-inline CacheRegistry& cache_registry() {
-  static CacheRegistry registry;
-  return registry;
-}
-
-}  // namespace detail
-
-inline void set_cache_budget(std::size_t bytes) {
-  cache_budget_ref().store(bytes, std::memory_order_relaxed);
-  auto& reg = detail::cache_registry();
-  std::lock_guard<std::mutex> lk(reg.mu);
-  for (detail::BudgetedCache* c : reg.caches) c->trim_to_budget();
-}
-
-namespace detail {
-
-/// Key/value table: lock-free on hit, mutex-guarded on miss, bounded by the
-/// process-wide byte budget (cache_budget) with LRU eviction.
-///
-/// Entries are nodes prepended to an atomic head; a reader registers in the
-/// lock-free readers_ count, walks the list with acquire loads, and copies
-/// out the entry's shared_ptr -- no mutex on the hit path.  A miss takes the
-/// mutex, re-checks (another thread may have raced the build), publishes the
-/// new node, and -- when the cache exceeds the budget -- unlinks the
-/// least-recently-used nodes.  Unlinked nodes are deleted only after the
-/// reader count has been observed at zero (a seq_cst fence pairs with the
-/// readers' seq_cst increment, the classic asymmetric-Dekker handshake), so
-/// an in-flight walk never touches freed memory; until then they sit on a
-/// retired list.  Values live behind shared_ptr, so a caller's copy pins the
-/// payload across eviction for as long as it needs it.
-template <class K, class V>
-class SharedCache final : public BudgetedCache {
- public:
-  using ValuePtr = std::shared_ptr<const V>;
-
-  SharedCache() {
-    auto& reg = cache_registry();
-    std::lock_guard<std::mutex> lk(reg.mu);
-    reg.caches.push_back(this);
-  }
-  SharedCache(const SharedCache&) = delete;
-  SharedCache& operator=(const SharedCache&) = delete;
-
-  ~SharedCache() {
-    {
-      auto& reg = cache_registry();
-      std::lock_guard<std::mutex> lk(reg.mu);
-      std::erase(reg.caches, this);
-    }
-    Node* cur = head_.load(std::memory_order_acquire);
-    while (cur != nullptr) {
-      Node* next = cur->next.load(std::memory_order_acquire);
-      delete cur;
-      cur = next;
-    }
-    for (Node* n : retired_) delete n;
-  }
-
-  /// Returns the cached value for `key`, building it with make() on a miss.
-  /// `cost` maps a built value to its payload byte size for the budget.
-  template <class Make, class Cost>
-  ValuePtr get_or_make(const K& key, Make&& make, Cost&& cost) {
-    if (ValuePtr v = find(key)) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return v;
-    }
-    std::lock_guard<std::mutex> lk(mu_);
-    if (ValuePtr v = find(key)) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return v;
-    }
-    auto value = std::make_shared<const V>(make());
-    Node* node = new Node;
-    node->key = key;
-    node->value = value;
-    node->bytes = cost(*value);
-    node->last_use.store(next_tick(), std::memory_order_relaxed);
-    node->next.store(head_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-    head_.store(node, std::memory_order_seq_cst);
-    bytes_.fetch_add(node->bytes, std::memory_order_relaxed);
-    entries_.fetch_add(1, std::memory_order_relaxed);
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    evict_over_budget(node);
-    return value;
-  }
-
-  template <class Make>
-  ValuePtr get_or_make(const K& key, Make&& make) {
-    return get_or_make(key, std::forward<Make>(make),
-                       [](const V&) { return sizeof(V); });
-  }
-
-  /// Evicts LRU entries until the cache fits the current budget.
-  void trim_to_budget() override {
-    std::lock_guard<std::mutex> lk(mu_);
-    evict_over_budget(nullptr);
-  }
-
-  CacheStats stats() const {
-    CacheStats s;
-    s.hits = hits_.load(std::memory_order_relaxed);
-    s.misses = misses_.load(std::memory_order_relaxed);
-    s.evictions = evictions_.load(std::memory_order_relaxed);
-    s.bytes = bytes_.load(std::memory_order_relaxed);
-    s.entries = entries_.load(std::memory_order_relaxed);
-    return s;
-  }
-
- private:
-  struct Node {
-    K key{};
-    std::shared_ptr<const V> value;
-    std::size_t bytes = 0;
-    std::atomic<std::uint64_t> last_use{0};
-    std::atomic<Node*> next{nullptr};
-  };
-
-  std::uint64_t next_tick() {
-    return tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-
-  /// Lock-free lookup.  The seq_cst increment is the reader half of the
-  /// eviction handshake: any walk that can reach a node registered BEFORE
-  /// loading head_, so the evictor's fence + zero-observation proves no walk
-  /// still holds an unlinked node.
-  ValuePtr find(const K& key) {
-    readers_.fetch_add(1, std::memory_order_seq_cst);
-    ValuePtr out;
-    for (Node* cur = head_.load(std::memory_order_acquire); cur != nullptr;
-         cur = cur->next.load(std::memory_order_acquire)) {
-      if (cur->key == key) {
-        cur->last_use.store(next_tick(), std::memory_order_relaxed);
-        out = cur->value;
-        break;
-      }
-    }
-    readers_.fetch_sub(1, std::memory_order_seq_cst);
-    return out;
-  }
-
-  /// Called with mu_ held, right after inserting `keep` (or, from
-  /// trim_to_budget, with keep = nullptr).  Unlinks LRU nodes until the
-  /// cache fits the budget (a fresh node is exempt so a budget smaller than
-  /// one entry still makes forward progress), then frees whatever retired
-  /// nodes the reader count allows.
-  void evict_over_budget(const Node* keep) {
-    const std::size_t budget = cache_budget();
-    if (budget == 0) {
-      free_retired();
-      return;
-    }
-    while (bytes_.load(std::memory_order_relaxed) > budget) {
-      // Find the LRU node (excluding the one just inserted) and its
-      // predecessor.  The list is short by construction -- a handful of
-      // (modulus, size) combinations -- so a linear scan per eviction is
-      // cheaper than maintaining an ordered index on the hit path.
-      Node* prev = nullptr;
-      Node* victim = nullptr;
-      Node* victim_prev = nullptr;
-      std::uint64_t oldest = ~std::uint64_t{0};
-      for (Node* cur = head_.load(std::memory_order_relaxed); cur != nullptr;
-           cur = cur->next.load(std::memory_order_relaxed)) {
-        if (cur != keep) {
-          const std::uint64_t t = cur->last_use.load(std::memory_order_relaxed);
-          if (t < oldest) {
-            oldest = t;
-            victim = cur;
-            victim_prev = prev;
-          }
-        }
-        prev = cur;
-      }
-      if (victim == nullptr) break;
-      Node* after = victim->next.load(std::memory_order_relaxed);
-      if (victim_prev == nullptr) {
-        head_.store(after, std::memory_order_seq_cst);
-      } else {
-        victim_prev->next.store(after, std::memory_order_seq_cst);
-      }
-      bytes_.fetch_sub(victim->bytes, std::memory_order_relaxed);
-      entries_.fetch_sub(1, std::memory_order_relaxed);
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-      retired_.push_back(victim);
-    }
-    free_retired();
-  }
-
-  /// Called with mu_ held.  Deletes retired nodes once the reader count has
-  /// been observed at zero after their unlinking (new readers cannot reach
-  /// them, and the observation proves the old ones left).  Bounded spin; on
-  /// sustained read traffic the nodes simply wait for the next miss.
-  void free_retired() {
-    if (retired_.empty()) return;
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    for (int spin = 0; spin < 4096; ++spin) {
-      if (readers_.load(std::memory_order_seq_cst) == 0) {
-        for (Node* n : retired_) delete n;
-        retired_.clear();
-        return;
-      }
-    }
-  }
-
-  std::atomic<Node*> head_{nullptr};
-  std::atomic<int> readers_{0};
-  std::atomic<std::uint64_t> tick_{0};
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> evictions_{0};
-  std::atomic<std::size_t> bytes_{0};
-  std::atomic<std::size_t> entries_{0};
-  std::vector<Node*> retired_;  ///< unlinked, awaiting reader drain (mu_)
-  std::mutex mu_;
-};
-
-/// Cached primitive root per modulus (root search factors p-1, so cache it).
-inline std::uint64_t cached_primitive_root(std::uint64_t p) {
-  static SharedCache<std::uint64_t, std::uint64_t> cache;
-  return *cache.get_or_make(p, [p] { return kp::field::primitive_root(p); });
-}
-
-/// Twiddle powers w^k, k < n/2, for one (modulus, root, size) triple.
+/// Twiddle powers w^k, k < n/2, of one root w of order n.
 /// `pow` holds them in power order as raw integers (the generic path injects
 /// them with from_int; they are constants of the computation, so recorded
 /// circuits keep O(log n) depth).  `level_pow` / `level_shoup` hold the same
@@ -405,77 +140,164 @@ struct TwiddleTable {
   std::vector<std::uint64_t> level_shoup;
 };
 
-/// Process-wide table cache, shared by all pooled workers (see header note).
-/// Exposed for the budget/eviction tests and service telemetry.
-inline SharedCache<std::array<std::uint64_t, 3>, TwiddleTable>&
-twiddle_cache() {
-  static SharedCache<std::array<std::uint64_t, 3>, TwiddleTable> cache;
+inline TwiddleTable make_twiddle_table(std::uint64_t w, std::uint64_t p,
+                                       std::size_t n) {
+  TwiddleTable t;
+  const std::size_t half = std::max<std::size_t>(n / 2, 1);
+  t.pow.reserve(half);
+  std::uint64_t acc = 1;
+  for (std::size_t k = 0; k < half; ++k) {
+    t.pow.push_back(acc);
+    acc = kp::field::detail::mulmod(acc, w, p);
+  }
+  t.level_pow.reserve(n ? n - 1 : 0);
+  t.level_shoup.reserve(n ? n - 1 : 0);
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const std::size_t step = n / len;
+    for (std::size_t j = 0; j < len / 2; ++j) {
+      const std::uint64_t tw = t.pow[j * step];
+      t.level_pow.push_back(tw);
+      t.level_shoup.push_back(kp::field::fastmod::shoup_precompute(tw, p));
+    }
+  }
+  return t;
+}
+
+/// Everything a size-n transform pair over Z/pZ needs: the twiddles of the
+/// canonical root w = g^((p-1)/n) (g the least primitive root) and of
+/// w^-1, plus the inverse-transform scale 1/n and its Shoup quotient.
+struct NttTables {
+  TwiddleTable forward;
+  TwiddleTable inverse;
+  std::uint64_t n_inv = 0;
+  std::uint64_t n_inv_shoup = 0;
+
+  /// Payload bytes charged against the cache budget.
+  std::size_t bytes() const {
+    std::size_t words = 0;
+    for (const TwiddleTable* t : {&forward, &inverse}) {
+      words += t->pow.capacity() + t->level_pow.capacity() +
+               t->level_shoup.capacity();
+    }
+    return sizeof(NttTables) + sizeof(std::uint64_t) * words;
+  }
+};
+
+/// The only place the transform layer computes roots and inverses.
+inline NttTables make_ntt_tables(std::uint64_t p, std::size_t n) {
+  using kp::field::detail::invmod;
+  const std::uint64_t w =
+      kp::field::detail::powmod(kp::field::primitive_root(p), (p - 1) / n, p);
+  NttTables t;
+  t.forward = make_twiddle_table(w, p, n);
+  t.inverse = make_twiddle_table(invmod(w, p), p, n);
+  t.n_inv = invmod(static_cast<std::uint64_t>(n % p), p);
+  t.n_inv_shoup = kp::field::fastmod::shoup_precompute(t.n_inv, p);
+  return t;
+}
+
+/// The process-wide table cache, shared by every thread and bounded by the
+/// byte budget.  One mutex guards everything; a hit is a map lookup.
+struct NttTableCache {
+  struct Entry {
+    std::shared_ptr<const NttTables> tables;
+    std::uint64_t last_use = 0;
+  };
+  using Key = std::pair<std::uint64_t, std::size_t>;
+
+  std::mutex mu;
+  std::map<Key, Entry> entries;
+  /// Bytes, 0 = unlimited; starts from the KP_CACHE_BUDGET environment
+  /// variable so a long-running service can bound its footprint.
+  std::size_t budget = [] {
+    const char* env = std::getenv("KP_CACHE_BUDGET");
+    return env != nullptr
+               ? static_cast<std::size_t>(std::strtoull(env, nullptr, 10))
+               : std::size_t{0};
+  }();
+  std::uint64_t tick = 0;
+  CacheStats stats;  ///< `entries` is filled in on read
+
+  /// Called with mu held.  Drops least-recently-used entries until the
+  /// cache fits the budget; `keep` (a fresh entry) is exempt so a budget
+  /// smaller than one entry still makes progress.
+  void evict_over_budget(const Key* keep) {
+    if (budget == 0) return;
+    while (stats.bytes > budget) {
+      auto victim = entries.end();
+      for (auto it = entries.begin(); it != entries.end(); ++it) {
+        if (keep != nullptr && it->first == *keep) continue;
+        if (victim == entries.end() ||
+            it->second.last_use < victim->second.last_use) {
+          victim = it;
+        }
+      }
+      if (victim == entries.end()) break;
+      stats.bytes -= victim->second.tables->bytes();
+      ++stats.evictions;
+      entries.erase(victim);
+    }
+  }
+};
+
+inline NttTableCache& ntt_table_cache() {
+  static NttTableCache cache;
   return cache;
 }
 
-/// Returns a pinned pointer to the (modulus, root, size) twiddle table.  The
-/// caller must hold the pointer for the duration of the transform: under a
-/// cache budget the table may be evicted concurrently, and the shared_ptr is
-/// what keeps the butterfly loops' raw `level_pow` pointers alive.
-inline std::shared_ptr<const TwiddleTable> cached_twiddles(std::uint64_t p,
-                                                           std::uint64_t w,
-                                                           std::size_t n) {
-  const std::array<std::uint64_t, 3> key{p, w, static_cast<std::uint64_t>(n)};
-  return twiddle_cache().get_or_make(
-      key,
-      [&] {
-    TwiddleTable t;
-    const std::size_t half = std::max<std::size_t>(n / 2, 1);
-    t.pow.reserve(half);
-    std::uint64_t acc = 1;
-    for (std::size_t k = 0; k < half; ++k) {
-      t.pow.push_back(acc);
-      acc = kp::field::detail::mulmod(acc, w, p);
+/// Returns the pinned (p, n) tables, building them on first use.  The caller
+/// holds the pointer for the duration of its transforms: under a budget the
+/// entry may be evicted concurrently, and the shared_ptr is what keeps the
+/// butterfly loops' raw twiddle pointers alive.
+inline std::shared_ptr<const NttTables> ntt_tables(std::uint64_t p,
+                                                   std::size_t n) {
+  auto& c = ntt_table_cache();
+  const NttTableCache::Key key{p, n};
+  const auto hit = [&c](NttTableCache::Entry& e) {
+    ++c.stats.hits;
+    e.last_use = ++c.tick;
+    return e.tables;
+  };
+  {
+    std::lock_guard<std::mutex> lk(c.mu);
+    if (auto it = c.entries.find(key); it != c.entries.end()) {
+      return hit(it->second);
     }
-    t.level_pow.reserve(n ? n - 1 : 0);
-    t.level_shoup.reserve(n ? n - 1 : 0);
-    for (std::size_t len = 2; len <= n; len <<= 1) {
-      const std::size_t step = n / len;
-      for (std::size_t j = 0; j < len / 2; ++j) {
-        const std::uint64_t tw = t.pow[j * step];
-        t.level_pow.push_back(tw);
-        t.level_shoup.push_back(kp::field::fastmod::shoup_precompute(tw, p));
-      }
-    }
-    return t;
-      },
-      [](const TwiddleTable& t) {
-        return sizeof(TwiddleTable) +
-               sizeof(std::uint64_t) * (t.pow.capacity() +
-                                        t.level_pow.capacity() +
-                                        t.level_shoup.capacity());
-      });
+  }
+  // Build outside the lock: a large table takes milliseconds, and lookups
+  // of other sizes and moduli (parallel CRT shards) must not wait for it.
+  auto tables = std::make_shared<const NttTables>(make_ntt_tables(p, n));
+  std::lock_guard<std::mutex> lk(c.mu);
+  const auto [it, fresh] = c.entries.try_emplace(key, tables, ++c.tick);
+  if (!fresh) return hit(it->second);  // another thread built it first
+  ++c.stats.misses;
+  c.stats.bytes += tables->bytes();
+  c.evict_over_budget(&key);
+  return tables;
 }
 
-/// Cached 1/n mod p and its Shoup quotient for the inverse-transform scale.
-/// The logical division is still charged at every use; the cache only
-/// removes the repeated extended-Euclid runs (one per polynomial product in
-/// the seed).
-struct ScaleInverse {
-  std::uint64_t n_inv;
-  std::uint64_t n_inv_shoup;
-};
+}  // namespace detail
 
-inline ScaleInverse cached_scale_inverse(std::uint64_t p, std::size_t n) {
-  static SharedCache<std::array<std::uint64_t, 2>, ScaleInverse> cache;
-  const std::array<std::uint64_t, 2> key{p, static_cast<std::uint64_t>(n)};
-  return *cache.get_or_make(key, [&] {
-    const std::uint64_t n_inv =
-        kp::field::detail::invmod(static_cast<std::uint64_t>(n % p), p);
-    return ScaleInverse{n_inv, kp::field::fastmod::shoup_precompute(n_inv, p)};
-  });
+/// Sets the table cache's byte budget (0 = unlimited) and trims the cache
+/// to it at once, least recently used first, so a warm cache does not wait
+/// for its next miss to shrink.
+inline void set_cache_budget(std::size_t bytes) {
+  auto& c = detail::ntt_table_cache();
+  std::lock_guard<std::mutex> lk(c.mu);
+  c.budget = bytes;
+  c.evict_over_budget(nullptr);
 }
 
-/// Primitive n-th root of unity mod p (n a power of two dividing p-1).
-inline std::uint64_t root_of_unity(std::uint64_t p, std::size_t n) {
-  const std::uint64_t g = cached_primitive_root(p);
-  return kp::field::detail::powmod(g, (p - 1) / n, p);
+/// Hit/miss/eviction counters and live footprint of the table cache.
+inline CacheStats twiddle_cache_stats() {
+  auto& c = detail::ntt_table_cache();
+  std::lock_guard<std::mutex> lk(c.mu);
+  CacheStats s = c.stats;
+  s.entries = c.entries.size();
+  return s;
 }
+
+namespace detail {
 
 /// Bit-reversal permutation shared by both butterfly paths.
 template <class E>
@@ -514,25 +336,23 @@ void dispatch_chunks(std::size_t total, const Body& body) {
   }
 }
 
-/// In-place iterative radix-2 NTT.  `w_int` must be a primitive n-th root of
-/// unity mod p where n = a.size() is a power of two.  Word-sized prime
-/// fields run cached Shoup butterflies directly on the residues and
-/// bulk-charge the identical logical op counts (one multiplication and two
-/// additions per butterfly); other domains evaluate the same butterflies
-/// through the field interface with the cached integer twiddles.
+/// In-place iterative radix-2 NTT with the twiddles `table` of one
+/// direction of ntt_tables(p, n), p = f.characteristic(), n = a.size() a
+/// power of two.  The caller keeps the tables pinned for the call.
+/// Word-sized prime fields run cached Shoup butterflies directly on the
+/// residues and bulk-charge the identical logical op counts (one
+/// multiplication and two additions per butterfly); other domains evaluate
+/// the same butterflies through the field interface with the cached integer
+/// twiddles.
 template <class F>
 void ntt_inplace(const F& f, std::vector<typename F::Element>& a,
-                 std::uint64_t w_int, std::uint64_t p) {
+                 const TwiddleTable& table) {
   const std::size_t n = a.size();
   assert((n & (n - 1)) == 0 && "NTT size must be a power of two");
+  assert(table.pow.size() == std::max<std::size_t>(n / 2, 1));
   bitrev_permute(a);
-  // Pin the table for the whole transform: the butterfly loops stream raw
-  // pointers into it, and under a cache budget a concurrent miss could
-  // otherwise evict it mid-transform.
-  const std::shared_ptr<const TwiddleTable> table_sp =
-      cached_twiddles(p, w_int, n);
-  const TwiddleTable& table = *table_sp;
   if constexpr (kp::field::kernels::FastField<F>) {
+    const std::uint64_t p = f.characteristic();
     const std::uint64_t* tw = table.level_pow.data();
     const std::uint64_t* twq = table.level_shoup.data();
     std::uint64_t* const d = a.data();
@@ -651,36 +471,29 @@ void ntt_inplace(const F& f, std::vector<typename F::Element>& a,
 
 }  // namespace detail
 
-/// Hit/miss/eviction counters and live footprint of the process-wide
-/// twiddle-table cache -- the cache the KP_CACHE_BUDGET knob matters for.
-inline CacheStats twiddle_cache_stats() { return detail::twiddle_cache().stats(); }
-
 /// Runs B independent equal-size transforms, whole transforms per pooled
-/// worker.  Each entry must already be padded to the common power-of-two
-/// size for which `w_int` is a primitive root.  Safe for any domain:
-/// domains that record ops into shared state (kSequentialOnly) run the batch
-/// serially.  Workers' field-op counts fold back to the submitter per the
-/// ExecutionContext contract and every transform is independent of the
-/// others, so values and totals are bit-identical for 1..N workers.
+/// worker, all with the one twiddle table `table` (a direction of
+/// detail::ntt_tables(p, n), pinned by the caller).  Each entry must already
+/// be padded to that size n.  Safe for any domain: domains that record ops
+/// into shared state (kSequentialOnly) run the batch serially.  Workers'
+/// field-op counts fold back to the submitter per the ExecutionContext
+/// contract and every transform is independent of the others, so values and
+/// totals are bit-identical for 1..N workers.
 template <class F>
 void ntt_many(const F& f,
               const std::vector<std::vector<typename F::Element>*>& batch,
-              std::uint64_t w_int, std::uint64_t p) {
+              const detail::TwiddleTable& table) {
   if (batch.empty()) return;
-  const std::size_t n = batch.front()->size();
   for ([[maybe_unused]] const auto* v : batch) {
-    assert(v != nullptr && v->size() == n && "ntt_many: mixed transform sizes");
+    assert(v != nullptr && v->size() == batch.front()->size() &&
+           "ntt_many: mixed transform sizes");
   }
-  // Build the shared table once up front so workers only ever take the
-  // lock-free hit path; holding the pointer pins it against eviction for
-  // the duration of the batch.
-  const auto warm_table = detail::cached_twiddles(p, w_int, n);
   if (kp::field::concurrent_ops_v<F> && batch.size() > 1) {
     kp::pram::parallel_for(0, batch.size(), [&](std::size_t i) {
-      detail::ntt_inplace(f, *batch[i], w_int, p);
+      detail::ntt_inplace(f, *batch[i], table);
     });
   } else {
-    for (auto* v : batch) detail::ntt_inplace(f, *v, w_int, p);
+    for (auto* v : batch) detail::ntt_inplace(f, *v, table);
   }
 }
 
@@ -709,7 +522,7 @@ NttSpectrum<F> ntt_forward(const F& f,
   s.len = a.size();
   s.data = a;
   s.data.resize(n, f.zero());
-  detail::ntt_inplace(f, s.data, detail::root_of_unity(p, n), p);
+  detail::ntt_inplace(f, s.data, detail::ntt_tables(p, n)->forward);
   detail::transform_counters().forward.fetch_add(1, std::memory_order_relaxed);
   return s;
 }
@@ -725,8 +538,7 @@ std::vector<typename F::Element> ntt_pointwise_finish(const F& f,
   const std::size_t n = fa.n;
   const std::size_t out_len = fa.len + fb.len - 1;
   const std::uint64_t p = f.characteristic();
-  const std::uint64_t w_inv =
-      kp::field::detail::invmod(detail::root_of_unity(p, n), p);
+  const std::shared_ptr<const detail::NttTables> t = detail::ntt_tables(p, n);
   std::vector<typename F::Element> c = std::move(fa.data);
   if constexpr (kp::field::kernels::FastField<F>) {
     const auto& bar = kp::field::FieldKernels<F>::barrett(f);
@@ -735,21 +547,20 @@ std::vector<typename F::Element> ntt_pointwise_finish(const F& f,
       for (std::size_t i = 0; i < n; ++i) c[i] = bar.mul(c[i], fb.data[i]);
     }
     kp::util::count_muls(n);
-    detail::ntt_inplace(f, c, w_inv, p);
-    // One logical division for 1/n (the cached value skips the repeated
-    // extended Euclid), then the Shoup constant-multiplier scale.
-    const detail::ScaleInverse si = detail::cached_scale_inverse(p, n);
+    detail::ntt_inplace(f, c, t->inverse);
+    // One logical division for 1/n (the tables hold it, so no extended
+    // Euclid runs), then the Shoup constant-multiplier scale.
     kp::util::count_div();
-    if (!kp::field::simd::ntt_shoup_scale(c.data(), n, si.n_inv,
-                                          si.n_inv_shoup, p)) {
+    if (!kp::field::simd::ntt_shoup_scale(c.data(), n, t->n_inv,
+                                          t->n_inv_shoup, p)) {
       for (auto& x : c) {
-        x = kp::field::fastmod::shoup_mul(x, si.n_inv, si.n_inv_shoup, p);
+        x = kp::field::fastmod::shoup_mul(x, t->n_inv, t->n_inv_shoup, p);
       }
     }
     kp::util::count_muls(n);
   } else {
     for (std::size_t i = 0; i < n; ++i) c[i] = f.mul(c[i], fb.data[i]);
-    detail::ntt_inplace(f, c, w_inv, p);
+    detail::ntt_inplace(f, c, t->inverse);
     const auto n_inv = f.inv(f.from_int(static_cast<std::int64_t>(n)));
     for (auto& x : c) x = f.mul(x, n_inv);
   }

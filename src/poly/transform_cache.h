@@ -200,7 +200,6 @@ class TransformedPoly {
     if constexpr (S::kSupported) {
       const R& r = ring.base();
       const auto& f = S::base(r);
-      const std::uint64_t p = f.characteristic();
       // Partition: NTT-eligible items batch, the rest take plain ring.mul.
       std::vector<std::size_t> idx;              // eligible item -> xs index
       std::vector<std::vector<FieldElem>> bufs;  // padded varying operands
@@ -235,7 +234,7 @@ class TransformedPoly {
         std::vector<std::vector<FieldElem>*> ptrs;
         ptrs.reserve(members.size());
         for (const std::size_t k : members) ptrs.push_back(&bufs[k]);
-        ntt_many(f, ptrs, detail::root_of_unity(p, n), p);
+        ntt_many(f, ptrs, detail::ntt_tables(f.characteristic(), n)->forward);
         detail::transform_counters().forward.fetch_add(
             members.size(), std::memory_order_relaxed);
       }

@@ -9,7 +9,6 @@
 #include "circuit/builders.h"
 #include "circuit/circuit.h"
 #include "circuit/derivative.h"
-#include "circuit/dot.h"
 #include "circuit/field.h"
 #include "core/baselines.h"
 #include "field/zp.h"
@@ -67,28 +66,6 @@ TEST(CircuitTest, RandomLeavesConsumeRandomValues) {
   auto res = c.evaluate_status(f, {7}, {6});
   ASSERT_TRUE(res.status.ok());
   EXPECT_EQ(res.outputs[0], 42u);
-}
-
-TEST(CircuitTest, DotExportContainsEveryNodeAndEdge) {
-  Circuit c;
-  const auto x = c.input();
-  const auto r = c.random_element();
-  c.mark_output(c.div(c.add(x, c.constant(3)), r));
-  const auto dot = circuit::to_dot(c, "g");
-  EXPECT_NE(dot.find("digraph g"), std::string::npos);
-  EXPECT_NE(dot.find("label=\"x0\""), std::string::npos);
-  EXPECT_NE(dot.find("label=\"r0\""), std::string::npos);
-  EXPECT_NE(dot.find("label=\"3\""), std::string::npos);
-  EXPECT_NE(dot.find("label=\"+\""), std::string::npos);
-  EXPECT_NE(dot.find("label=\"/\""), std::string::npos);
-  EXPECT_NE(dot.find("peripheries=2"), std::string::npos);
-  // One edge per operand: 2 for add, 2 for div.
-  std::size_t edges = 0;
-  for (std::size_t pos = dot.find("->"); pos != std::string::npos;
-       pos = dot.find("->", pos + 1)) {
-    ++edges;
-  }
-  EXPECT_EQ(edges, 4u);
 }
 
 TEST(CircuitTest, ConstantsMaterializeViaFromInt) {

@@ -160,6 +160,26 @@ TEST(GaussTest, SolveRoundTrip) {
   }
 }
 
+TEST(GaussTest, SolvePluReusesOneFactorization) {
+  // One plu_decompose yields det A and, through solve_plu, x for any
+  // number of right-hand sides, each equal to a fresh solve_gauss.
+  util::Prng prng(12);
+  for (std::size_t n : {1u, 5u, 16u}) {
+    auto a = random_mat(n, prng);
+    const auto fac = matrix::plu_decompose(f, a);
+    ASSERT_EQ(fac.rank, n) << "n=" << n;
+    EXPECT_EQ(fac.det, matrix::det_gauss(f, a));
+    for (int k = 0; k < 3; ++k) {
+      std::vector<F::Element> x(n);
+      for (auto& v : x) v = f.random(prng);
+      const auto b = matrix::mat_vec(f, a, x);
+      const auto sol = matrix::solve_plu(f, fac, b);
+      EXPECT_EQ(sol, x) << "n=" << n << " k=" << k;
+      EXPECT_EQ(sol, *matrix::solve_gauss(f, a, b));
+    }
+  }
+}
+
 TEST(GaussTest, SolveDetectsSingular) {
   // Rank-1 matrix.
   util::Prng prng(10);

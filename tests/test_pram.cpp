@@ -1,5 +1,5 @@
 // Tests for the PRAM execution layer: parallel_for determinism and
-// coverage, and the work/depth tracker algebra.
+// coverage.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +13,6 @@
 #include "matrix/matmul.h"
 #include "matrix/sparse.h"
 #include "pram/parallel_for.h"
-#include "pram/work_depth.h"
 #include "util/op_count.h"
 #include "util/prng.h"
 
@@ -218,40 +217,6 @@ TEST(ExecutionContextTest, NestedRegionExceptionPropagates) {
   std::atomic<int> sink{0};
   pram::parallel_for(0, 32, [&](std::size_t) { sink.fetch_add(1); });
   EXPECT_EQ(sink.load(), 32);
-}
-
-TEST(WorkDepthTest, SpanAndWorkAlgebra) {
-  pram::WorkDepth wd;
-  wd.parallel_region(100, 50, 7);  // 100 tasks of 50 ops, depth 7
-  wd.sequential(3);
-  EXPECT_EQ(wd.work(), 5003u);
-  EXPECT_EQ(wd.span(), 10u);
-
-  pram::WorkDepth other;
-  other.sequential(20);
-  pram::WorkDepth side = wd;
-  side.merge_parallel(other);  // runs beside: span maxes
-  EXPECT_EQ(side.work(), 5023u);
-  EXPECT_EQ(side.span(), 20u);
-
-  pram::WorkDepth chain = wd;
-  chain.merge_sequential(other);  // runs after: span adds
-  EXPECT_EQ(chain.work(), 5023u);
-  EXPECT_EQ(chain.span(), 30u);
-
-  EXPECT_NEAR(wd.parallelism(), 500.3, 0.01);
-}
-
-TEST(WorkDepthTest, ModelsTheKrylovDoublingShape) {
-  // log n rounds of matrix products, each n^3 work / ~2 log n depth, models
-  // the eq.-(9) doubling; span must be polylog while work is ~n^3 log n.
-  const std::uint64_t n = 1024, logn = 10;
-  pram::WorkDepth wd;
-  for (std::uint64_t round = 0; round < logn; ++round) {
-    wd.parallel_region(n * n, n, 2 * logn);  // n^2 inner products in parallel
-  }
-  EXPECT_EQ(wd.work(), n * n * n * logn);
-  EXPECT_EQ(wd.span(), 2 * logn * logn);
 }
 
 }  // namespace

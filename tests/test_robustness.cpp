@@ -28,6 +28,7 @@
 #include "seq/gohberg_semencul.h"
 #include "seq/newton_toeplitz.h"
 #include "util/fault.h"
+#include "util/op_count.h"
 #include "util/prng.h"
 #include "util/status.h"
 
@@ -623,6 +624,29 @@ TEST(FaultInjectionTest, DenseFallbackProvesSingularInput) {
   // Gaussian elimination SEPARATES bad luck from a singular input: the
   // verdict is deterministic.
   EXPECT_EQ(res.status.kind(), FailureKind::kSingularInput);
+}
+
+TEST(DenseFallbackTest, OneEliminationSettlesDetAndSolution) {
+  // The fallback takes det A and x from one PLU factorization: its
+  // arithmetic equals one solve_gauss, plus the zero test of det A.
+  SolveFixture fx;
+  const matrix::DenseBox<F> box(f, fx.a);
+  core::SolveResult<F> res;
+  util::OpScope fallback_scope;
+  core::detail::dense_fallback_run(f, box, &fx.b, res);
+  const util::OpCounts fallback = fallback_scope.counts();
+  util::OpScope solve_scope;
+  const auto x = matrix::solve_gauss(f, fx.a, fx.b);
+  const util::OpCounts solve = solve_scope.counts();
+
+  ASSERT_TRUE(res.ok);
+  EXPECT_EQ(res.x, fx.x_true);
+  EXPECT_EQ(res.x, *x);
+  EXPECT_EQ(res.det, matrix::det_gauss(f, fx.a));
+  EXPECT_EQ(fallback.add, solve.add);
+  EXPECT_EQ(fallback.mul, solve.mul);
+  EXPECT_EQ(fallback.div, solve.div);
+  EXPECT_EQ(fallback.zero_test, solve.zero_test + 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@
 //   * matpoly_mul is value-identical to mat_mul over the polynomial ring;
 //   * toeplitz_charpoly and kp_solve are bit-identical for 1, 2, and
 //     unlimited workers (the end-to-end determinism contract);
-//   * the shared twiddle cache survives concurrent first-touch from raw
-//     threads (the ThreadSanitizer CI job runs this file).
+//   * the shared NTT table cache holds one entry per (modulus, size) and
+//     survives concurrent first-touch and eviction from raw threads (the
+//     ThreadSanitizer CI job runs this file).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -55,8 +56,7 @@ TEST(NttManyTest, MatchesSingleTransformsAndOpCounts) {
   GFp f(field::kNttPrime);
   util::Prng prng(31);
   const std::size_t n = 1 << 10;
-  const std::uint64_t p = f.characteristic();
-  const std::uint64_t w = poly::detail::root_of_unity(p, n);
+  const auto tables = poly::detail::ntt_tables(f.characteristic(), n);
 
   std::vector<std::vector<GFp::Element>> ref(7);
   for (auto& v : ref) {
@@ -66,13 +66,13 @@ TEST(NttManyTest, MatchesSingleTransformsAndOpCounts) {
   auto batch_data = ref;
 
   util::OpScope serial_scope;
-  for (auto& v : ref) poly::detail::ntt_inplace(f, v, w, p);
+  for (auto& v : ref) poly::detail::ntt_inplace(f, v, tables->forward);
   const auto serial_ops = serial_scope.counts().total();
 
   std::vector<std::vector<GFp::Element>*> ptrs;
   for (auto& v : batch_data) ptrs.push_back(&v);
   util::OpScope batch_scope;
-  poly::ntt_many(f, ptrs, w, p);
+  poly::ntt_many(f, ptrs, tables->forward);
   const auto batch_ops = batch_scope.counts().total();
 
   EXPECT_EQ(batch_data, ref);
@@ -83,8 +83,7 @@ TEST(NttManyTest, MatchesSingleTransformsAndOpCounts) {
 TEST(NttManyTest, BitIdenticalAcrossWorkerLimits) {
   GFp f(field::kNttPrime);
   const std::size_t n = 1 << 12;  // above the level-parallel grain threshold
-  const std::uint64_t p = f.characteristic();
-  const std::uint64_t w = poly::detail::root_of_unity(p, n);
+  const auto tables = poly::detail::ntt_tables(f.characteristic(), n);
   auto& ctx = pram::ExecutionContext::global();
 
   auto run = [&](unsigned limit) {
@@ -98,7 +97,7 @@ TEST(NttManyTest, BitIdenticalAcrossWorkerLimits) {
     std::vector<std::vector<GFp::Element>*> ptrs;
     for (auto& v : data) ptrs.push_back(&v);
     util::OpScope scope;
-    poly::ntt_many(f, ptrs, w, p);
+    poly::ntt_many(f, ptrs, tables->forward);
     ctx.set_worker_limit(0);
     return std::make_pair(data, scope.counts().total());
   };
@@ -431,7 +430,7 @@ TEST(EndToEndDeterminism, SolverBitIdenticalAcrossWorkers) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrent first-touch of the shared twiddle cache (raw threads, several
+// Concurrent first-touch of the shared NTT table cache (raw threads, several
 // sizes and two moduli at once; the TSan CI job watches this).
 
 TEST(SharedTwiddleCacheTest, ConcurrentFirstTouchIsSafeAndCorrect) {
@@ -460,11 +459,11 @@ TEST(SharedTwiddleCacheTest, ConcurrentFirstTouchIsSafeAndCorrect) {
 }
 
 // ---------------------------------------------------------------------------
-// Byte-budget / LRU bound on the shared twiddle cache (KP_CACHE_BUDGET).
+// Byte-budget / LRU bound on the shared NTT table cache (KP_CACHE_BUDGET).
 
 namespace {
 /// One NTT-path product at transform size ~2n, verified against schoolbook;
-/// populates the twiddle cache for that (p, n) as a side effect.
+/// populates the table cache for that (p, n) as a side effect.
 void checked_mul(std::uint64_t p, std::size_t n, std::uint64_t seed) {
   GFp f(p);
   util::Prng prng(seed);
@@ -523,10 +522,51 @@ TEST(SharedTwiddleCacheTest, UnlimitedBudgetCachesAndCountsHits) {
   EXPECT_EQ(second.evictions, first.evictions);
 }
 
+TEST(SharedTwiddleCacheTest, OneEntryPerModulusAndSize) {
+  // Both directions and 1/n of a (p, n) pair live in one entry: a product
+  // at a fresh size builds it once and then only hits.
+  poly::set_cache_budget(1);  // trim to empty ...
+  poly::set_cache_budget(0);  // ... and keep whatever is built next
+  ASSERT_EQ(poly::twiddle_cache_stats().entries, 0u);
+  const auto empty = poly::twiddle_cache_stats();
+  checked_mul(field::kNttPrime, 1u << 7, 8);
+  const auto after = poly::twiddle_cache_stats();
+  EXPECT_EQ(after.misses, empty.misses + 1);
+  EXPECT_EQ(after.entries, 1u);
+  EXPECT_GT(after.hits, empty.hits);
+}
+
+TEST(SharedTwiddleCacheTest, EntryHoldsBothDirectionsAndOneOverN) {
+  // One entry carries a primitive n-th root's table, its inverse root's
+  // table and 1/n: forward, inverse, then the 1/n scale is the identity.
+  using field::detail::mulmod;
+  using field::detail::powmod;
+  GFp f(field::kNttPrime);
+  const std::uint64_t p = f.characteristic();
+  util::Prng prng(41);
+  for (std::size_t n : {4u, 64u, 1024u}) {
+    const auto t = poly::detail::ntt_tables(p, n);
+    const std::uint64_t w = t->forward.pow[1];
+    EXPECT_EQ(powmod(w, n, p), 1u) << "n=" << n;
+    EXPECT_EQ(powmod(w, n / 2, p), p - 1) << "n=" << n;
+    EXPECT_EQ(mulmod(w, t->inverse.pow[1], p), 1u) << "n=" << n;
+    EXPECT_EQ(mulmod(t->n_inv, n % p, p), 1u) << "n=" << n;
+
+    std::vector<GFp::Element> a(n);
+    for (auto& e : a) e = f.random(prng);
+    auto v = a;
+    poly::detail::ntt_inplace(f, v, t->forward);
+    poly::detail::ntt_inplace(f, v, t->inverse);
+    for (auto& e : v) e = f.mul(e, t->n_inv);
+    EXPECT_EQ(v, a) << "n=" << n;
+  }
+}
+
 TEST(SharedTwiddleCacheTest, ConcurrentUseUnderTightBudgetIsSafe) {
-  // TSan target: lock-free readers racing the LRU evictor.  Every thread
-  // keeps verifying products while the tight budget forces continuous
-  // eviction underneath them.
+  // TSan target: threads looking up tables while the LRU evictor drops
+  // them, and transforms running on tables already evicted (pinned by
+  // their shared_ptr).  Every thread keeps verifying products while the
+  // tight budget forces continuous eviction underneath them.
   poly::set_cache_budget(1);
   std::atomic<int> bad{0};
   std::vector<std::thread> threads;
