@@ -83,7 +83,11 @@ int main() {
     kp::util::OpScope s1;
     auto res = kp::core::kp_solve(f, a, b, prng);
     const auto kp_ops = s1.counts().total();
-    if (!res.ok) continue;
+    if (!res.ok) {
+      std::printf("kp_solve FAILED at n=%zu: %s\n", n,
+                  res.status.message().c_str());
+      return 1;
+    }
 
     kp::util::OpScope s2;
     auto ref = kp::matrix::solve_gauss(f, a, b);

@@ -2,16 +2,18 @@
 //
 //   A^{2^i} (v  Av  ...  A^{2^i - 1} v) = (A^{2^i} v  ...  A^{2^{i+1}-1} v)
 //
-// Repeated squaring of A interleaved with block products produces the whole
-// Krylov block (v, Av, ..., A^{count-1} v) in O(log count) matrix products,
-// i.e. O(n^omega log n) work and O(log^2 n) depth -- this is where the
-// pipeline earns its processor efficiency over the naive 2n sequential
-// matrix-vector products (route (8), which krylov_block_iterative provides
-// for black-box operators whose products are cheaper than dense ones).
-// KrylovRoute names the two routes; the Theorem-4 solver picks per operator
-// structure.
+// Repeated squaring of A (krylov_powers) followed by block products
+// (krylov_block) produces the whole Krylov block (v, Av, ..., A^{count-1} v)
+// in O(log count) matrix products, i.e. O(n^omega log n) work and
+// O(log^2 n) depth -- this is where the pipeline earns its processor
+// efficiency over the naive 2n sequential matrix-vector products (route
+// (8), which krylov_block_iterative provides for black-box operators whose
+// products are cheaper than dense ones).  The squares depend on A alone, so
+// every block of one operator can share them.  KrylovRoute names the two
+// routes; the Theorem-4 solver picks per operator structure.
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "matrix/blackbox.h"
@@ -57,33 +59,62 @@ inline KrylovRoute resolve_route(KrylovRoute requested,
                                                    : KrylovRoute::kIterative;
 }
 
-/// Returns the n x count Krylov block K with K(:, i) = A^i v, built by
-/// doubling.
+/// How many powers A^{2^j}, j = 0, 1, ..., a count-column doubling block
+/// multiplies by: the block doubles from 1 column per product, so the last
+/// power it needs is A^{2^{ceil(log2 count) - 1}}.  At least 1 (A itself).
+inline std::size_t krylov_power_count(std::size_t count) {
+  std::size_t k = 1;
+  for (std::size_t cols = 2; cols < count; cols *= 2) ++k;
+  return k;
+}
+
+/// The repeated squares of the doubling step: A^{2^j} for
+/// j < krylov_power_count(count), i.e. every power a count-column block
+/// multiplies by.  A caller that builds several blocks of the same operator
+/// squares once and hands the powers to the stored-powers krylov_block.
+/// Returns an empty vector when A is not square.
 template <kp::field::Field F>
-matrix::Matrix<F> krylov_block(const F& f, const matrix::Matrix<F>& a,
+std::vector<matrix::Matrix<F>> krylov_powers(
+    const F& f, matrix::Matrix<F> a, std::size_t count,
+    matrix::MatMulStrategy strategy = matrix::MatMulStrategy::kClassical) {
+  if (!validate_krylov_input(f, a.rows(), a.cols(), a.rows()).ok()) return {};
+  std::vector<matrix::Matrix<F>> powers;
+  powers.push_back(std::move(a));
+  while (powers.size() < krylov_power_count(count)) {
+    powers.push_back(matrix::mat_mul(f, powers.back(), powers.back(), strategy));
+  }
+  return powers;
+}
+
+/// Returns the n x count Krylov block K with K(:, i) = A^i v, built by
+/// doubling from stored powers (powers[j] = A^{2^j}, as krylov_powers
+/// returns them): O(log count) block products and no squaring.  Returns an
+/// empty block on a malformed input, including too few powers for count.
+template <kp::field::Field F>
+matrix::Matrix<F> krylov_block(const F& f,
+                               const std::vector<matrix::Matrix<F>>& powers,
                                const std::vector<typename F::Element>& v,
                                std::size_t count,
                                matrix::MatMulStrategy strategy =
                                    matrix::MatMulStrategy::kClassical) {
-  if (!validate_krylov_input(f, a.rows(), a.cols(), v.size()).ok()) {
+  if (powers.size() < krylov_power_count(count) ||
+      !validate_krylov_input(f, powers[0].rows(), powers[0].cols(), v.size())
+           .ok()) {
     return matrix::Matrix<F>(0, 0, f.zero());
   }
-  const std::size_t n = a.rows();
+  const std::size_t n = powers[0].rows();
   matrix::Matrix<F> block(n, 1, f.zero());
   for (std::size_t i = 0; i < n; ++i) block.at(i, 0) = v[i];
-  if (count <= 1) return block;
-
-  matrix::Matrix<F> pw = a;  // A^{2^j}
-  while (block.cols() < count) {
+  for (std::size_t j = 0; block.cols() < count; ++j) {
     // [block | A^{2^j} * block]: the merge copies disjoint rows, so it runs
     // on the pooled ExecutionContext for large blocks.
-    const auto ext = matrix::mat_mul(f, pw, block, strategy);
+    const auto ext = matrix::mat_mul(f, powers[j], block, strategy);
     matrix::Matrix<F> merged(n, 2 * block.cols(), f.zero());
     const std::size_t cols = block.cols();
     auto merge_row = [&](std::size_t i) {
-      for (std::size_t j = 0; j < cols; ++j) {
-        merged.at(i, j) = block.at(i, j);
-        merged.at(i, cols + j) = ext.at(i, j);
+      for (std::size_t c = 0; c < cols; ++c) {
+        merged.at(i, c) = block.at(i, c);
+        merged.at(i, cols + c) = ext.at(i, c);
       }
     };
     if (kp::field::concurrent_ops_v<F> && n * cols >= matrix::kParallelGrain) {
@@ -92,7 +123,6 @@ matrix::Matrix<F> krylov_block(const F& f, const matrix::Matrix<F>& a,
       for (std::size_t i = 0; i < n; ++i) merge_row(i);
     }
     block = std::move(merged);
-    if (block.cols() < count) pw = matrix::mat_mul(f, pw, pw, strategy);
   }
   if (block.cols() > count) {
     matrix::Matrix<F> trimmed(n, count, f.zero());
@@ -102,6 +132,21 @@ matrix::Matrix<F> krylov_block(const F& f, const matrix::Matrix<F>& a,
     block = std::move(trimmed);
   }
   return block;
+}
+
+/// The same block for a single use: squares A as the count needs, then
+/// builds the block from those powers.
+template <kp::field::Field F>
+matrix::Matrix<F> krylov_block(const F& f, const matrix::Matrix<F>& a,
+                               const std::vector<typename F::Element>& v,
+                               std::size_t count,
+                               matrix::MatMulStrategy strategy =
+                                   matrix::MatMulStrategy::kClassical) {
+  if (!validate_krylov_input(f, a.rows(), a.cols(), v.size()).ok()) {
+    return matrix::Matrix<F>(0, 0, f.zero());
+  }
+  return krylov_block(f, krylov_powers(f, a, count, strategy), v, count,
+                      strategy);
 }
 
 /// The same n x count Krylov block built with count-1 black-box products

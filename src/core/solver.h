@@ -8,12 +8,17 @@
 //   2. a_i = u A-tilde^i v for i < 2n, either via Krylov doubling (9)
 //      [O(n^w log n), the processor-efficient dense route] or via 2n
 //      black-box products (8) [the cheap route when one product costs
-//      o(n^2): sparse O(nnz), structured O(M(n))].
-//   3. T = Toeplitz(a_0..a_{2n-2}) (Lemma 1); find charpoly(T)  [Theorem 3]
-//      and solve T c = (a_n..a_{2n-1}) by Cayley-Hamilton on T.
+//      o(n^2): sparse O(nnz), structured O(M(n))].  The doubling route
+//      keeps its squares A-tilde^{2^j} for step 4.
+//   3. The generator c of a_0..a_{2n-1}: the solution of T c =
+//      (a_n..a_{2n-1}), T = Toeplitz(a_0..a_{2n-2}) (Lemma 1).  By default
+//      Berlekamp-Massey finds it in O(n^2) -- the paper's sequential method,
+//      whose result has degree n exactly when det(T) != 0.  Under
+//      depth_optimal: charpoly(T) by Theorem 3 and Cayley-Hamilton on T.
 //   4. c is w.h.p. the characteristic polynomial of A-tilde     [est. (2)];
-//      Cayley-Hamilton on A-tilde (through the Krylov block of b) gives
-//      x-tilde = A-tilde^{-1} b, and x = H D x-tilde.
+//      Cayley-Hamilton on A-tilde (through the Krylov block of b, built
+//      from step 2's squares) gives x-tilde = A-tilde^{-1} b, and
+//      x = H D x-tilde.
 //   5. det(A) = (-1)^n g(0) / (det(H) det(D)), det(H) from the
 //      Berlekamp-Massey discrepancies of H in O(n^2); via the row-mirror
 //      Toeplitz and Theorem 3 (section 4) when H is not normal or the run
@@ -65,6 +70,7 @@
 #include "matrix/dense.h"
 #include "matrix/gauss.h"
 #include "matrix/matmul.h"
+#include "seq/berlekamp_massey.h"
 #include "seq/newton_toeplitz.h"
 #include "util/deadline.h"
 #include "util/fault.h"
@@ -79,19 +85,22 @@ struct SolverOptions {
   int max_attempts = 3;                    ///< Las Vegas retries
   bool verify = true;                      ///< check A x = b before returning
   matrix::MatMulStrategy matmul = matrix::MatMulStrategy::kClassical;
+  /// Newton-identity solve of the Theorem-3 charpolys: used only under
+  /// depth_optimal and by the det(H) fallback for a non-normal H.
   seq::NewtonIdentityMethod newton = seq::NewtonIdentityMethod::kTriangularSolve;
   /// How the Krylov data of steps 2 and 4 is produced.  kAuto keys off the
   /// operator's BoxStructure: doubling (9) for dense operators, iterative
   /// (8) for sparse/structured ones where n black-box products beat an
   /// O(n^omega log n) dense doubling.
   KrylovRoute route = KrylovRoute::kAuto;
-  /// Replace the three O(n)-deep sequential steps (the Toeplitz
-  /// Cayley-Hamilton iteration, the triangular Newton-identity solve and
-  /// the Berlekamp-Massey det(H)) with their doubling / power-series /
-  /// Theorem-3 counterparts, so that the realized CIRCUIT has
-  /// poly-logarithmic depth as Theorem 4 states.  Costs more work (det(H)
-  /// by Theorem 3 is O(n^2 polylog n) against O(n^2)); the default
-  /// optimizes sequential work instead.
+  /// Replace the O(n)-deep sequential steps (the Berlekamp-Massey
+  /// generator, the Berlekamp-Massey det(H) and, inside Theorem 3, the
+  /// triangular Newton-identity solve) with Theorem 3 plus a doubling
+  /// Cayley-Hamilton solve on T, Theorem 3 on the Hankel mirror and the
+  /// kPowerSeriesExp Newton method, so that the realized CIRCUIT has
+  /// poly-logarithmic depth as Theorem 4 states.  Costs more work (Theorem
+  /// 3 is O(n^2 polylog n) against O(n^2)); the default optimizes
+  /// sequential work instead.
   bool depth_optimal = false;
   /// Cap on the field operations one attempt may spend (0 = unlimited).
   /// When a failed attempt exceeds it, the Las Vegas loop stops and the
@@ -155,7 +164,12 @@ struct Transcript {
   KrylovRoute route;        ///< kDoubling or kIterative
   std::size_t block_width;  ///< b of the iterative route (1: scalar)
   std::optional<Preconditioner<F>> pre;    ///< H, D
-  std::optional<matrix::Matrix<F>> dense;  ///< A-tilde, doubling route
+  /// Doubling route: powers[j] = A-tilde^{2^j} for the j an n-column
+  /// Krylov block multiplies by (powers[0] is A-tilde), squared once in
+  /// prepare and shared by every finish.  ceil(log2 n) n x n matrices:
+  /// about 4 MiB at n = 256 with 8-byte elements, 3.5 MiB beyond A-tilde
+  /// itself.  Empty on the iterative route, which sessions always take.
+  std::vector<matrix::Matrix<F>> powers;
   std::optional<matrix::PreconditionedBox<F, B>> box;  ///< lazy A-tilde
   std::vector<E> g;  ///< charpoly of A-tilde
   E det{};           ///< det(A)
@@ -165,8 +179,14 @@ namespace detail {
 
 /// Steps 3-4a of one attempt: from the projected sequence a_0..a_{2n-1} of
 /// the preconditioned operator, recover the generator (monic, degree n,
-/// g(0) != 0) through Lemma 1 and the Theorem-3 Toeplitz machinery.  The two
-/// distinguishable failures map onto the taxonomy:
+/// g(0) != 0).  By Lemma 1 it is the solution of T y = (a_n..a_{2n-1}),
+/// T = Toeplitz(a_0..a_{2n-2}).  By default Berlekamp-Massey finds it in
+/// O(n^2): its shortest generator of the 2n terms has degree n exactly when
+/// det(T) != 0, and is then Theorem 3's solution (a length-n recurrence
+/// through 2n terms is unique).  Under depth_optimal -- every circuit
+/// builder -- the solve goes through Theorem 3, whose depth is
+/// poly-logarithmic.  The two distinguishable failures map onto the
+/// taxonomy:
 ///   det(T) = 0  -> the projection lost information (deg f_u < n, Lemma 2):
 ///                  kDegenerateProjection, re-draw u, v;
 ///   g(0) = 0    -> A-tilde is singular (A itself, or an unlucky H/D):
@@ -174,44 +194,38 @@ namespace detail {
 template <kp::field::Field F>
 util::Status generator_from_sequence_status(
     const F& f, const std::vector<typename F::Element>& seq, std::size_t n,
-    const SolverOptions& opt, const kp::poly::PolyRing<F>& ring,
-    std::vector<typename F::Element>& g_out) {
-  // Lemma 1: T = T_n of the sequence; solve T y = (a_n .. a_{2n-1}) through
-  // the Theorem-3 characteristic polynomial of T.
-  auto t = matrix::Toeplitz<F>::from_sequence(n, seq);
-  std::vector<typename F::Element> rhs(seq.begin() + static_cast<std::ptrdiff_t>(n),
-                                       seq.end());
+    const SolverOptions& opt, std::vector<typename F::Element>& g_out) {
+  auto degenerate = [] {
+    return util::Status::Fail(util::FailureKind::kDegenerateProjection,
+                              util::Stage::kNewtonToeplitz,
+                              "det(T) = 0: deg f_u < n");
+  };
   if (KP_FAULT_POINT(util::Stage::kNewtonToeplitz)) {
     return util::Status::Injected(util::FailureKind::kDegenerateProjection,
                                   util::Stage::kNewtonToeplitz);
   }
-  std::vector<typename F::Element> y;
+  std::vector<typename F::Element> g;
   if (opt.depth_optimal) {
-    // Same Cayley-Hamilton solve, but through a doubling Krylov block on
-    // the dense T, as the paper does ("Again from (9) we deduce ..."):
-    // depth O(log^2 n) instead of the O(n)-deep iterated Toeplitz applies.
+    // Cayley-Hamilton on T through a doubling Krylov block on the dense T,
+    // as the paper does ("Again from (9) we deduce ..."): depth O(log^2 n).
+    const auto t = matrix::Toeplitz<F>::from_sequence(n, seq);
+    const std::vector<typename F::Element> rhs(
+        seq.begin() + static_cast<std::ptrdiff_t>(n), seq.end());
     const auto p = seq::toeplitz_charpoly(f, t, opt.newton);
-    if (f.is_zero(p[0])) {
-      return util::Status::Fail(util::FailureKind::kDegenerateProjection,
-                                util::Stage::kNewtonToeplitz,
-                                "det(T) = 0: deg f_u < n");
-    }
+    if (f.is_zero(p[0])) return degenerate();
     const auto q = solution_combination(f, p);
     const auto block = krylov_block(f, t.to_dense(f), rhs, n, opt.matmul);
-    y = krylov_combine(f, block, q);
+    const auto y = krylov_combine(f, block, q);
+    // y = (c_{n-1}, ..., c_0); g = x^n - c_{n-1} x^{n-1} - ... - c_0.
+    g.assign(n + 1, f.zero());
+    g[n] = f.one();
+    for (std::size_t i = 0; i < n; ++i) g[n - 1 - i] = f.neg(y[i]);
   } else {
-    y = seq::toeplitz_solve_charpoly(f, t, rhs, ring, opt.newton);
+    g = seq::berlekamp_massey(f, seq);
+    if (KP_FAULT_POINT(util::Stage::kNewtonToeplitz) || g.size() != n + 1) {
+      return degenerate();
+    }
   }
-  if (y.empty()) {
-    return util::Status::Fail(util::FailureKind::kDegenerateProjection,
-                              util::Stage::kNewtonToeplitz,
-                              "det(T) = 0: deg f_u < n");
-  }
-
-  // y = (c_{n-1}, ..., c_0); generator g = x^n - c_{n-1} x^{n-1} - ... - c_0.
-  std::vector<typename F::Element> g(n + 1, f.zero());
-  g[n] = f.one();
-  for (std::size_t i = 0; i < n; ++i) g[n - 1 - i] = f.neg(y[i]);
   util::Status st = constant_term_status(f, g, "g(0) = 0: A-tilde singular");
   if (st.ok()) g_out = std::move(g);
   return st;
@@ -313,7 +327,8 @@ util::Status prepare_attempt(const F& f, const kp::poly::PolyRing<F>& ring,
   // redraw targets only the stream the failure implicated.
   kp::util::Prng r{at.projection_seed()};
   if (t.route == KrylovRoute::kDoubling) {
-    t.dense = dense_preconditioned(f, ring, a, *t.pre);
+    t.powers = krylov_powers(f, dense_preconditioned(f, ring, a, *t.pre),
+                             2 * n, opt.matmul);
   } else {
     t.box.emplace(f, ring, a, t.pre->hankel, t.pre->diagonal);
   }
@@ -337,15 +352,20 @@ util::Status prepare_attempt(const F& f, const kp::poly::PolyRing<F>& ring,
     for (auto& e : v) e = f.sample(r, s);
     // a_i = u A-tilde^i v by doubling (9), or by 2n products (8) with the
     // lazily composed A H D.
-    const auto seq =
-        t.route == KrylovRoute::kDoubling
-            ? krylov_sequence_doubling(f, *t.dense, u, v, 2 * n, opt.matmul)
-            : matrix::krylov_sequence_iterative(f, *t.box, u, v, 2 * n);
+    std::vector<E> seq;
+    if (t.route == KrylovRoute::kDoubling) {
+      seq = matrix::vec_mat(f, u,
+                            krylov_block(f, t.powers, v, 2 * n, opt.matmul));
+      // The finish's n-column blocks need one power fewer than this one.
+      t.powers.resize(krylov_power_count(n));
+    } else {
+      seq = matrix::krylov_sequence_iterative(f, *t.box, u, v, 2 * n);
+    }
     if (KP_FAULT_POINT(Stage::kProjection)) {
       return Status::Injected(FailureKind::kDegenerateProjection,
                               Stage::kProjection);
     }
-    Status gst = generator_from_sequence_status(f, seq, n, opt, ring, t.g);
+    Status gst = generator_from_sequence_status(f, seq, n, opt, t.g);
     if (!gst.ok()) return gst;
   }
 
@@ -404,7 +424,7 @@ std::vector<FinishedRhs<F>> finish_many(
   std::vector<std::vector<E>> xt;
   if (t.route == KrylovRoute::kDoubling) {
     for (const auto* b : rhs) {
-      const auto block = krylov_block(f, *t.dense, *b, a.dim(), opt.matmul);
+      const auto block = krylov_block(f, t.powers, *b, a.dim(), opt.matmul);
       xt.push_back(krylov_combine(f, block, q));
     }
   } else if (Status st = combine_powers(f, *t.box, q, rhs, opt.control, xt);

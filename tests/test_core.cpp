@@ -92,6 +92,40 @@ TEST(KrylovTest, DoublingWithStrassen) {
                                            matrix::MatMulStrategy::kClassical));
 }
 
+TEST(KrylovTest, StoredPowersMatchSingleUseBlock) {
+  // Squaring once and building the block from the stored powers is the
+  // single-use block split in two: same values, same operation counts.
+  util::Prng prng(5);
+  const std::size_t n = 6;
+  const auto a = random_mat(n, prng);
+  std::vector<F::Element> v(n);
+  for (auto& e : v) e = f.random(prng);
+  for (std::size_t count : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                            std::size_t{5}, n, 2 * n}) {
+    util::OpScope whole;
+    const auto expect = core::krylov_block(f, a, v, count);
+    const auto whole_ops = whole.counts();
+    util::OpScope split;
+    const auto powers = core::krylov_powers(f, a, count);
+    const auto block = core::krylov_block(f, powers, v, count);
+    const auto split_ops = split.counts();
+    EXPECT_EQ(powers.size(), core::krylov_power_count(count)) << count;
+    ASSERT_EQ(block.cols(), count) << count;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < count; ++j) {
+        EXPECT_EQ(block.at(i, j), expect.at(i, j)) << count;
+      }
+    }
+    EXPECT_EQ(split_ops.add, whole_ops.add) << count;
+    EXPECT_EQ(split_ops.mul, whole_ops.mul) << count;
+    EXPECT_EQ(split_ops.div, whole_ops.div) << count;
+    EXPECT_EQ(split_ops.zero_test, whole_ops.zero_test) << count;
+  }
+  // Too few powers for the count is a malformed call, not a short block.
+  EXPECT_EQ(core::krylov_block(f, core::krylov_powers(f, a, 4), v, 5).rows(),
+            0u);
+}
+
 // ---------------------------------------------------------------------------
 // Preconditioner (Theorem 2).
 
@@ -279,6 +313,112 @@ TEST(SolverTest, DetIdenticalWithDepthOptimalOnAndOff) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The generator step: Berlekamp-Massey by default, Theorem 3 under
+// depth_optimal.
+
+/// Same seed, default and depth_optimal: the generator route must not move
+/// any output, the attempt count, or the draws of any attempt.
+template <class Fld>
+void expect_generator_routes_agree(const Fld& fld, std::size_t n,
+                                   std::uint64_t seed) {
+  util::Prng data(seed);
+  const auto a = matrix::random_matrix(fld, n, n, data);
+  std::vector<typename Fld::Element> b(n);
+  for (auto& e : b) e = fld.random(data);
+  core::SolverOptions fast;
+  fast.max_attempts = 8;
+  core::SolverOptions deep = fast;
+  deep.depth_optimal = true;
+  util::Prng p1(seed + 1), p2(seed + 1);
+  const auto r1 = core::kp_solve(fld, a, b, p1, fast);
+  const auto r2 = core::kp_solve(fld, a, b, p2, deep);
+  ASSERT_EQ(r1.ok, r2.ok) << n;
+  EXPECT_EQ(r1.x, r2.x) << n;
+  EXPECT_EQ(r1.det, r2.det) << n;
+  EXPECT_EQ(r1.charpoly_at, r2.charpoly_at) << n;
+  EXPECT_EQ(r1.attempts, r2.attempts) << n;
+  ASSERT_EQ(r1.diags.size(), r2.diags.size()) << n;
+  for (std::size_t i = 0; i < r1.diags.size(); ++i) {
+    EXPECT_EQ(r1.diags[i].kind, r2.diags[i].kind) << n << " attempt " << i;
+    EXPECT_EQ(r1.diags[i].stage, r2.diags[i].stage) << n << " attempt " << i;
+    EXPECT_EQ(r1.diags[i].precondition_seed, r2.diags[i].precondition_seed)
+        << n << " attempt " << i;
+    EXPECT_EQ(r1.diags[i].projection_seed, r2.diags[i].projection_seed)
+        << n << " attempt " << i;
+  }
+  if (r1.ok) {
+    const auto expect = matrix::solve_gauss(fld, a, b);
+    ASSERT_TRUE(expect.has_value()) << n;
+    EXPECT_EQ(r1.x, *expect) << n;
+  }
+}
+
+TEST(SequentialGeneratorTest, MatchesTheorem3OverNttPrime) {
+  const Zp<field::kNttPrime> big;
+  for (std::size_t n : {1u, 2u, 3u, 7u, 16u, 64u}) {
+    expect_generator_routes_agree(big, n, 500 + n);
+  }
+}
+
+TEST(SequentialGeneratorTest, MatchesTheorem3OverSmallPrime) {
+  // p = 131 > n keeps Theorem 3 valid, and is small enough that unlucky
+  // draws (and so retries) are part of the comparison.
+  const Zp<131> small;
+  for (std::size_t n : {1u, 2u, 3u, 7u, 16u, 64u}) {
+    for (std::uint64_t seed : {600u, 700u, 800u}) {
+      expect_generator_routes_agree(small, n, seed + n);
+      if (n == 64) break;  // one draw: the Theorem-3 side dominates here
+    }
+  }
+}
+
+TEST(SequentialGeneratorTest, TinySampleSetFailsOrganicallyAndNeverLies) {
+  // |S| = 3 over F_17 makes deg f_u < n (det(T) = 0) an everyday event
+  // (over a large field a 0/1/2 projection almost never degenerates); the
+  // degree check must report it as a degenerate projection, every other
+  // failure must carry a solver FailureKind, and any answer must be
+  // Gauss's.  17 > n keeps the non-normal det(H) fallback valid.
+  const Zp<17> tiny;
+  std::size_t organic = 0;
+  for (std::size_t n : {8u, 12u, 16u}) {
+    for (std::uint64_t seed = 0; seed < 40; ++seed) {
+      util::Prng data(9000 + 100 * n + seed);
+      const auto a = matrix::random_matrix(tiny, n, n, data);
+      if (tiny.is_zero(matrix::det_gauss(tiny, a))) continue;
+      std::vector<Zp<17>::Element> b(n);
+      for (auto& e : b) e = tiny.random(data);
+      core::SolverOptions opt;
+      opt.sample_size = 3;
+      opt.max_attempts = 8;
+      util::Prng prng(seed);
+      const auto res = core::kp_solve(tiny, a, b, prng, opt);
+      for (const auto& d : res.diags) {
+        if (d.kind == util::FailureKind::kNone) continue;
+        EXPECT_FALSE(d.injected);
+        EXPECT_TRUE(d.kind == util::FailureKind::kDegenerateProjection ||
+                    d.kind == util::FailureKind::kZeroConstantTerm ||
+                    d.kind == util::FailureKind::kSingularPrecondition ||
+                    d.kind == util::FailureKind::kVerifyMismatch)
+            << util::to_string(d.kind);
+        if (d.kind == util::FailureKind::kDegenerateProjection &&
+            d.stage == util::Stage::kNewtonToeplitz) {
+          ++organic;
+        }
+      }
+      if (res.ok) {
+        const auto expect = matrix::solve_gauss(tiny, a, b);
+        ASSERT_TRUE(expect.has_value());
+        EXPECT_EQ(res.x, *expect) << n << " " << seed;
+      } else {
+        EXPECT_EQ(res.status.kind(), util::FailureKind::kSampleSetTooSmall)
+            << util::to_string(res.status.kind());
+      }
+    }
+  }
+  EXPECT_GT(organic, 0u);
 }
 
 TEST(SolverTest, DetAlsoReportedBySolve) {

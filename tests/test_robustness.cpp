@@ -434,9 +434,10 @@ TEST(FaultInjectionTest, NewtonToeplitzFaultRedrawsOnlyProjection) {
 TEST(FaultInjectionTest, DeepNewtonToeplitzSiteReportsOrganically) {
   KP_REQUIRE_FAULT_INJECTION();
   SolveFixture fx;
-  // Site 1 of the stage is INSIDE toeplitz_solve_charpoly (the p(0) = 0
-  // zero check); the failure then surfaces through the legitimate
-  // empty-return path rather than the solver's own injection shortcut.
+  // Site 1 of the stage is the Berlekamp-Massey degree check (deg g != n,
+  // i.e. det(T) = 0); the failure then surfaces through the legitimate
+  // degenerate-generator path rather than the solver's own injection
+  // shortcut.
   util::fault::ScopedFault fi(Stage::kNewtonToeplitz, /*attempt=*/1,
                               /*site_index=*/1);
   util::Prng prng(81);
