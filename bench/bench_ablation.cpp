@@ -5,6 +5,7 @@
 //   A4. Krylov sequence: doubling (9) vs 2n sequential products
 //   A5. Toeplitz solve finish: iterated applies vs doubling (depth_optimal)
 #include <cstdio>
+#include <cstdlib>
 #include <vector>
 
 #include "core/krylov.h"
@@ -84,6 +85,43 @@ int main() {
     report.put("wall_ms", wt.elapsed_ms());
   }
   t2.print();
+
+  // Wall clock of the same choice at solver sizes, over the register-tiled
+  // classical kernel: Strassen at the default threshold (recursing to 32)
+  // and at n/2 (one level, seven tiled half-size products).
+  std::printf("\nA2: matrix multiplication black box (wall ms, best of 3)\n\n");
+  kp::util::Table t2w({"n", "classical", "strassen(thresh 32)",
+                       "strassen(thresh n/2)"});
+  for (std::size_t n : {256u, 512u}) {
+    auto a = kp::matrix::random_matrix(f, n, n, prng);
+    auto b = kp::matrix::random_matrix(f, n, n, prng);
+    const auto c = kp::matrix::mat_mul(f, a, b);
+    auto best_ms = [&](kp::matrix::MatMulStrategy strategy, std::size_t th) {
+      double best = 1e300;
+      for (int rep = 0; rep < 3; ++rep) {
+        kp::util::WallTimer wt;
+        const auto d = kp::matrix::mat_mul(f, a, b, strategy, th);
+        const double ms = wt.elapsed_ms();
+        if (!kp::matrix::mat_eq(f, c, d)) {
+          std::printf("MISMATCH n=%zu threshold=%zu\n", n, th);
+          std::exit(1);
+        }
+        if (ms < best) best = ms;
+      }
+      return best;
+    };
+    const double ms_c = best_ms(kp::matrix::MatMulStrategy::kClassical, 32);
+    const double ms_s = best_ms(kp::matrix::MatMulStrategy::kStrassen, 32);
+    const double ms_h = best_ms(kp::matrix::MatMulStrategy::kStrassen, n / 2);
+    t2w.add_row({std::to_string(n), kp::util::Table::num(ms_c, 4),
+                 kp::util::Table::num(ms_s, 4), kp::util::Table::num(ms_h, 4)});
+    report.begin_row("A2_matmul_wall");
+    report.put("n", n);
+    report.put("classical_ms", ms_c);
+    report.put("strassen_ms", ms_s);
+    report.put("strassen_one_level_ms", ms_h);
+  }
+  t2w.print();
 
   std::printf("\nA3: Newton identities (power sums -> charpoly), field ops\n\n");
   kp::util::Table t3({"n", "triangular O(n^2)", "series exp"});

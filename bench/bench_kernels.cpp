@@ -150,9 +150,8 @@ int main() {
     add_row("mat_vec", n, ms_ref, ms_fast, cr.total(), match);
   }
 
-  {
-    // Classical matrix product: the zero-skipping dot kernel.
-    const std::size_t n = 256;
+  for (const std::size_t n : {256u, 512u}) {
+    // Classical matrix product: the register-tiled gemm kernel.
     const auto va = random_residues(p, n * n, 4);
     const auto vb = random_residues(p, n * n, 5);
     const auto ar = matrix_from(ref, va, n, n), br = matrix_from(ref, vb, n, n);

@@ -1,10 +1,11 @@
 // Per-dispatch-level ablation of the SIMD kernel backend (field/simd.h).
 //
-// Every kernel family (dot, sum, gather, batch_inverse, NTT product) is
-// timed with the backend pinned to each available level -- scalar, AVX2,
-// AVX-512, AVX-512+IFMA -- over the same inputs.  The bit-identity contract
-// is asserted in-bench: each row carries an FNV-1a checksum of the output
-// elements, and every level's checksum must equal the scalar kernel's.
+// Every kernel family (dot, sum, gather, batch_inverse, NTT product, and
+// the register-tiled mat_mul at n = 256) is timed with the backend pinned
+// to each available level -- scalar, AVX2, AVX-512, AVX-512+IFMA -- over
+// the same inputs.  The bit-identity contract is asserted in-bench: each
+// row carries an FNV-1a checksum of the output elements, and every level's
+// checksum must equal the scalar kernel's.
 // Those checksums land in BENCH_simd.json, so a forced-scalar build
 // (-DKP_SIMD=OFF), a KP_SIMD=off environment, and the full SIMD build can
 // be diffed for byte-identical element checksums across configurations.
@@ -19,6 +20,7 @@
 #include "field/reference.h"
 #include "field/simd.h"
 #include "field/zp.h"
+#include "matrix/matmul.h"
 #include "poly/ntt.h"
 #include "util/bench_json.h"
 #include "util/op_count.h"
@@ -144,6 +146,10 @@ int main() {
   auto nz = random_residues(p, n, 5);
   for (auto& v : nz) v |= 1;  // nonzero, for batch_inverse
   kp::poly::PolyRing<Fast> ring(fast, kp::poly::MulStrategy::kNtt);
+  const std::size_t mn = 256;
+  kp::util::Prng mp(6);
+  const auto ma = kp::matrix::random_matrix(fast, mn, mn, mp);
+  const auto mb = kp::matrix::random_matrix(fast, mn, mn, mp);
 
   struct Fam {
     const char* name;
@@ -151,7 +157,7 @@ int main() {
   };
   const Fam fams[] = {{"dot", 4000},        {"sum", 4000},
                       {"dot_gather", 2000}, {"batch_inverse", 200},
-                      {"ntt_mul", 40}};
+                      {"ntt_mul", 40},      {"mat_mul", 3}};
 
   for (const auto& fam : fams) {
     double scalar_ms = 0;
@@ -191,18 +197,27 @@ int main() {
           }
         });
         sum = fnv1a(buf.data(), buf.size());
-      } else {  // ntt_mul
+      } else if (name == "ntt_mul") {
         std::vector<std::uint64_t> prod;
         ms = time_ms([&] {
           for (int it = 0; it < fam.iters; ++it) prod = ring.mul(va, vb);
         });
         sum = fnv1a(prod.data(), prod.size());
+      } else {  // mat_mul
+        kp::matrix::Matrix<Fast> prod(0, 0, 0);
+        ms = time_ms([&] {
+          for (int it = 0; it < fam.iters; ++it) {
+            prod = kp::matrix::mat_mul(fast, ma, mb);
+          }
+        });
+        sum = fnv1a(prod.data().data(), prod.data().size());
       }
       if (l.level == SimdLevel::kScalar) {
         scalar_ms = ms;
         scalar_sum = sum;
       }
-      add_row(fam.name, l.name, n, scalar_ms, ms, sum, scalar_sum);
+      add_row(fam.name, l.name, name == "mat_mul" ? mn : n, scalar_ms, ms,
+              sum, scalar_sum);
     }
   }
 
@@ -214,11 +229,12 @@ int main() {
   const auto stats = simd::simd_stats();
   std::printf(
       "\nsimd_stats: level=%s ifma=%d dot=%llu sum=%llu gather=%llu "
-      "batch_inverse=%llu ntt=%llu pointwise=%llu scale=%llu\n",
+      "gemm=%llu batch_inverse=%llu ntt=%llu pointwise=%llu scale=%llu\n",
       stats.level, stats.ifma ? 1 : 0,
       static_cast<unsigned long long>(stats.dot),
       static_cast<unsigned long long>(stats.sum),
       static_cast<unsigned long long>(stats.gather),
+      static_cast<unsigned long long>(stats.gemm),
       static_cast<unsigned long long>(stats.batch_inverse),
       static_cast<unsigned long long>(stats.ntt),
       static_cast<unsigned long long>(stats.pointwise),

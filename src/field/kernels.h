@@ -101,24 +101,22 @@ std::uint64_t sum(const F& f, const std::uint64_t* a, std::size_t n) {
   return bar.reduce_full(acc);
 }
 
-/// Strided delayed-reduction inner product: sum_i a[i*sa] * b[i*sb] mod p.
-/// Accounting matches mul-then-balanced_sum: n multiplications plus n-1
-/// additions (zero additions for n <= 1).
+/// Delayed-reduction inner product: sum_i a[i] * b[i] mod p.  Accounting
+/// matches mul-then-balanced_sum: n multiplications plus n-1 additions
+/// (zero additions for n <= 1).
 template <FastField F>
 std::uint64_t dot(const F& f, const std::uint64_t* a, const std::uint64_t* b,
-                  std::size_t n, std::size_t sa = 1, std::size_t sb = 1) {
+                  std::size_t n) {
   if (n == 0) return 0;
   kp::util::count_muls(n);
   kp::util::count_adds(n - 1);
   const auto& bar = FieldKernels<F>::barrett(f);
-  if (sa == 1 && sb == 1) {
-    if (std::uint64_t out; simd::dot(bar, a, b, n, &out)) return out;
-  }
+  if (std::uint64_t out; simd::dot(bar, a, b, n, &out)) return out;
   const std::uint64_t cap = bar.dcap;
   fastmod::u128 acc = 0;
   std::uint64_t left = cap;
   for (std::size_t i = 0; i < n; ++i) {
-    acc += static_cast<fastmod::u128>(a[i * sa]) * b[i * sb];
+    acc += static_cast<fastmod::u128>(a[i]) * b[i];
     if (--left == 0) {
       acc = bar.reduce_full(acc);
       left = cap;
@@ -127,45 +125,20 @@ std::uint64_t dot(const F& f, const std::uint64_t* a, const std::uint64_t* b,
   return bar.reduce_full(acc);
 }
 
-/// Inner product that skips zero left-hand entries, mirroring
-/// mul_classical's `if (eq(a[k], 0)) continue;`: charges one multiplication
-/// per nonzero term and nnz-1 additions.
+/// Register-tiled matrix product over canonical residues:
+/// out[i][j] = sum_k a[i][k] * b[k][j] for a rows x k panel of A (row
+/// stride lda) and a k x cols block of B (row stride ldb), into out (row
+/// stride ldo).  B is read in place along its rows (simd::gemm_rows picks
+/// the tile body for the dispatch level).  Charges nothing: the callers
+/// account in bulk -- mul_classical its zero-skipping count, vec_mat a dense
+/// dot per column.
 template <FastField F>
-std::uint64_t dot_skip_zero(const F& f, const std::uint64_t* a,
-                            const std::uint64_t* b, std::size_t n,
-                            std::size_t sb = 1) {
-  const auto& bar = FieldKernels<F>::barrett(f);
-  if (sb == 1) {
-    // Zeros contribute nothing to the accumulators, so the vector path runs
-    // the full dot body; nnz comes from a vector compare pass and is what
-    // the caller's branchy loop would have charged.
-    std::uint64_t out;
-    if (std::size_t nnz; simd::dot_skip_zero(bar, a, b, n, &out, &nnz)) {
-      if (nnz > 0) {
-        kp::util::count_muls(nnz);
-        kp::util::count_adds(nnz - 1);
-      }
-      return out;
-    }
-  }
-  const std::uint64_t cap = bar.dcap;
-  fastmod::u128 acc = 0;
-  std::uint64_t left = cap;
-  std::size_t nnz = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (a[i] == 0) continue;
-    ++nnz;
-    acc += static_cast<fastmod::u128>(a[i]) * b[i * sb];
-    if (--left == 0) {
-      acc = bar.reduce_full(acc);
-      left = cap;
-    }
-  }
-  if (nnz > 0) {
-    kp::util::count_muls(nnz);
-    kp::util::count_adds(nnz - 1);
-  }
-  return bar.reduce_full(acc);
+void gemm_rows(const F& f, const std::uint64_t* a, std::size_t lda,
+               const std::uint64_t* b, std::size_t ldb, std::uint64_t* out,
+               std::size_t ldo, std::size_t rows, std::size_t k,
+               std::size_t cols) {
+  simd::gemm_rows(FieldKernels<F>::barrett(f), a, lda, b, ldb, out, ldo, rows,
+                  k, cols);
 }
 
 /// Gathered inner product sum_k val[k] * x[col[k]] with the CSR apply's

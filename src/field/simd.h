@@ -2,12 +2,15 @@
 //
 // This header sits BENEATH field/kernels.h: each entry point here is a
 // vectorized rendition of one delayed-reduction kernel (dot, sum, gathered
-// dot, zero-skipping dot, Montgomery batched inversion) or of one NTT hot
-// loop (Harvey lazy butterfly level, [0,4p) normalization, pointwise Barrett
-// product, Shoup scale).  Every function returns `true` only when it fully
-// handled the request with BIT-IDENTICAL results to the scalar path; callers
-// keep their scalar loop as the fallback, so a `false` return (unsupported
-// CPU, forced-scalar build, small n, strided operands) costs one branch.
+// dot, Montgomery batched inversion), of one NTT hot loop (Harvey lazy
+// butterfly level, [0,4p) normalization, pointwise Barrett product, Shoup
+// scale), or the register-tiled matrix product gemm_rows.  Every function
+// but gemm_rows returns `true` only when it fully handled the request with
+// BIT-IDENTICAL results to the scalar path; callers keep their scalar loop
+// as the fallback, so a `false` return (unsupported CPU, forced-scalar
+// build, small n) costs one branch.  gemm_rows always handles the request:
+// its scalar tile body lives here too, in the same tile shape as the vector
+// bodies.
 //
 // WHY BIT-IDENTITY IS FREE HERE: every kernel's contract is a canonical
 // residue in [0, p) (or, for the lazy butterflies, the exact same
@@ -22,11 +25,11 @@
 // Dispatch levels (runtime, overridable):
 //   kScalar -- always available; every entry point returns false.
 //   kAvx2   -- x86-64: 4x64 lanes via _mm256_mul_epu32 odd/even splitting
-//              (dot, sum, zero-skipping dot).  For ~64-bit moduli AVX2 has
+//              (dot, sum, gemm).  For ~64-bit moduli AVX2 has
 //              no 64x64 multiplier, so the 4-limb scheme roughly ties the
 //              scalar mulx loop; it wins clearly for p <= 2^29.
 //   kAvx512 -- x86-64: 8x64 lanes (F+DQ for vpmullq); all entry points.
-//              With AVX-512 IFMA the dot kernels use 52-bit-split
+//              With AVX-512 IFMA the dot and gemm kernels use 52-bit-split
 //              vpmadd52 accumulation, the fastest path for any p < 2^63.
 //
 // The level is detected once (cpuid via __builtin_cpu_supports), can be
@@ -153,7 +156,7 @@ struct StatCounters {
   std::atomic<std::uint64_t> sum{0};
   std::atomic<std::uint64_t> gather{0};
   std::atomic<std::uint64_t> spmm{0};
-  std::atomic<std::uint64_t> skip_zero{0};
+  std::atomic<std::uint64_t> gemm{0};
   std::atomic<std::uint64_t> batch_inverse{0};
   std::atomic<std::uint64_t> ntt{0};
   std::atomic<std::uint64_t> pointwise{0};
@@ -217,7 +220,7 @@ struct SimdStats {
   std::uint64_t dot = 0;
   std::uint64_t sum = 0;
   std::uint64_t gather = 0;
-  std::uint64_t skip_zero = 0;
+  std::uint64_t gemm = 0;
   std::uint64_t batch_inverse = 0;
   std::uint64_t ntt = 0;
   std::uint64_t pointwise = 0;
@@ -233,7 +236,7 @@ inline SimdStats simd_stats() {
   s.dot = c.dot.load(std::memory_order_relaxed);
   s.sum = c.sum.load(std::memory_order_relaxed);
   s.gather = c.gather.load(std::memory_order_relaxed);
-  s.skip_zero = c.skip_zero.load(std::memory_order_relaxed);
+  s.gemm = c.gemm.load(std::memory_order_relaxed);
   s.batch_inverse = c.batch_inverse.load(std::memory_order_relaxed);
   s.ntt = c.ntt.load(std::memory_order_relaxed);
   s.pointwise = c.pointwise.load(std::memory_order_relaxed);
@@ -247,13 +250,146 @@ inline void reset_simd_stats() {
   c.dot.store(0, std::memory_order_relaxed);
   c.sum.store(0, std::memory_order_relaxed);
   c.gather.store(0, std::memory_order_relaxed);
-  c.skip_zero.store(0, std::memory_order_relaxed);
+  c.gemm.store(0, std::memory_order_relaxed);
   c.batch_inverse.store(0, std::memory_order_relaxed);
   c.ntt.store(0, std::memory_order_relaxed);
   c.pointwise.store(0, std::memory_order_relaxed);
   c.scale.store(0, std::memory_order_relaxed);
   c.vec.store(0, std::memory_order_relaxed);
 }
+
+// ---------------------------------------------------------------------------
+// Register-tiled matrix product (every build).
+//
+// gemm_rows computes out = A * B mod p for a panel of A's rows.  A tile
+// owns an R x (NV * kLanes) block of outputs for the whole K loop.  The
+// body's accumulate() runs at most body.block() <= kGemmBlock k-steps at a
+// time: at each k it broadcasts a[r][k] for its R rows and multiplies it
+// into NV contiguous vectors of B's row k, summing exact limb lanes in
+// registers, and stores the lanes when the block ends.  The driver folds
+// each lane into its canonical running value once per block (body.fold) and
+// writes the finished tile out.  B is read in place along its rows, so
+// there is no transposed or packed copy.  The driver picks R and NV at
+// compile time (ragged last rows and columns instantiate smaller tiles; a
+// vector body masks the lanes past the last column), so every body --
+// including the scalar one, the same tile with u128 lanes -- shares one
+// walk, one spill loop and one fold loop.
+
+/// Output rows per panel; callers that fan out over panels use this grain.
+inline constexpr std::size_t kGemmPanelRows = 16;
+
+/// Maximum k-steps between spills of a tile's lane accumulators.
+inline constexpr std::size_t kGemmBlock = 1024;
+
+namespace detail {
+
+/// One r x w tile with R = r and NV = ceil(w / kLanes): accumulate a block,
+/// fold its lanes, repeat; then write the canonical tile out.
+template <class Body, int R, int NV>
+void gemm_blocks(const Body& body, const u64* a, std::size_t lda, const u64* b,
+                 std::size_t ldb, u64* out, std::size_t ldo, std::size_t k_len,
+                 std::size_t w) {
+  constexpr std::size_t kWidth = NV * Body::kLanes;
+  typename Body::Lane lanes[Body::kLimbs][R][kWidth];
+  u64 run[R][kWidth] = {};
+  const std::size_t block = body.block();
+  for (std::size_t k0 = 0; k0 < k_len; k0 += block) {
+    const std::size_t k1 = k_len - k0 < block ? k_len : k0 + block;
+    body.template accumulate<R, NV>(a, lda, b, ldb, k0, k1, w, lanes);
+    for (int r = 0; r < R; ++r) {
+      for (std::size_t c = 0; c < w; ++c) {
+        typename Body::Lane limb[Body::kLimbs];
+        for (int l = 0; l < Body::kLimbs; ++l) limb[l] = lanes[l][r][c];
+        run[r][c] = body.fold(limb, run[r][c]);
+      }
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    for (std::size_t c = 0; c < w; ++c) out[r * ldo + c] = run[r][c];
+  }
+}
+
+/// Picks R = r and NV = ceil(w / kLanes) by compile-time recursion.
+template <class Body, int R = 1, int NV = 1>
+void gemm_tile(const Body& body, std::size_t r, std::size_t w, const u64* a,
+               std::size_t lda, const u64* b, std::size_t ldb, u64* out,
+               std::size_t ldo, std::size_t k) {
+  if constexpr (R < Body::kRows) {
+    if (r > R) {
+      gemm_tile<Body, R + 1, NV>(body, r, w, a, lda, b, ldb, out, ldo, k);
+      return;
+    }
+  }
+  if constexpr (NV < Body::kVecs) {
+    if (w > NV * Body::kLanes) {
+      gemm_tile<Body, R, NV + 1>(body, r, w, a, lda, b, ldb, out, ldo, k);
+      return;
+    }
+  }
+  gemm_blocks<Body, R, NV>(body, a, lda, b, ldb, out, ldo, k, w);
+}
+
+/// Walks the output column tile by column tile and, within one, down the
+/// row strips: the strips of a panel reuse B's column strip from cache
+/// while it is hot.
+template <class Body>
+void gemm_drive(const Body& body, const u64* a, std::size_t lda, const u64* b,
+                std::size_t ldb, u64* out, std::size_t ldo, std::size_t rows,
+                std::size_t k, std::size_t cols) {
+  constexpr std::size_t kWidth = Body::kVecs * Body::kLanes;
+  for (std::size_t j = 0; j < cols; j += kWidth) {
+    const std::size_t w = cols - j < kWidth ? cols - j : kWidth;
+    for (std::size_t i = 0; i < rows; i += Body::kRows) {
+      const std::size_t r = rows - i < Body::kRows ? rows - i : Body::kRows;
+      gemm_tile(body, r, w, a + i * lda, lda, b + j, ldb, out + i * ldo + j,
+                ldo, k);
+    }
+  }
+}
+
+/// Scalar tile: R x NV outputs, one u128 lane each.  Its block is
+/// min(dcap, kGemmBlock) k-steps: a canonical running value plus dcap
+/// products of canonical operands cannot overflow (the scalar dot's bound).
+struct GemmScalar {
+  using Lane = u128;
+  static constexpr int kRows = 4;
+  static constexpr int kVecs = 4;
+  static constexpr int kLimbs = 1;
+  static constexpr std::size_t kLanes = 1;
+  fastmod::Barrett bar;
+
+  std::size_t block() const {
+    return bar.dcap < kGemmBlock ? static_cast<std::size_t>(bar.dcap)
+                                 : kGemmBlock;
+  }
+
+  template <int R, int NV>
+  void accumulate(const u64* a, std::size_t lda, const u64* b, std::size_t ldb,
+                  std::size_t k0, std::size_t k1, std::size_t,
+                  u128 (&lanes)[1][R][NV]) const {
+    u128 acc[R][NV] = {};
+    for (std::size_t k = k0; k < k1; ++k) {
+      const u64* bk = b + k * ldb;
+#pragma GCC unroll 4
+      for (int r = 0; r < R; ++r) {
+        const u64 av = a[r * lda + k];
+#pragma GCC unroll 4
+        for (int c = 0; c < NV; ++c) {
+          acc[r][c] += static_cast<u128>(av) * bk[c];
+        }
+      }
+    }
+    for (int r = 0; r < R; ++r) {
+      for (int c = 0; c < NV; ++c) lanes[0][r][c] = acc[r][c];
+    }
+  }
+
+  u64 fold(const u128* limb, u64 acc) const {
+    return bar.reduce_full(limb[0] + acc);
+  }
+};
+
+}  // namespace detail
 
 #if defined(KP_SIMD_X86)
 
@@ -552,8 +688,8 @@ KP_TGT_AVX2 inline u64 dot_smallp_256(const fastmod::Barrett& bar,
   return dot_tail(bar, a, b, i, n, acc);
 }
 
-/// Internal dot dispatch shared by dot and dot_skip_zero (no stats/threshold
-/// here; the public wrappers own those).  Level must be >= kAvx2.
+/// Internal dot dispatch (no stats/threshold here; the public wrapper owns
+/// those).  Level must be >= kAvx2.
 inline u64 dot_dispatch(SimdLevel lvl, const fastmod::Barrett& bar,
                         const u64* a, const u64* b, std::size_t n) {
   if (lvl == SimdLevel::kAvx512) {
@@ -698,35 +834,6 @@ KP_TGT_AVX512 inline void spmm_row_smallp_512(const fastmod::Barrett& bar,
     for (std::size_t k = 0; k < chunk; ++k) acc[k] += tmp[k];
   }
   for (std::size_t k = 0; k < chunk; ++k) out[k] = bar.reduce_full(acc[k]);
-}
-
-// ---- nonzero counting (for dot_skip_zero's accounting) --------------------
-
-KP_TGT_AVX512 inline std::size_t count_nonzero_512(const u64* a,
-                                                   std::size_t n) {
-  const __m512i zero = _mm512_setzero_si512();
-  std::size_t nnz = 0, i = 0;
-  for (; i + 8 <= n; i += 8) {
-    nnz += static_cast<std::size_t>(__builtin_popcount(
-        _mm512_cmpneq_epu64_mask(_mm512_loadu_si512(a + i), zero)));
-  }
-  for (; i < n; ++i) nnz += (a[i] != 0);
-  return nnz;
-}
-
-KP_TGT_AVX2 inline std::size_t count_nonzero_256(const u64* a, std::size_t n) {
-  const __m256i zero = _mm256_setzero_si256();
-  std::size_t zeros = 0, i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i eq = _mm256_cmpeq_epi64(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)), zero);
-    zeros += static_cast<std::size_t>(
-        __builtin_popcount(static_cast<unsigned>(
-            _mm256_movemask_pd(_mm256_castsi256_pd(eq)))));
-  }
-  std::size_t nnz = i - zeros;
-  for (; i < n; ++i) nnz += (a[i] != 0);
-  return nnz;
 }
 
 // ---- vector Montgomery (batch_inverse) ------------------------------------
@@ -1223,6 +1330,249 @@ KP_TGT_AVX2 inline void vec_neg_256(u64 p, const u64* a, u64* dst,
   for (; i < n; ++i) dst[i] = a[i] == 0 ? 0 : p - a[i];
 }
 
+// ---- register-tiled gemm bodies (see gemm_drive) --------------------------
+
+/// Mask of the first `valid` of 8 lanes (valid >= 8: every lane).
+inline __mmask8 lane_mask8(std::size_t valid) {
+  return static_cast<__mmask8>(valid >= 8 ? 0xffu : (1u << valid) - 1);
+}
+
+/// Mask of the first `valid` of 4 lanes, as maskload wants it.
+KP_TGT_AVX2 inline __m256i lane_mask4(std::size_t valid) {
+  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(valid)),
+                            _mm256_setr_epi64x(0, 1, 2, 3));
+}
+
+/// 52-bit-split tile (AVX-512 IFMA), R x 16 outputs in 24 zmm accumulators
+/// at full size.  With x0 = lo52(x) and x1 = x >> 52 < 2^11,
+///   a * b = a0 b0 + 2^52 (a0 b1 + a1 b0) + 2^104 a1 b1,
+/// which is seven vpmadd52 per 8 products into three limbs per output
+/// vector: w0 gains < 2^52 per k-step, w52 < 3 * 2^52 (so kGemmBlock = 1024
+/// steps stay below 2^64) and w104 < 2^23.  A lane folds once per block:
+/// w0 + (w52 << 52) + w104 * (2^104 mod p) + the running value is < 2^118,
+/// and one reduce_full makes it canonical.
+struct GemmIfma512 {
+  using Lane = u64;
+  static constexpr int kRows = 4;
+  static constexpr int kVecs = 2;
+  static constexpr int kLimbs = 3;
+  static constexpr std::size_t kLanes = 8;
+  fastmod::Barrett bar;
+  u64 c104;  ///< 2^104 mod p
+
+  std::size_t block() const { return kGemmBlock; }
+
+  template <int R, int NV>
+  KP_TGT_AVX512IFMA void accumulate(const u64* a, std::size_t lda,
+                                    const u64* b, std::size_t ldb,
+                                    std::size_t k0, std::size_t k1,
+                                    std::size_t w,
+                                    u64 (&lanes)[3][R][NV * 8]) const {
+    __mmask8 m[NV];
+    for (int v = 0; v < NV; ++v) m[v] = lane_mask8(w - v * 8);
+    __m512i w0[R][NV], w52[R][NV], w104[R][NV];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+      for (int v = 0; v < NV; ++v) {
+        w0[r][v] = w52[r][v] = w104[r][v] = _mm512_setzero_si512();
+      }
+    }
+    for (std::size_t k = k0; k < k1; ++k) {
+      __m512i b0[NV], b1[NV];
+#pragma GCC unroll 2
+      for (int v = 0; v < NV; ++v) {
+        b0[v] = _mm512_maskz_loadu_epi64(m[v], b + k * ldb + v * 8);
+        b1[v] = _mm512_srli_epi64(b0[v], 52);
+      }
+#pragma GCC unroll 4
+      for (int r = 0; r < R; ++r) {
+        const u64 av = a[r * lda + k];
+        const __m512i a0 = _mm512_set1_epi64(static_cast<long long>(av));
+        const __m512i a1 = _mm512_set1_epi64(static_cast<long long>(av >> 52));
+#pragma GCC unroll 2
+        for (int v = 0; v < NV; ++v) {
+          w0[r][v] = _mm512_madd52lo_epu64(w0[r][v], a0, b0[v]);
+          w52[r][v] = _mm512_madd52hi_epu64(w52[r][v], a0, b0[v]);
+          w52[r][v] = _mm512_madd52lo_epu64(w52[r][v], a0, b1[v]);
+          w52[r][v] = _mm512_madd52lo_epu64(w52[r][v], a1, b0[v]);
+          w104[r][v] = _mm512_madd52hi_epu64(w104[r][v], a0, b1[v]);
+          w104[r][v] = _mm512_madd52hi_epu64(w104[r][v], a1, b0[v]);
+          w104[r][v] = _mm512_madd52lo_epu64(w104[r][v], a1, b1[v]);
+        }
+      }
+    }
+    for (int r = 0; r < R; ++r) {
+      for (int v = 0; v < NV; ++v) {
+        _mm512_storeu_si512(lanes[0][r] + v * 8, w0[r][v]);
+        _mm512_storeu_si512(lanes[1][r] + v * 8, w52[r][v]);
+        _mm512_storeu_si512(lanes[2][r] + v * 8, w104[r][v]);
+      }
+    }
+  }
+
+  u64 fold(const u64* limb, u64 acc) const {
+    return bar.reduce_full(static_cast<u128>(limb[0]) +
+                           (static_cast<u128>(limb[1]) << 52) +
+                           static_cast<u128>(limb[2]) * c104 + acc);
+  }
+};
+
+/// The 4-limb tiles' shared lanes and fold: each product splits into four
+/// 32x32 vpmuludq partials exactly as in dot_4limb_512.  A limb lane gains
+/// at most 3 * (2^32 - 1) per k-step, far below 2^64 over kGemmBlock
+/// steps; fold_4limb folds each lane once per block.
+struct Gemm4LimbFold {
+  using Lane = u64;
+  static constexpr int kLimbs = 4;
+  fastmod::Barrett bar;
+
+  std::size_t block() const { return kGemmBlock; }
+
+  u64 fold(const u64* limb, u64 acc) const {
+    return fold_4limb(bar, limb[0], limb[1], limb[2], limb[3], acc);
+  }
+};
+
+/// 4-limb tile (AVX-512 without IFMA), R x 8 outputs.
+struct Gemm4Limb512 : Gemm4LimbFold {
+  static constexpr int kRows = 4;
+  static constexpr int kVecs = 1;
+  static constexpr std::size_t kLanes = 8;
+
+  template <int R, int NV>
+  KP_TGT_AVX512 void accumulate(const u64* a, std::size_t lda, const u64* b,
+                                std::size_t ldb, std::size_t k0,
+                                std::size_t k1, std::size_t w,
+                                u64 (&lanes)[4][R][NV * 8]) const {
+    const __m512i m32 = _mm512_set1_epi64(0xffffffffLL);
+    __mmask8 m[NV];
+    for (int v = 0; v < NV; ++v) m[v] = lane_mask8(w - v * 8);
+    __m512i s0[R][NV], s1[R][NV], s2[R][NV], s3[R][NV];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+      for (int v = 0; v < NV; ++v) {
+        s0[r][v] = s1[r][v] = s2[r][v] = s3[r][v] = _mm512_setzero_si512();
+      }
+    }
+    for (std::size_t k = k0; k < k1; ++k) {
+      __m512i bl[NV], bh[NV];
+#pragma GCC unroll 2
+      for (int v = 0; v < NV; ++v) {
+        bl[v] = _mm512_maskz_loadu_epi64(m[v], b + k * ldb + v * 8);
+        bh[v] = _mm512_srli_epi64(bl[v], 32);
+      }
+#pragma GCC unroll 4
+      for (int r = 0; r < R; ++r) {
+        const u64 av = a[r * lda + k];
+        const __m512i al = _mm512_set1_epi64(static_cast<long long>(av));
+        const __m512i ah = _mm512_set1_epi64(static_cast<long long>(av >> 32));
+#pragma GCC unroll 2
+        for (int v = 0; v < NV; ++v) {
+          const __m512i ll = _mm512_mul_epu32(al, bl[v]);
+          const __m512i lh = _mm512_mul_epu32(al, bh[v]);
+          const __m512i hl = _mm512_mul_epu32(ah, bl[v]);
+          const __m512i hh = _mm512_mul_epu32(ah, bh[v]);
+          s0[r][v] = _mm512_add_epi64(s0[r][v], _mm512_and_si512(ll, m32));
+          s1[r][v] = _mm512_add_epi64(
+              s1[r][v],
+              _mm512_add_epi64(_mm512_srli_epi64(ll, 32),
+                               _mm512_add_epi64(_mm512_and_si512(lh, m32),
+                                                _mm512_and_si512(hl, m32))));
+          s2[r][v] = _mm512_add_epi64(
+              s2[r][v],
+              _mm512_add_epi64(_mm512_and_si512(hh, m32),
+                               _mm512_add_epi64(_mm512_srli_epi64(lh, 32),
+                                                _mm512_srli_epi64(hl, 32))));
+          s3[r][v] = _mm512_add_epi64(s3[r][v], _mm512_srli_epi64(hh, 32));
+        }
+      }
+    }
+    for (int r = 0; r < R; ++r) {
+      for (int v = 0; v < NV; ++v) {
+        _mm512_storeu_si512(lanes[0][r] + v * 8, s0[r][v]);
+        _mm512_storeu_si512(lanes[1][r] + v * 8, s1[r][v]);
+        _mm512_storeu_si512(lanes[2][r] + v * 8, s2[r][v]);
+        _mm512_storeu_si512(lanes[3][r] + v * 8, s3[r][v]);
+      }
+    }
+  }
+};
+
+/// 4-limb tile (AVX2), R x 4 outputs in 8 ymm accumulators: the 256-bit
+/// rendition of Gemm4Limb512, masked by vpmaskmovq.
+struct Gemm4Limb256 : Gemm4LimbFold {
+  static constexpr int kRows = 2;
+  static constexpr int kVecs = 1;
+  static constexpr std::size_t kLanes = 4;
+
+  template <int R, int NV>
+  KP_TGT_AVX2 void accumulate(const u64* a, std::size_t lda, const u64* b,
+                              std::size_t ldb, std::size_t k0, std::size_t k1,
+                              std::size_t w,
+                              u64 (&lanes)[4][R][NV * 4]) const {
+    const __m256i m32 = _mm256_set1_epi64x(0xffffffffLL);
+    __m256i m[NV];
+    for (int v = 0; v < NV; ++v) m[v] = lane_mask4(w - v * 4);
+    __m256i s0[R][NV], s1[R][NV], s2[R][NV], s3[R][NV];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+      for (int v = 0; v < NV; ++v) {
+        s0[r][v] = s1[r][v] = s2[r][v] = s3[r][v] = _mm256_setzero_si256();
+      }
+    }
+    for (std::size_t k = k0; k < k1; ++k) {
+      __m256i bl[NV], bh[NV];
+#pragma GCC unroll 2
+      for (int v = 0; v < NV; ++v) {
+        bl[v] = _mm256_maskload_epi64(
+            reinterpret_cast<const long long*>(b + k * ldb + v * 4), m[v]);
+        bh[v] = _mm256_srli_epi64(bl[v], 32);
+      }
+#pragma GCC unroll 4
+      for (int r = 0; r < R; ++r) {
+        const u64 av = a[r * lda + k];
+        const __m256i al = _mm256_set1_epi64x(static_cast<long long>(av));
+        const __m256i ah =
+            _mm256_set1_epi64x(static_cast<long long>(av >> 32));
+#pragma GCC unroll 2
+        for (int v = 0; v < NV; ++v) {
+          const __m256i ll = _mm256_mul_epu32(al, bl[v]);
+          const __m256i lh = _mm256_mul_epu32(al, bh[v]);
+          const __m256i hl = _mm256_mul_epu32(ah, bl[v]);
+          const __m256i hh = _mm256_mul_epu32(ah, bh[v]);
+          s0[r][v] = _mm256_add_epi64(s0[r][v], _mm256_and_si256(ll, m32));
+          s1[r][v] = _mm256_add_epi64(
+              s1[r][v],
+              _mm256_add_epi64(_mm256_srli_epi64(ll, 32),
+                               _mm256_add_epi64(_mm256_and_si256(lh, m32),
+                                                _mm256_and_si256(hl, m32))));
+          s2[r][v] = _mm256_add_epi64(
+              s2[r][v],
+              _mm256_add_epi64(_mm256_and_si256(hh, m32),
+                               _mm256_add_epi64(_mm256_srli_epi64(lh, 32),
+                                                _mm256_srli_epi64(hl, 32))));
+          s3[r][v] = _mm256_add_epi64(s3[r][v], _mm256_srli_epi64(hh, 32));
+        }
+      }
+    }
+    for (int r = 0; r < R; ++r) {
+      for (int v = 0; v < NV; ++v) {
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes[0][r] + v * 4),
+                            s0[r][v]);
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes[1][r] + v * 4),
+                            s1[r][v]);
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes[2][r] + v * 4),
+                            s2[r][v]);
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes[3][r] + v * 4),
+                            s3[r][v]);
+      }
+    }
+  }
+};
+
 #undef KP_TGT_AVX2
 #undef KP_TGT_AVX512
 #undef KP_TGT_AVX512IFMA
@@ -1287,23 +1637,6 @@ inline bool dot_gather(const fastmod::Barrett& bar, const u64* val,
   if (n < kMinSimdN || simd_level() != SimdLevel::kAvx512) return false;
   *out = detail::dot_gather_512(bar, val, col, x, n);
   detail::bump(detail::stat_counters().gather, n / 8);
-  return true;
-}
-
-/// Zero-skipping dot (stride-1 b only).  Zero entries of `a` contribute 0 to
-/// every limb accumulator, so the plain dot body computes the identical
-/// canonical value; the nonzero count (for the caller's op accounting) comes
-/// from a vector compare pass.
-inline bool dot_skip_zero(const fastmod::Barrett& bar, const u64* a,
-                          const u64* b, std::size_t n, u64* out,
-                          std::size_t* nnz) {
-  const SimdLevel lvl = simd_level();
-  if (n < kMinSimdN || lvl < SimdLevel::kAvx2) return false;
-  *nnz = lvl == SimdLevel::kAvx512 ? detail::count_nonzero_512(a, n)
-                                   : detail::count_nonzero_256(a, n);
-  *out = detail::dot_dispatch(lvl, bar, a, b, n);
-  detail::bump(detail::stat_counters().skip_zero,
-               n / (lvl == SimdLevel::kAvx512 ? 8 : 4));
   return true;
 }
 
@@ -1455,10 +1788,6 @@ inline bool dot_gather(const fastmod::Barrett&, const u64*, const std::size_t*,
                        const u64*, std::size_t, u64*) {
   return false;
 }
-inline bool dot_skip_zero(const fastmod::Barrett&, const u64*, const u64*,
-                          std::size_t, u64*, std::size_t*) {
-  return false;
-}
 inline bool batch_inverse(u64, u64*, std::size_t, u64 (*)(u64, u64)) {
   return false;
 }
@@ -1489,5 +1818,43 @@ inline bool vec_mod_submul(const fastmod::Barrett&, u64, const u64*, u64*,
 }
 
 #endif  // KP_SIMD_X86
+
+// ---------------------------------------------------------------------------
+// Register-tiled matrix product: the one entry point that always handles its
+// request (the scalar level runs the u128 tile of the same shape).
+
+/// out[i][j] = sum_k a[i][k] * b[k][j] mod p, canonical, for a rows x k
+/// panel of A (row stride lda) and a k x cols block of B (row stride ldb),
+/// into out (row stride ldo).  The level (and IFMA) picks the tile body;
+/// every p < 2^63 takes the same body.  The gemm stat counts one group per
+/// vector of B's row per output row and k-step.
+inline void gemm_rows(const fastmod::Barrett& bar, const u64* a,
+                      std::size_t lda, const u64* b, std::size_t ldb, u64* out,
+                      std::size_t ldo, std::size_t rows, std::size_t k,
+                      std::size_t cols) {
+#if defined(KP_SIMD_X86)
+  const SimdLevel lvl = simd_level();
+  if (lvl == SimdLevel::kAvx512) {
+    if (simd_ifma()) {
+      const u64 c104 = bar.reduce_full(static_cast<u128>(1) << 104);
+      detail::gemm_drive(detail::GemmIfma512{bar, c104}, a, lda, b, ldb, out,
+                         ldo, rows, k, cols);
+    } else {
+      detail::gemm_drive(detail::Gemm4Limb512{bar}, a, lda, b, ldb, out, ldo,
+                         rows, k, cols);
+    }
+    detail::bump(detail::stat_counters().gemm, rows * ((cols + 7) / 8) * k);
+    return;
+  }
+  if (lvl == SimdLevel::kAvx2) {
+    detail::gemm_drive(detail::Gemm4Limb256{bar}, a, lda, b, ldb, out, ldo,
+                       rows, k, cols);
+    detail::bump(detail::stat_counters().gemm, rows * ((cols + 3) / 4) * k);
+    return;
+  }
+#endif
+  detail::gemm_drive(detail::GemmScalar{bar}, a, lda, b, ldb, out, ldo, rows,
+                     k, cols);
+}
 
 }  // namespace kp::field::simd

@@ -232,10 +232,15 @@ std::vector<typename R::Element> vec_mat(const R& r,
   assert(a.rows() == x.size());
   std::vector<typename R::Element> out(a.cols(), r.zero());
   if constexpr (kp::field::kernels::FastField<R>) {
-    for (std::size_t j = 0; j < a.cols(); ++j) {
-      out[j] = kp::field::kernels::dot(r, x.data(), a.data().data() + j,
-                                       a.rows(), 1, a.cols());
+    // A one-row product over A's contiguous rows, charged as one dot per
+    // column: rows multiplications and rows - 1 additions each.
+    if (a.rows() > 0) {
+      kp::util::count_muls(a.rows() * a.cols());
+      kp::util::count_adds((a.rows() - 1) * a.cols());
     }
+    kp::field::kernels::gemm_rows(r, x.data(), x.size(), a.data().data(),
+                                  a.cols(), out.data(), out.size(), 1,
+                                  a.rows(), a.cols());
     return out;
   }
   std::vector<typename R::Element> terms;

@@ -8,8 +8,10 @@
 // chosen exponent, which the comparison benches measure empirically.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 
 #include "matrix/dense.h"
 
@@ -24,29 +26,41 @@ namespace detail {
 
 /// Classical kernel; each output entry is a balanced-tree inner product so
 /// the corresponding circuit has depth O(log n), as the paper's model needs.
-/// Output rows are independent, so large products fan out row-by-row onto
-/// the pooled ExecutionContext with identical per-row arithmetic (results
-/// are bit-identical for every worker count).
+/// Output rows are independent, so large products fan out onto the pooled
+/// ExecutionContext with identical per-row arithmetic (results are
+/// bit-identical for every worker count).
 template <kp::field::CommutativeRing R>
 Matrix<R> mul_classical(const R& r, const Matrix<R>& a, const Matrix<R>& b) {
   Matrix<R> out(a.rows(), b.cols(), r.zero());
   if constexpr (kp::field::kernels::FastField<R>) {
-    // Fused delayed-reduction inner products with the same zero-skip as the
-    // generic loop below (one multiplication charged per nonzero a-entry).
-    const std::size_t stride = b.cols();
-    auto fast_row = [&](std::size_t i) {
-      const auto* arow = a.row(i);
-      auto* orow = out.row(i);
-      for (std::size_t j = 0; j < b.cols(); ++j) {
-        orow[j] = kp::field::kernels::dot_skip_zero(
-            r, arow, b.data().data() + j, a.cols(), stride);
+    // Register-tiled kernel over panels of kGemmPanelRows output rows.  It
+    // charges what the generic loop below does: per row of A with nnz
+    // nonzero entries, nnz multiplications and nnz - 1 additions for each
+    // output column (zeros add nothing to the canonical sums, so the
+    // kernel need not skip them).
+    constexpr std::size_t kPanel = kp::field::simd::kGemmPanelRows;
+    const std::size_t k = a.cols(), cols = b.cols();
+    auto panel = [&](std::size_t q) {
+      const std::size_t i0 = q * kPanel;
+      const std::size_t rows = std::min(kPanel, a.rows() - i0);
+      for (std::size_t i = i0; i < i0 + rows; ++i) {
+        const auto* arow = a.row(i);
+        const auto nnz = static_cast<std::uint64_t>(
+            k - std::count(arow, arow + k, std::uint64_t{0}));
+        if (nnz > 0) {
+          kp::util::count_muls(nnz * cols);
+          kp::util::count_adds((nnz - 1) * cols);
+        }
       }
+      kp::field::kernels::gemm_rows(r, a.row(i0), k, b.data().data(), cols,
+                                    out.row(i0), cols, rows, k, cols);
     };
+    const std::size_t panels = (a.rows() + kPanel - 1) / kPanel;
     if (kp::field::concurrent_ops_v<R> &&
-        a.rows() * a.cols() * b.cols() >= kParallelGrain) {
-      kp::pram::parallel_for(0, a.rows(), fast_row);
+        a.rows() * k * cols >= kParallelGrain) {
+      kp::pram::parallel_for(0, panels, panel);
     } else {
-      for (std::size_t i = 0; i < a.rows(); ++i) fast_row(i);
+      for (std::size_t q = 0; q < panels; ++q) panel(q);
     }
     return out;
   }

@@ -375,6 +375,37 @@ TEST(SequentialGeneratorTest, MatchesTheorem3OverSmallPrime) {
   }
 }
 
+/// The dense doubling route's cost in the paper's units is a property of
+/// the algorithm, not of the matrix-product kernel under it: kp_solve at
+/// n = 96 over GF(kNttPrime) charges exactly these counts and draws exactly
+/// these seeds however mat_mul is tiled.
+TEST(DenseRouteCostPin, KpSolveN96OpsAndDiagSeeds) {
+  const field::GFp f(field::kNttPrime);
+  const std::size_t n = 96;
+  util::Prng data(96);
+  const auto a = matrix::random_matrix(f, n, n, data);
+  std::vector<std::uint64_t> b(n);
+  for (auto& e : b) e = f.random(data);
+  util::Prng prng(2026);
+  util::OpScope scope;
+  const auto res = core::kp_solve(f, a, b, prng);
+  const auto ops = scope.counts();
+  ASSERT_TRUE(res.ok);
+  EXPECT_EQ(ops.total(), 21593833u);
+  EXPECT_EQ(ops.add, 11026563u);
+  EXPECT_EQ(ops.mul, 10566595u);
+  EXPECT_EQ(ops.div, 482u);
+  EXPECT_EQ(ops.zero_test, 193u);
+  EXPECT_EQ(res.attempts, 1);
+  ASSERT_EQ(res.diags.size(), 1u);
+  EXPECT_EQ(res.diags[0].precondition_seed, 362395845592970028u);
+  EXPECT_EQ(res.diags[0].projection_seed, 16232961778811808461u);
+  EXPECT_EQ(res.diags[0].ops.total(), 21593833u);
+  const auto expect = matrix::solve_gauss(f, a, b);
+  ASSERT_TRUE(expect.has_value());
+  EXPECT_EQ(res.x, *expect);
+}
+
 TEST(SequentialGeneratorTest, TinySampleSetFailsOrganicallyAndNeverLies) {
   // |S| = 3 over F_17 makes deg f_u < n (det(T) = 0) an everyday event
   // (over a large field a 0/1/2 projection almost never degenerates); the

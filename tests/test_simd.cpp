@@ -136,7 +136,6 @@ TEST(SimdKernels, CrossLevelBitIdentityIncludingOpCounts) {
       simd::set_simd_level(SimdLevel::kScalar);
       util::OpScope s0;
       const auto dot0 = field::kernels::dot(fast, b.data(), a.data(), n);
-      const auto skip0 = field::kernels::dot_skip_zero(fast, b.data(), a.data(), n);
       const auto c0 = s0.counts();
       for (auto want : {SimdLevel::kAvx2, SimdLevel::kAvx512}) {
         for (int ifma = 0; ifma < 2; ++ifma) {
@@ -144,11 +143,128 @@ TEST(SimdKernels, CrossLevelBitIdentityIncludingOpCounts) {
           simd::set_simd_ifma(ifma != 0);
           util::OpScope s1;
           const auto dot1 = field::kernels::dot(fast, b.data(), a.data(), n);
-          const auto skip1 =
-              field::kernels::dot_skip_zero(fast, b.data(), a.data(), n);
           ASSERT_EQ(dot1, dot0) << p << " " << n;
-          ASSERT_EQ(skip1, skip0) << p << " " << n;
           ASSERT_TRUE(same_counts(s1.counts(), c0)) << p << " " << n;
+        }
+      }
+    }
+  }
+}
+
+/// A rows x cols matrix with the accumulator extremes mixed in: row 1 all
+/// zero, row 2 and every fifth row from row 4 on all p - 1, and scattered
+/// zeros in the other rows (the zero-skip accounting must see them).
+template <class F>
+matrix::Matrix<F> stress_matrix(const F& f, std::uint64_t p, std::size_t rows,
+                                std::size_t cols, std::uint64_t seed) {
+  util::Prng prng(seed);
+  matrix::Matrix<F> m(rows, cols, f.zero());
+  for (std::size_t i = 0; i < rows; ++i) {
+    const bool max_row = i == 2 || (i >= 4 && i % 5 == 4);
+    for (std::size_t j = 0; j < cols; ++j) {
+      const std::uint64_t v = prng.below(p);
+      if (max_row) {
+        m.at(i, j) = p - 1;
+      } else if (i != 1 && prng.below(8) != 0) {
+        m.at(i, j) = v;
+      }
+    }
+  }
+  return m;
+}
+
+/// The seed arithmetic's generic zero-skipping product of the same entries,
+/// then mat_mul over GFp at every level, IFMA on and off, 1, 2 and 4 workers:
+/// identical elements and OpCounts each time.
+void expect_mat_mul_matches_seed(std::uint64_t p,
+                                 const matrix::Matrix<GFp>& af,
+                                 const matrix::Matrix<GFp>& bf) {
+  GFp fast(p);
+  GFpReference ref(p);
+  matrix::Matrix<GFpReference> ar(af.rows(), af.cols(), 0);
+  matrix::Matrix<GFpReference> br(bf.rows(), bf.cols(), 0);
+  ar.data() = af.data();
+  br.data() = bf.data();
+  util::OpScope sr;
+  const auto want = matrix::mat_mul(ref, ar, br);
+  const auto cr = sr.counts();
+  auto& ctx = pram::ExecutionContext::global();
+  for (auto lvl : kSweep) {
+    for (int ifma = 0; ifma < 2; ++ifma) {
+      for (std::size_t workers : {1u, 2u, 4u}) {
+        simd::set_simd_level(lvl);
+        simd::set_simd_ifma(ifma != 0);
+        ctx.set_worker_limit(workers);
+        util::OpScope sf;
+        const auto got = matrix::mat_mul(fast, af, bf);
+        const auto cf = sf.counts();
+        ctx.set_worker_limit(0);
+        ASSERT_EQ(got.data(), want.data())
+            << "p=" << p << " rows=" << af.rows() << " k=" << af.cols()
+            << " cols=" << bf.cols() << " ifma=" << ifma
+            << " workers=" << workers
+            << " level=" << to_string(simd::simd_level());
+        ASSERT_TRUE(same_counts(cf, cr))
+            << "p=" << p << " rows=" << af.rows() << " k=" << af.cols()
+            << " cols=" << bf.cols();
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, MatMulCrossLevelBitIdentityIncludingOpCounts) {
+  // The register-tiled mat_mul against the seed arithmetic: ragged rows and
+  // columns around every tile width, K = 1100 crossing the 1024-step
+  // accumulator spill, and all-(p - 1) operands (the largest lane gain per
+  // k-step) over one and two spills.
+  LevelGuard guard;
+  for (std::uint64_t p : {std::uint64_t{65537}, kP61, kNttPrime}) {
+    GFp fast(p);
+    for (std::size_t k : {1u, 31u, 1100u}) {
+      for (std::size_t rows : {1u, 3u, 5u, 257u}) {
+        for (std::size_t cols : {1u, 7u, 8u, 15u, 16u, 17u, 33u}) {
+          const auto seed = p % 1009 + 7 * k + 31 * rows + cols;
+          ASSERT_NO_FATAL_FAILURE(expect_mat_mul_matches_seed(
+              p, stress_matrix(fast, p, rows, k, seed),
+              stress_matrix(fast, p, k, cols, seed + 1)));
+        }
+      }
+    }
+    for (std::size_t k : {1100u, 2100u}) {
+      ASSERT_NO_FATAL_FAILURE(expect_mat_mul_matches_seed(
+          p, matrix::Matrix<GFp>(5, k, p - 1),
+          matrix::Matrix<GFp>(k, 17, p - 1)));
+    }
+  }
+}
+
+TEST(SimdKernels, VecMatCrossLevelBitIdentityIncludingOpCounts) {
+  // vec_mat is a one-row gemm charged as a dense dot per column (no zero
+  // skip, exactly the generic loop's count).
+  LevelGuard guard;
+  for (std::uint64_t p : {std::uint64_t{65537}, kP61, kNttPrime}) {
+    GFp fast(p);
+    GFpReference ref(p);
+    for (std::size_t k : {1u, 31u, 1100u}) {
+      for (std::size_t cols : {1u, 7u, 17u, 33u}) {
+        const auto mr = stress_matrix(ref, p, k, cols, k + cols);
+        const auto mf = stress_matrix(fast, p, k, cols, k + cols);
+        auto x = random_residues(p, k, 3 * k + cols);
+        x[0] = 0;
+        x[k - 1] = p - 1;
+        util::OpScope sr;
+        const auto want = matrix::vec_mat(ref, x, mr);
+        const auto cr = sr.counts();
+        for (auto lvl : kSweep) {
+          for (int ifma = 0; ifma < 2; ++ifma) {
+            simd::set_simd_level(lvl);
+            simd::set_simd_ifma(ifma != 0);
+            util::OpScope sf;
+            const auto got = matrix::vec_mat(fast, x, mf);
+            ASSERT_EQ(got, want) << "p=" << p << " k=" << k << " cols=" << cols
+                                 << " level=" << to_string(simd::simd_level());
+            ASSERT_TRUE(same_counts(sf.counts(), cr)) << p << " " << k;
+          }
         }
       }
     }
@@ -438,11 +554,19 @@ TEST(SimdDispatch, StatsCountVectorGroupsOnlyWhenVectorPathRuns) {
   (void)field::kernels::dot(fast, a.data(), b.data(), n);
   EXPECT_EQ(simd::simd_stats().dot, 0u) << "scalar run must not bump stats";
 
+  matrix::Matrix<GFp> m(64, 64, 0);
+  for (std::size_t i = 0; i < 64 * 64; ++i) m.data()[i] = a[i % n];
+  simd::reset_simd_stats();
+  (void)matrix::mat_mul(fast, m, m);
+  EXPECT_EQ(simd::simd_stats().gemm, 0u) << "scalar gemm must not bump stats";
+
   if (simd::simd_max_level() >= SimdLevel::kAvx2) {
     simd::set_simd_level(simd::simd_max_level());
     simd::reset_simd_stats();
     (void)field::kernels::dot(fast, a.data(), b.data(), n);
     EXPECT_GT(simd::simd_stats().dot, 0u);
+    (void)matrix::mat_mul(fast, m, m);
+    EXPECT_GT(simd::simd_stats().gemm, 0u);
   }
 }
 
