@@ -1,9 +1,10 @@
 // Per-dispatch-level ablation of the SIMD kernel backend (field/simd.h).
 //
-// Every kernel family (dot, sum, gather, batch_inverse, NTT product, and
-// the register-tiled mat_mul at n = 256) is timed with the backend pinned
-// to each available level -- scalar, AVX2, AVX-512, AVX-512+IFMA -- over
-// the same inputs.  The bit-identity contract is asserted in-bench: each
+// Every kernel family (dot, sum, gather, batch_inverse, NTT product, the
+// register-tiled mat_mul at n = 256, and the SpMM of a b = 4 block sparse
+// apply over 2048 rows of ~65 entries, the sparse_block workload's shape)
+// is timed with the backend pinned to each available level -- scalar, AVX2,
+// AVX-512, AVX-512+IFMA -- over the same inputs.  The bit-identity contract is asserted in-bench: each
 // row carries an FNV-1a checksum of the output elements, and every level's
 // checksum must equal the scalar kernel's.
 // Those checksums land in BENCH_simd.json, so a forced-scalar build
@@ -21,6 +22,7 @@
 #include "field/simd.h"
 #include "field/zp.h"
 #include "matrix/matmul.h"
+#include "matrix/sparse.h"
 #include "poly/ntt.h"
 #include "util/bench_json.h"
 #include "util/op_count.h"
@@ -150,6 +152,14 @@ int main() {
   kp::util::Prng mp(6);
   const auto ma = kp::matrix::random_matrix(fast, mn, mn, mp);
   const auto mb = kp::matrix::random_matrix(fast, mn, mn, mp);
+  const std::size_t sn = 2048;
+  const auto sp = kp::matrix::Sparse<Fast>::random(fast, sn, 64, mp);
+  std::vector<std::vector<std::uint64_t>> sx(4);
+  std::vector<const std::vector<std::uint64_t>*> sxp;
+  for (std::size_t k = 0; k < sx.size(); ++k) {
+    sx[k] = random_residues(p, sn, 7 + k);
+    sxp.push_back(&sx[k]);
+  }
 
   struct Fam {
     const char* name;
@@ -157,7 +167,8 @@ int main() {
   };
   const Fam fams[] = {{"dot", 4000},        {"sum", 4000},
                       {"dot_gather", 2000}, {"batch_inverse", 200},
-                      {"ntt_mul", 40},      {"mat_mul", 3}};
+                      {"ntt_mul", 40},      {"mat_mul", 3},
+                      {"spmm", 20}};
 
   for (const auto& fam : fams) {
     double scalar_ms = 0;
@@ -203,6 +214,14 @@ int main() {
           for (int it = 0; it < fam.iters; ++it) prod = ring.mul(va, vb);
         });
         sum = fnv1a(prod.data(), prod.size());
+      } else if (name == "spmm") {
+        std::vector<std::vector<std::uint64_t>> ys;
+        ms = time_ms([&] {
+          for (int it = 0; it < fam.iters; ++it) ys = sp.apply_many(fast, sxp);
+        });
+        std::vector<std::uint64_t> flat;
+        for (const auto& y : ys) flat.insert(flat.end(), y.begin(), y.end());
+        sum = fnv1a(flat.data(), flat.size());
       } else {  // mat_mul
         kp::matrix::Matrix<Fast> prod(0, 0, 0);
         ms = time_ms([&] {
@@ -216,7 +235,8 @@ int main() {
         scalar_ms = ms;
         scalar_sum = sum;
       }
-      add_row(fam.name, l.name, name == "mat_mul" ? mn : n, scalar_ms, ms,
+      add_row(fam.name, l.name,
+              name == "mat_mul" ? mn : name == "spmm" ? sn : n, scalar_ms, ms,
               sum, scalar_sum);
     }
   }
@@ -229,11 +249,13 @@ int main() {
   const auto stats = simd::simd_stats();
   std::printf(
       "\nsimd_stats: level=%s ifma=%d dot=%llu sum=%llu gather=%llu "
-      "gemm=%llu batch_inverse=%llu ntt=%llu pointwise=%llu scale=%llu\n",
+      "spmm=%llu gemm=%llu batch_inverse=%llu ntt=%llu pointwise=%llu "
+      "scale=%llu\n",
       stats.level, stats.ifma ? 1 : 0,
       static_cast<unsigned long long>(stats.dot),
       static_cast<unsigned long long>(stats.sum),
       static_cast<unsigned long long>(stats.gather),
+      static_cast<unsigned long long>(stats.spmm),
       static_cast<unsigned long long>(stats.gemm),
       static_cast<unsigned long long>(stats.batch_inverse),
       static_cast<unsigned long long>(stats.ntt),

@@ -27,6 +27,63 @@
 
 using F = kp::field::Zp<1000003>;
 
+namespace {
+
+/// One n = 2048, 64 nnz/row sparse solve over `f` at b in {1, 2, 4, 8, 16},
+/// a table and one report row per width.  Returns false on any mismatch.
+template <class Fld>
+bool width_sweep(const Fld& f, kp::util::BenchReport& breport) {
+  const std::size_t n = 2048, per_row = 64;
+  kp::util::Prng psetup(90210);
+  auto sp = kp::matrix::Sparse<Fld>::random(f, n, per_row, psetup);
+  std::vector<typename Fld::Element> x_true(n);
+  for (auto& e : x_true) e = f.random(psetup);
+  const auto b = sp.apply(f, x_true);
+  kp::matrix::SparseBox<Fld> box(f, sp);
+
+  std::printf("p = %llu\n", static_cast<unsigned long long>(f.characteristic()));
+  kp::util::Table ts({"b", "wall ms", "speedup vs b=1", "ops", "check"});
+  bool all_ok = true;
+  double base_ms = 0.0;
+  std::vector<typename Fld::Element> base_x;
+  for (std::size_t bw : {1u, 2u, 4u, 8u, 16u}) {
+    kp::util::Prng p(7117);  // same projection stream for every width
+    kp::util::WallTimer wt;
+    kp::util::OpScope s;
+    auto res =
+        kp::core::block_wiedemann_solve_status(f, box, b, p, 1u << 30, bw);
+    const double ms = wt.elapsed_ms();
+    const auto ops = s.counts().total();
+    bool ok = res.ok && sp.apply(f, res.x) == b;
+    if (bw == 1) {
+      base_ms = ms;
+      base_x = res.x;
+      ok = ok && res.x == x_true;
+    } else {
+      ok = ok && res.x == base_x;  // identical to the scalar route
+    }
+    all_ok = all_ok && ok;
+    const double speedup = ms > 0.0 ? base_ms / ms : 0.0;
+    ts.add_row({std::to_string(bw), kp::util::Table::num(ms, 2),
+                kp::util::Table::num(speedup, 3), kp::util::Table::num(ops),
+                ok ? "ok" : "FAIL"});
+    breport.begin_row("block_width_sweep");
+    breport.put("p", f.characteristic());
+    breport.put("n", n);
+    breport.put("nnz_per_row", per_row);
+    breport.put("block_width", bw);
+    breport.put("wall_ms", ms);
+    breport.put("speedup_vs_b1", speedup);
+    breport.put("ops", ops);
+    breport.put("attempts", res.attempts);
+    breport.put("check", ok);
+  }
+  ts.print();
+  return all_ok;
+}
+
+}  // namespace
+
 int main() {
   F f;
   kp::util::Prng prng(4242);
@@ -149,56 +206,19 @@ int main() {
 
   // Block-Wiedemann width sweep: one large sparse solve, b = 1 (the scalar
   // iterative route -- block_wiedemann_solve_status delegates) against
-  // b in {2, 4, 8, 16}.  Blocking cuts the finish from n to ~n/b products
-  // and streams each CSR row stripe once per block instead of once per
-  // vector; the price is the b x b projection batches and the sigma-basis.
-  // Every block answer must equal the scalar route's answer exactly.
+  // b in {2, 4, 8, 16}, over Z_1000003 and over the word-size NTT prime the
+  // sparse benchmark workload uses (whose block applies take the IFMA SpMM
+  // body where the CPU has it).  Blocking cuts the finish from n to ~n/b
+  // products and streams each CSR row stripe once per block instead of once
+  // per vector; the price is the b x b projection batches and the
+  // sigma-basis.  Every block answer must equal the scalar route's answer
+  // exactly.
   std::printf("\nBlock-Wiedemann width sweep (BENCH_block_wiedemann.json)\n\n");
   {
     kp::util::BenchReport breport("block_wiedemann");
-    const std::size_t n = 2048, per_row = 64;
-    kp::util::Prng psetup(90210);
-    auto sp = kp::matrix::Sparse<F>::random(f, n, per_row, psetup);
-    std::vector<F::Element> x_true(n);
-    for (auto& e : x_true) e = f.random(psetup);
-    const auto b = sp.apply(f, x_true);
-    kp::matrix::SparseBox<F> box(f, sp);
-
-    kp::util::Table ts({"b", "wall ms", "speedup vs b=1", "ops", "check"});
-    double base_ms = 0.0;
-    std::vector<F::Element> base_x;
-    for (std::size_t bw : {1u, 2u, 4u, 8u, 16u}) {
-      kp::util::Prng p(7117);  // same projection stream for every width
-      kp::util::WallTimer wt;
-      kp::util::OpScope s;
-      auto res = kp::core::block_wiedemann_solve_status(f, box, b, p,
-                                                        1u << 30, bw);
-      const double ms = wt.elapsed_ms();
-      const auto ops = s.counts().total();
-      bool ok = res.ok && sp.apply(f, res.x) == b;
-      if (bw == 1) {
-        base_ms = ms;
-        base_x = res.x;
-        ok = ok && res.x == x_true;
-      } else {
-        ok = ok && res.x == base_x;  // identical to the scalar route
-      }
-      all_ok = all_ok && ok;
-      const double speedup = ms > 0.0 ? base_ms / ms : 0.0;
-      ts.add_row({std::to_string(bw), kp::util::Table::num(ms, 2),
-                  kp::util::Table::num(speedup, 3), kp::util::Table::num(ops),
-                  ok ? "ok" : "FAIL"});
-      breport.begin_row("block_width_sweep");
-      breport.put("n", n);
-      breport.put("nnz_per_row", per_row);
-      breport.put("block_width", bw);
-      breport.put("wall_ms", ms);
-      breport.put("speedup_vs_b1", speedup);
-      breport.put("ops", ops);
-      breport.put("attempts", res.attempts);
-      breport.put("check", ok);
-    }
-    ts.print();
+    all_ok = width_sweep(f, breport) && all_ok;
+    all_ok = width_sweep(kp::field::Zp<kp::field::kNttPrime>(), breport) &&
+             all_ok;
     std::printf("\nb = 1 is the scalar iterative route; block answers are\n"
                 "cross-checked element-for-element against it.\n");
   }

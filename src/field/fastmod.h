@@ -45,6 +45,8 @@ struct Barrett {
   u64 v = 0;           ///< reciprocal of d
   u64 dcap = 0;        ///< delayed_dot_capacity(p), cached: computing it
                        ///< needs a 128-bit division, too slow per kernel call
+  u64 c104 = 0;        ///< 2^104 mod p: the top limb's weight in the
+                       ///< 52-bit-split (IFMA) folds, cached the same way
 
   constexpr Barrett() = default;
   constexpr explicit Barrett(u64 p_) : p(p_) {
@@ -60,6 +62,7 @@ struct Barrett {
     const u128 cap = (~static_cast<u128>(0) - (p_ - 1)) / (sq > 0 ? sq : 1);
     dcap = cap > ~static_cast<u64>(0) ? ~static_cast<u64>(0)
                                       : static_cast<u64>(cap);
+    c104 = static_cast<u64>((static_cast<u128>(1) << 104) % p_);
   }
 
   /// x mod p, exact, for x < p * 2^64 (covers every product of canonical

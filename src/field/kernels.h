@@ -143,7 +143,9 @@ void gemm_rows(const F& f, const std::uint64_t* a, std::size_t lda,
 
 /// Gathered inner product sum_k val[k] * x[col[k]] with the CSR apply's
 /// linear-chain accounting (n multiplications and n additions: the
-/// reference folds the first term into a zero accumulator).
+/// reference folds the first term into a zero accumulator).  Scalar at every
+/// level: an AVX-512 hardware-gather body ran at half this loop's speed on
+/// the sparse operators' 65-entry rows.
 template <FastField F>
 std::uint64_t dot_gather(const F& f, const std::uint64_t* val,
                          const std::size_t* col, const std::uint64_t* x,
@@ -151,9 +153,6 @@ std::uint64_t dot_gather(const F& f, const std::uint64_t* val,
   kp::util::count_muls(n);
   kp::util::count_adds(n);
   const auto& bar = FieldKernels<F>::barrett(f);
-  if (std::uint64_t out; simd::dot_gather(bar, val, col, x, n, &out)) {
-    return out;
-  }
   const std::uint64_t cap = bar.dcap;
   fastmod::u128 acc = 0;
   std::uint64_t left = cap;
@@ -167,19 +166,13 @@ std::uint64_t dot_gather(const F& f, const std::uint64_t* val,
   return bar.reduce_full(acc);
 }
 
-/// Whether spmm_row has a vector path for this field at the current dispatch
-/// level.  Batched callers check once and pick the transposed-block layout
-/// only when it pays.
-template <FastField F>
-bool spmm_ready(const F& f) {
-  return simd::spmm_ready(FieldKernels<F>::barrett(f));
-}
-
 /// Batched CSR row product against a row-major n x b transposed block:
 /// out[k] = sum_j val[j] * xt[col[j] * b + k] for a chunk of <= 8 block
-/// columns.  Replaces `chunk` gathered dots with contiguous masked loads --
-/// the same linear reduction chains, so values match dot_gather per lane.
-/// Charges nothing: the caller accounts the whole row batch in bulk.
+/// columns.  Replaces `chunk` gathered dots with contiguous loads; the
+/// vector body (AVX-512 IFMA, rows of >= simd::kMinSimdN entries) and this
+/// scalar loop both return the canonical residue of each lane's exact sum,
+/// so values match dot_gather per lane.  Charges nothing: the caller
+/// accounts the whole row batch in bulk.
 template <FastField F>
 void spmm_row(const F& f, const std::uint64_t* val, const std::size_t* col,
               std::size_t len, const std::uint64_t* xt, std::size_t b,

@@ -1,8 +1,9 @@
 // Lane-parallel field-kernel backend with runtime CPU dispatch.
 //
 // This header sits BENEATH field/kernels.h: each entry point here is a
-// vectorized rendition of one delayed-reduction kernel (dot, sum, gathered
-// dot, Montgomery batched inversion), of one NTT hot loop (Harvey lazy
+// vectorized rendition of one delayed-reduction kernel (dot, sum, the
+// batched CSR row product spmm_row, Montgomery batched inversion, the
+// sigma-basis axpy), of one NTT hot loop (Harvey lazy
 // butterfly level, [0,4p) normalization, pointwise Barrett product, Shoup
 // scale), or the register-tiled matrix product gemm_rows.  Every function
 // but gemm_rows returns `true` only when it fully handled the request with
@@ -29,8 +30,11 @@
 //              no 64x64 multiplier, so the 4-limb scheme roughly ties the
 //              scalar mulx loop; it wins clearly for p <= 2^29.
 //   kAvx512 -- x86-64: 8x64 lanes (F+DQ for vpmullq); all entry points.
-//              With AVX-512 IFMA the dot and gemm kernels use 52-bit-split
-//              vpmadd52 accumulation, the fastest path for any p < 2^63.
+//              With AVX-512 IFMA the dot, gemm and spmm_row kernels use
+//              52-bit-split vpmadd52 accumulation, the fastest path for any
+//              p < 2^63; spmm_row has no body without IFMA.  The gathered
+//              dot has no vector body at any level: hardware gathers lost
+//              to the scalar loop on the sparse operators' rows.
 //
 // The level is detected once (cpuid via __builtin_cpu_supports), can be
 // capped by the KP_SIMD environment variable (off|scalar|avx2|avx512),
@@ -150,11 +154,13 @@ inline Config& config() {
 }
 
 /// Vector-group counters, one per kernel family.  Relaxed: they are a
-/// between-runs diagnostic, never part of any contract.
-struct StatCounters {
+/// between-runs diagnostic, never part of any contract.  Each thread bumps
+/// its own cache-line-aligned shard and simd_stats() sums the shards: one
+/// shared set, bumped once per CSR row from every pool worker, cost the
+/// sparse block applies more time than their vector bodies saved.
+struct alignas(64) StatCounters {
   std::atomic<std::uint64_t> dot{0};
   std::atomic<std::uint64_t> sum{0};
-  std::atomic<std::uint64_t> gather{0};
   std::atomic<std::uint64_t> spmm{0};
   std::atomic<std::uint64_t> gemm{0};
   std::atomic<std::uint64_t> batch_inverse{0};
@@ -164,9 +170,19 @@ struct StatCounters {
   std::atomic<std::uint64_t> vec{0};
 };
 
+inline constexpr std::size_t kStatShards = 64;
+
+inline StatCounters* stat_shards() {
+  static StatCounters shards[kStatShards];
+  return shards;
+}
+
+/// This thread's shard; threads past kStatShards share one, still exactly.
 inline StatCounters& stat_counters() {
-  static StatCounters s;
-  return s;
+  static std::atomic<std::size_t> next{0};
+  thread_local StatCounters& mine =
+      stat_shards()[next.fetch_add(1, std::memory_order_relaxed) % kStatShards];
+  return mine;
 }
 
 inline void bump(std::atomic<std::uint64_t>& c, std::uint64_t groups) {
@@ -219,7 +235,8 @@ struct SimdStats {
   bool ifma = false;
   std::uint64_t dot = 0;
   std::uint64_t sum = 0;
-  std::uint64_t gather = 0;
+  std::uint64_t gather = 0;  ///< always 0: the gathered dot is scalar only
+  std::uint64_t spmm = 0;
   std::uint64_t gemm = 0;
   std::uint64_t batch_inverse = 0;
   std::uint64_t ntt = 0;
@@ -229,33 +246,37 @@ struct SimdStats {
 };
 
 inline SimdStats simd_stats() {
-  auto& c = detail::stat_counters();
   SimdStats s;
   s.level = to_string(simd_level());
   s.ifma = simd_ifma();
-  s.dot = c.dot.load(std::memory_order_relaxed);
-  s.sum = c.sum.load(std::memory_order_relaxed);
-  s.gather = c.gather.load(std::memory_order_relaxed);
-  s.gemm = c.gemm.load(std::memory_order_relaxed);
-  s.batch_inverse = c.batch_inverse.load(std::memory_order_relaxed);
-  s.ntt = c.ntt.load(std::memory_order_relaxed);
-  s.pointwise = c.pointwise.load(std::memory_order_relaxed);
-  s.scale = c.scale.load(std::memory_order_relaxed);
-  s.vec = c.vec.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < detail::kStatShards; ++i) {
+    const auto& c = detail::stat_shards()[i];
+    s.dot += c.dot.load(std::memory_order_relaxed);
+    s.sum += c.sum.load(std::memory_order_relaxed);
+    s.spmm += c.spmm.load(std::memory_order_relaxed);
+    s.gemm += c.gemm.load(std::memory_order_relaxed);
+    s.batch_inverse += c.batch_inverse.load(std::memory_order_relaxed);
+    s.ntt += c.ntt.load(std::memory_order_relaxed);
+    s.pointwise += c.pointwise.load(std::memory_order_relaxed);
+    s.scale += c.scale.load(std::memory_order_relaxed);
+    s.vec += c.vec.load(std::memory_order_relaxed);
+  }
   return s;
 }
 
 inline void reset_simd_stats() {
-  auto& c = detail::stat_counters();
-  c.dot.store(0, std::memory_order_relaxed);
-  c.sum.store(0, std::memory_order_relaxed);
-  c.gather.store(0, std::memory_order_relaxed);
-  c.gemm.store(0, std::memory_order_relaxed);
-  c.batch_inverse.store(0, std::memory_order_relaxed);
-  c.ntt.store(0, std::memory_order_relaxed);
-  c.pointwise.store(0, std::memory_order_relaxed);
-  c.scale.store(0, std::memory_order_relaxed);
-  c.vec.store(0, std::memory_order_relaxed);
+  for (std::size_t i = 0; i < detail::kStatShards; ++i) {
+    auto& c = detail::stat_shards()[i];
+    c.dot.store(0, std::memory_order_relaxed);
+    c.sum.store(0, std::memory_order_relaxed);
+    c.spmm.store(0, std::memory_order_relaxed);
+    c.gemm.store(0, std::memory_order_relaxed);
+    c.batch_inverse.store(0, std::memory_order_relaxed);
+    c.ntt.store(0, std::memory_order_relaxed);
+    c.pointwise.store(0, std::memory_order_relaxed);
+    c.scale.store(0, std::memory_order_relaxed);
+    c.vec.store(0, std::memory_order_relaxed);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -510,12 +531,33 @@ KP_TGT_AVX512 inline __m512i mulhi64_512(__m512i a, __m512i b) {
 
 // ---- dot bodies -----------------------------------------------------------
 
-/// 8x64 dot via the 52-bit split: a = lo52(a) + (a >> 52) * 2^52.  vpmadd52
-/// masks its operands to 52 bits internally, so the low half needs no
-/// explicit mask; the high half is < 2^11 for p < 2^63.  Seven multiply-adds
-/// per 8 lanes, each into its OWN accumulator (the 4-cycle vpmadd52 latency
-/// chain is the bottleneck otherwise), two independent 8-lane groups in
-/// flight per iteration.
+/// The seven 52-bit-split accumulators of one lane vector (the IFMA dot
+/// and SpMM bodies), each fed by its own vpmadd52 so no two products wait
+/// on the same 4-cycle latency chain.
+struct Ifma52Acc {
+  __m512i w0, w52a, w52b, w52c, w104a, w104b, w104c;
+};
+
+/// acc += a * x lane-wise for a, x < 2^63: with a1 = a >> 52 and
+/// x1 = x >> 52 (< 2^11), a * x = lo52(a)lo52(x) + 2^52 (lo52(a) x1 + a1
+/// lo52(x)) + 2^104 a1 x1.  vpmadd52 masks its operands to 52 bits
+/// internally, so the low halves need no explicit mask.  Per call a lane of
+/// w0 and of each w52 accumulator gains < 2^52, of each w104 one < 2^22.
+KP_TGT_AVX512IFMA inline void ifma52_madd(Ifma52Acc& s, __m512i a,
+                                          __m512i x) {
+  const __m512i a1 = _mm512_srli_epi64(a, 52);
+  const __m512i x1 = _mm512_srli_epi64(x, 52);
+  s.w0 = _mm512_madd52lo_epu64(s.w0, a, x);
+  s.w52a = _mm512_madd52hi_epu64(s.w52a, a, x);
+  s.w52b = _mm512_madd52lo_epu64(s.w52b, a, x1);
+  s.w52c = _mm512_madd52lo_epu64(s.w52c, a1, x);
+  s.w104a = _mm512_madd52hi_epu64(s.w104a, a, x1);
+  s.w104b = _mm512_madd52hi_epu64(s.w104b, a1, x);
+  s.w104c = _mm512_madd52lo_epu64(s.w104c, a1, x1);
+}
+
+/// 8x64 dot via the 52-bit split (ifma52_madd), two independent 8-lane
+/// groups in flight per iteration.
 KP_TGT_AVX512IFMA inline u64 dot_ifma_512(const fastmod::Barrett& bar,
                                           const u64* a, const u64* b,
                                           std::size_t n) {
@@ -526,39 +568,18 @@ KP_TGT_AVX512IFMA inline u64 dot_ifma_512(const fastmod::Barrett& bar,
     std::size_t iters = (n - i) / 16;
     if (iters > kIfmaBlock) iters = kIfmaBlock;
     const std::size_t end = i + iters * 16;
-    __m512i w0a = zero, w52a0 = zero, w52a1 = zero, w52a2 = zero;
-    __m512i w104a0 = zero, w104a1 = zero, w104a2 = zero;
-    __m512i w0b = zero, w52b0 = zero, w52b1 = zero, w52b2 = zero;
-    __m512i w104b0 = zero, w104b1 = zero, w104b2 = zero;
+    Ifma52Acc g{zero, zero, zero, zero, zero, zero, zero};
+    Ifma52Acc h{zero, zero, zero, zero, zero, zero, zero};
     for (; i < end; i += 16) {
-      const __m512i va = _mm512_loadu_si512(a + i);
-      const __m512i vb = _mm512_loadu_si512(b + i);
-      const __m512i va1 = _mm512_srli_epi64(va, 52);
-      const __m512i vb1 = _mm512_srli_epi64(vb, 52);
-      w0a = _mm512_madd52lo_epu64(w0a, va, vb);
-      w52a0 = _mm512_madd52hi_epu64(w52a0, va, vb);
-      w52a1 = _mm512_madd52lo_epu64(w52a1, va, vb1);
-      w52a2 = _mm512_madd52lo_epu64(w52a2, va1, vb);
-      w104a0 = _mm512_madd52hi_epu64(w104a0, va, vb1);
-      w104a1 = _mm512_madd52hi_epu64(w104a1, va1, vb);
-      w104a2 = _mm512_madd52lo_epu64(w104a2, va1, vb1);
-      const __m512i vc = _mm512_loadu_si512(a + i + 8);
-      const __m512i vd = _mm512_loadu_si512(b + i + 8);
-      const __m512i vc1 = _mm512_srli_epi64(vc, 52);
-      const __m512i vd1 = _mm512_srli_epi64(vd, 52);
-      w0b = _mm512_madd52lo_epu64(w0b, vc, vd);
-      w52b0 = _mm512_madd52hi_epu64(w52b0, vc, vd);
-      w52b1 = _mm512_madd52lo_epu64(w52b1, vc, vd1);
-      w52b2 = _mm512_madd52lo_epu64(w52b2, vc1, vd);
-      w104b0 = _mm512_madd52hi_epu64(w104b0, vc, vd1);
-      w104b1 = _mm512_madd52hi_epu64(w104b1, vc1, vd);
-      w104b2 = _mm512_madd52lo_epu64(w104b2, vc1, vd1);
+      ifma52_madd(g, _mm512_loadu_si512(a + i), _mm512_loadu_si512(b + i));
+      ifma52_madd(h, _mm512_loadu_si512(a + i + 8),
+                  _mm512_loadu_si512(b + i + 8));
     }
-    const u128 s0 = hsum512(w0a) + hsum512(w0b);
-    const u128 s52 = hsum512(w52a0) + hsum512(w52a1) + hsum512(w52a2) +
-                     hsum512(w52b0) + hsum512(w52b1) + hsum512(w52b2);
-    const u128 s104 = hsum512(w104a0) + hsum512(w104a1) + hsum512(w104a2) +
-                      hsum512(w104b0) + hsum512(w104b1) + hsum512(w104b2);
+    const u128 s0 = hsum512(g.w0) + hsum512(h.w0);
+    const u128 s52 = hsum512(g.w52a) + hsum512(g.w52b) + hsum512(g.w52c) +
+                     hsum512(h.w52a) + hsum512(h.w52b) + hsum512(h.w52c);
+    const u128 s104 = hsum512(g.w104a) + hsum512(g.w104b) + hsum512(g.w104c) +
+                      hsum512(h.w104a) + hsum512(h.w104b) + hsum512(h.w104c);
     acc = fold_ifma(bar, s0, s52, s104, acc);
   }
   return dot_tail(bar, a, b, i, n, acc);
@@ -745,95 +766,79 @@ KP_TGT_AVX2 inline u64 sum_256(const fastmod::Barrett& bar, const u64* a,
   return bar.reduce_full(t);
 }
 
-// ---- gathered dot ---------------------------------------------------------
-
-/// 8x64 gathered dot: contiguous val loads, x gathered through col.  Uses
-/// the 4-limb product scheme; the gather, not the multiply, dominates.
-KP_TGT_AVX512 inline u64 dot_gather_512(const fastmod::Barrett& bar,
-                                        const u64* val, const std::size_t* col,
-                                        const u64* x, std::size_t n) {
-  static_assert(sizeof(std::size_t) == sizeof(u64),
-                "i64 gather needs 64-bit indices");
-  const __m512i m32 = _mm512_set1_epi64(0xffffffffLL);
-  const __m512i zero = _mm512_setzero_si512();
-  u64 acc = 0;
-  std::size_t i = 0;
-  while (i + 8 <= n) {
-    std::size_t iters = (n - i) / 8;
-    if (iters > kLimbBlock) iters = kLimbBlock;
-    const std::size_t end = i + iters * 8;
-    __m512i s0 = zero, s1 = zero, s2 = zero, s3 = zero;
-    for (; i < end; i += 8) {
-      const __m512i va = _mm512_loadu_si512(val + i);
-      const __m512i idx = _mm512_loadu_si512(col + i);
-      const __m512i vb = _mm512_i64gather_epi64(idx, x, 8);
-      const __m512i ah = _mm512_srli_epi64(va, 32);
-      const __m512i bh = _mm512_srli_epi64(vb, 32);
-      const __m512i ll = _mm512_mul_epu32(va, vb);
-      const __m512i lh = _mm512_mul_epu32(va, bh);
-      const __m512i hl = _mm512_mul_epu32(ah, vb);
-      const __m512i hh = _mm512_mul_epu32(ah, bh);
-      s0 = _mm512_add_epi64(s0, _mm512_and_si512(ll, m32));
-      s1 = _mm512_add_epi64(
-          s1, _mm512_add_epi64(_mm512_srli_epi64(ll, 32),
-                               _mm512_add_epi64(_mm512_and_si512(lh, m32),
-                                                _mm512_and_si512(hl, m32))));
-      s2 = _mm512_add_epi64(
-          s2, _mm512_add_epi64(_mm512_and_si512(hh, m32),
-                               _mm512_add_epi64(_mm512_srli_epi64(lh, 32),
-                                                _mm512_srli_epi64(hl, 32))));
-      s3 = _mm512_add_epi64(s3, _mm512_srli_epi64(hh, 32));
-    }
-    acc = fold_4limb(bar, hsum512(s0), hsum512(s1), hsum512(s2), hsum512(s3),
-                     acc);
-  }
-  u128 t = acc;
-  u64 left = bar.dcap;
-  for (; i < n; ++i) {
-    t += static_cast<u128>(val[i]) * x[col[i]];
-    if (--left == 0) {
-      t = bar.reduce_full(t);
-      left = bar.dcap;
-    }
-  }
-  return bar.reduce_full(t);
-}
-
 // ---- batched CSR row product (SpMM) ---------------------------------------
 
-/// One CSR row against a row-major n x b block for p <= 2^29:
-/// out[k] = sum_j val[j] * xt[col[j] * b + k] for a lane chunk of up to 8
-/// block columns.  The block transpose makes every entry's products
-/// contiguous loads -- no gathers, one vpmuludq per entry per 8 columns --
-/// which is the batched sparse apply's main single-core advantage over
-/// per-vector dot_gather.  Masked lanes cover chunk < 8 (masked-off lanes
-/// never touch memory).  64-bit lane accumulators spill into exact u128
-/// totals, so the result is the canonical residue of the true sum.
-KP_TGT_AVX512 inline void spmm_row_smallp_512(const fastmod::Barrett& bar,
-                                              const u64* val,
-                                              const std::size_t* col,
-                                              const u64* xt, std::size_t b,
-                                              std::size_t chunk,
-                                              std::size_t nnz, u64* out) {
+/// Max vector iterations between folds of the SpMM accumulators.  Per
+/// iteration (one ifma52_madd) a lane of w0 and of each of the three w52
+/// accumulators gains < 2^52, and of each w104 accumulator < 2^22.  A fold
+/// sums the three w52 accumulators and, in the packed layout, the two halves
+/// of each: at most six terms, < 6 * 2^9 * 2^52 = 3 * 2^62 < 2^64 per 64-bit
+/// lane.  (w0 sums to < 2^62, w104 to < 6 * 2^9 * 2^22 < 2^34.)
+inline constexpr std::size_t kSpmmBlock = std::size_t{1} << 9;
+
+/// One CSR row against a row-major n x b block, exact for any p < 2^63:
+/// out[k] = sum_j val[j] * xt[col[j] * b + k] for a chunk of up to 8 block
+/// columns.  The block transpose makes each entry's products one broadcast
+/// of val[j] against the contiguous lanes xt[col[j] * b + 0 .. chunk), so
+/// there are no gathers.  A chunk <= 4 packs two entries per zmm (entry j in
+/// lanes 0-3, entry j + 1 in lanes 4-7) and the fold adds the halves.
+/// Masked loads cover the lanes past the chunk (masked-off lanes never touch
+/// memory), and every address formed is inside xt.  Each lane folds once per
+/// kSpmmBlock iterations, as GemmIfma512 does: w0 + (w52 << 52) + w104 *
+/// (2^104 mod p) + the running value is < 2^116, and one reduce_full makes
+/// it canonical.
+KP_TGT_AVX512IFMA inline void spmm_ifma_512(const fastmod::Barrett& bar,
+                                            const u64* val,
+                                            const std::size_t* col,
+                                            const u64* xt, std::size_t b,
+                                            std::size_t chunk, std::size_t nnz,
+                                            u64* out) {
+  const bool packed = chunk <= 4;
+  const std::size_t step = packed ? 2 : 1;
   const __mmask8 m = static_cast<__mmask8>((1u << chunk) - 1);
-  const u64 cap = ~u64{0} / ((bar.p - 1) * (bar.p - 1));
-  u128 acc[8] = {};
-  u64 tmp[8];
+  const __m512i pair = _mm512_set_epi64(1, 1, 1, 1, 0, 0, 0, 0);
+  const __m512i zero = _mm512_setzero_si512();
+  u64 run[8] = {};
   std::size_t j = 0;
   while (j < nnz) {
-    std::size_t iters = nnz - j;
-    if (iters > cap) iters = cap;
-    const std::size_t end = j + iters;
-    __m512i s = _mm512_setzero_si512();
-    for (; j < end; ++j) {
-      const __m512i vx = _mm512_maskz_loadu_epi64(m, xt + col[j] * b);
-      const __m512i vv = _mm512_set1_epi64(static_cast<long long>(val[j]));
-      s = _mm512_add_epi64(s, _mm512_mul_epu32(vv, vx));
+    const std::size_t end =
+        nnz - j > kSpmmBlock * step ? j + kSpmmBlock * step : nnz;
+    Ifma52Acc s{zero, zero, zero, zero, zero, zero, zero};
+    if (packed) {
+      for (; j + 2 <= end; j += 2) {
+        const __m512i a =
+            _mm512_permutexvar_epi64(pair, _mm512_maskz_loadu_epi64(3, val + j));
+        const __m512i lo = _mm512_maskz_loadu_epi64(m, xt + col[j] * b);
+        const __m512i hi = _mm512_maskz_loadu_epi64(m, xt + col[j + 1] * b);
+        ifma52_madd(
+            s, a, _mm512_inserti64x4(lo, _mm512_castsi512_si256(hi), 1));
+      }
     }
-    _mm512_storeu_si512(tmp, s);
-    for (std::size_t k = 0; k < chunk; ++k) acc[k] += tmp[k];
+    for (; j < end; ++j) {  // every entry unpacked, or the odd last one
+      ifma52_madd(s, _mm512_set1_epi64(static_cast<long long>(val[j])),
+                     _mm512_maskz_loadu_epi64(m, xt + col[j] * b));
+    }
+    alignas(64) u64 t0[8], t52[8], t104[8];
+    _mm512_store_si512(reinterpret_cast<__m512i*>(t0), s.w0);
+    _mm512_store_si512(
+        reinterpret_cast<__m512i*>(t52),
+        _mm512_add_epi64(s.w52a, _mm512_add_epi64(s.w52b, s.w52c)));
+    _mm512_store_si512(
+        reinterpret_cast<__m512i*>(t104),
+        _mm512_add_epi64(s.w104a, _mm512_add_epi64(s.w104b, s.w104c)));
+    for (std::size_t k = 0; k < chunk; ++k) {
+      u64 s0 = t0[k], s52 = t52[k], s104 = t104[k];
+      if (packed) {
+        s0 += t0[k + 4];
+        s52 += t52[k + 4];
+        s104 += t104[k + 4];
+      }
+      run[k] = bar.reduce_full(static_cast<u128>(s0) +
+                               (static_cast<u128>(s52) << 52) +
+                               static_cast<u128>(s104) * bar.c104 + run[k]);
+    }
   }
-  for (std::size_t k = 0; k < chunk; ++k) out[k] = bar.reduce_full(acc[k]);
+  for (std::size_t k = 0; k < chunk; ++k) out[k] = run[k];
 }
 
 // ---- vector Montgomery (batch_inverse) ------------------------------------
@@ -1225,48 +1230,29 @@ KP_TGT_AVX512 inline void vec_mul_512(const fastmod::Barrett& bar,
 }
 
 /// dst[i] = (dst[i] - coef * a[i]) mod p: the sigma-basis row update's
-/// fused axpy.  The product takes the same Barrett chain as vec_mul_512
-/// (canonical residue), then a canonical subtract -- identical values to
-/// the scalar mul/sub pair.
-KP_TGT_AVX512 inline void vec_submul_512(const fastmod::Barrett& bar, u64 coef,
-                                         const u64* a, u64* dst,
-                                         std::size_t n) {
-  const __m128i sh = _mm_cvtsi32_si128(static_cast<int>(bar.shift));
-  const __m128i shc = _mm_cvtsi32_si128(static_cast<int>(64 - bar.shift));
-  const __m512i vv = _mm512_set1_epi64(static_cast<long long>(bar.v));
-  const __m512i vd = _mm512_set1_epi64(static_cast<long long>(bar.d));
-  const __m512i vp = _mm512_set1_epi64(static_cast<long long>(bar.p));
-  const __m512i one = _mm512_set1_epi64(1);
-  const __m512i y = _mm512_set1_epi64(static_cast<long long>(coef));
+/// fused axpy, with coef's Shoup quotient cq = shoup_precompute(coef, p).
+/// q = mulhi(a[i], cq) is floor(coef * a[i] / p) or one less, so
+/// coef * a[i] - q * p (exact mod 2^64) lies in [0, 2p): one emulated mulhi
+/// per element, then the min-trick conditional subtract and a canonical
+/// subtract -- identical values to the scalar mul/sub pair (p < 2^63).
+KP_TGT_AVX512 inline void vec_submul_512(u64 p, u64 coef, u64 cq, const u64* a,
+                                         u64* dst, std::size_t n) {
+  const __m512i vp = _mm512_set1_epi64(static_cast<long long>(p));
+  const __m512i vc = _mm512_set1_epi64(static_cast<long long>(coef));
+  const __m512i vcq = _mm512_set1_epi64(static_cast<long long>(cq));
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const __m512i x = _mm512_loadu_si512(a + i);
-    const __m512i t_hi = mulhi64_512(x, y);
-    const __m512i t_lo = _mm512_mullo_epi64(x, y);
-    const __m512i nh = _mm512_or_si512(_mm512_sll_epi64(t_hi, sh),
-                                       _mm512_srl_epi64(t_lo, shc));
-    const __m512i nl = _mm512_sll_epi64(t_lo, sh);
-    const __m512i qh = mulhi64_512(vv, nh);
-    const __m512i ql = _mm512_mullo_epi64(vv, nh);
-    const __m512i sum_lo = _mm512_add_epi64(ql, nl);
-    const __mmask8 cy = _mm512_cmplt_epu64_mask(sum_lo, ql);
-    __m512i qh2 = _mm512_add_epi64(qh, _mm512_add_epi64(nh, one));
-    qh2 = _mm512_mask_add_epi64(qh2, cy, qh2, one);
-    __m512i r = _mm512_sub_epi64(nl, _mm512_mullo_epi64(qh2, vd));
-    const __mmask8 fix = _mm512_cmpgt_epu64_mask(r, sum_lo);
-    r = _mm512_mask_add_epi64(r, fix, r, vd);
-    const __mmask8 ge = _mm512_cmpge_epu64_mask(r, vd);
-    r = _mm512_mask_sub_epi64(r, ge, r, vd);
-    const __m512i prod = _mm512_srl_epi64(r, sh);
-    const __m512i d = _mm512_loadu_si512(dst + i);
-    const __mmask8 lt = _mm512_cmplt_epu64_mask(d, prod);
-    __m512i s = _mm512_sub_epi64(d, prod);
-    s = _mm512_mask_add_epi64(s, lt, s, vp);
-    _mm512_storeu_si512(dst + i, s);
+    const __m512i q = mulhi64_512(x, vcq);
+    __m512i t = _mm512_sub_epi64(_mm512_mullo_epi64(x, vc),
+                                 _mm512_mullo_epi64(q, vp));
+    t = _mm512_min_epu64(t, _mm512_sub_epi64(t, vp));
+    const __m512i d = _mm512_sub_epi64(_mm512_loadu_si512(dst + i), t);
+    _mm512_storeu_si512(dst + i, _mm512_min_epu64(d, _mm512_add_epi64(d, vp)));
   }
   for (; i < n; ++i) {
-    const u64 t = bar.mul(coef, a[i]);
-    dst[i] = dst[i] >= t ? dst[i] - t : dst[i] + bar.p - t;
+    const u64 t = fastmod::shoup_mul(a[i], coef, cq, p);
+    dst[i] = dst[i] >= t ? dst[i] - t : dst[i] + p - t;
   }
 }
 
@@ -1358,7 +1344,6 @@ struct GemmIfma512 {
   static constexpr int kLimbs = 3;
   static constexpr std::size_t kLanes = 8;
   fastmod::Barrett bar;
-  u64 c104;  ///< 2^104 mod p
 
   std::size_t block() const { return kGemmBlock; }
 
@@ -1414,7 +1399,7 @@ struct GemmIfma512 {
   u64 fold(const u64* limb, u64 acc) const {
     return bar.reduce_full(static_cast<u128>(limb[0]) +
                            (static_cast<u128>(limb[1]) << 52) +
-                           static_cast<u128>(limb[2]) * c104 + acc);
+                           static_cast<u128>(limb[2]) * bar.c104 + acc);
   }
 };
 
@@ -1611,32 +1596,19 @@ inline bool sum(const fastmod::Barrett& bar, const u64* a, std::size_t n,
   return true;
 }
 
-/// Whether the batched CSR row kernel (spmm_row) can run for this modulus
-/// at the current dispatch level.  Callers check once per batched apply and
-/// fall back to per-vector dot_gather otherwise.
-inline bool spmm_ready(const fastmod::Barrett& bar) {
-  return bar.p <= detail::kSmallPMax && simd_level() == SimdLevel::kAvx512;
-}
-
 /// Batched CSR row product out[k] = sum_j val[j] * xt[col[j] * b + k] for a
-/// chunk of up to 8 block columns of a row-major n x b block.  Returns
-/// false when no vector path applies (level, modulus, chunk width).
+/// chunk of up to 8 block columns of a row-major n x b block (AVX-512 IFMA,
+/// any p < 2^63).  Rows shorter than kMinSimdN, where the broadcasts and the
+/// fold cost more than the scalar mulx chain, return false.
 inline bool spmm_row(const fastmod::Barrett& bar, const u64* val,
                      const std::size_t* col, const u64* xt, std::size_t b,
                      std::size_t chunk, std::size_t nnz, u64* out) {
-  if (chunk == 0 || chunk > 8 || !spmm_ready(bar)) return false;
-  detail::spmm_row_smallp_512(bar, val, col, xt, b, chunk, nnz, out);
-  detail::bump(detail::stat_counters().spmm, nnz);
-  return true;
-}
-
-/// Gathered dot sum_k val[k] * x[col[k]] (AVX-512 only: hardware gather).
-inline bool dot_gather(const fastmod::Barrett& bar, const u64* val,
-                       const std::size_t* col, const u64* x, std::size_t n,
-                       u64* out) {
-  if (n < kMinSimdN || simd_level() != SimdLevel::kAvx512) return false;
-  *out = detail::dot_gather_512(bar, val, col, x, n);
-  detail::bump(detail::stat_counters().gather, n / 8);
+  if (nnz < kMinSimdN || chunk == 0 || chunk > 8 ||
+      simd_level() != SimdLevel::kAvx512 || !simd_ifma()) {
+    return false;
+  }
+  detail::spmm_ifma_512(bar, val, col, xt, b, chunk, nnz, out);
+  detail::bump(detail::stat_counters().spmm, chunk <= 4 ? (nnz + 1) / 2 : nnz);
   return true;
 }
 
@@ -1758,11 +1730,12 @@ inline bool vec_mod_mul(const fastmod::Barrett& bar, const u64* a,
   return true;
 }
 
-/// Fused axpy dst[i] = (dst[i] - coef * a[i]) mod p.
+/// Fused axpy dst[i] = (dst[i] - coef * a[i]) mod p for canonical coef.
 inline bool vec_mod_submul(const fastmod::Barrett& bar, u64 coef, const u64* a,
                            u64* dst, std::size_t n) {
   if (n < kMinSimdN || simd_level() != SimdLevel::kAvx512) return false;
-  detail::vec_submul_512(bar, coef, a, dst, n);
+  detail::vec_submul_512(bar.p, coef, fastmod::shoup_precompute(coef, bar.p), a,
+                         dst, n);
   detail::bump(detail::stat_counters().vec, n / 8);
   return true;
 }
@@ -1779,13 +1752,8 @@ inline bool dot(const fastmod::Barrett&, const u64*, const u64*, std::size_t,
 inline bool sum(const fastmod::Barrett&, const u64*, std::size_t, u64*) {
   return false;
 }
-inline bool spmm_ready(const fastmod::Barrett&) { return false; }
 inline bool spmm_row(const fastmod::Barrett&, const u64*, const std::size_t*,
                      const u64*, std::size_t, std::size_t, std::size_t, u64*) {
-  return false;
-}
-inline bool dot_gather(const fastmod::Barrett&, const u64*, const std::size_t*,
-                       const u64*, std::size_t, u64*) {
   return false;
 }
 inline bool batch_inverse(u64, u64*, std::size_t, u64 (*)(u64, u64)) {
@@ -1836,9 +1804,8 @@ inline void gemm_rows(const fastmod::Barrett& bar, const u64* a,
   const SimdLevel lvl = simd_level();
   if (lvl == SimdLevel::kAvx512) {
     if (simd_ifma()) {
-      const u64 c104 = bar.reduce_full(static_cast<u128>(1) << 104);
-      detail::gemm_drive(detail::GemmIfma512{bar, c104}, a, lda, b, ldb, out,
-                         ldo, rows, k, cols);
+      detail::gemm_drive(detail::GemmIfma512{bar}, a, lda, b, ldb, out, ldo,
+                         rows, k, cols);
     } else {
       detail::gemm_drive(detail::Gemm4Limb512{bar}, a, lda, b, ldb, out, ldo,
                          rows, k, cols);

@@ -92,14 +92,14 @@ class Sparse {
   }
 
   /// Batched y_k = A x_k.  Word-sized prime fields transpose the block to a
-  /// row-major n x b layout and run the fused SpMM kernel: each CSR entry is
-  /// one broadcast multiplied against b contiguous lanes, replacing b
-  /// hardware gathers per entry with masked contiguous loads (the batched
-  /// route's main single-core win).  Each lane is the same linear reduction
-  /// chain as apply(), charged in bulk as b * len multiplications and
-  /// additions per row -- so results and op counts are identical to b
-  /// separate apply() calls, at every SIMD level and for 1..N workers
-  /// (parallel chunking is by row, independent of the worker count).
+  /// row-major n x b layout and run the fused SpMM kernel: each CSR entry
+  /// reads its b operands from one contiguous row of the block instead of
+  /// b scattered vectors (and, on AVX-512 IFMA for rows of >= 32 entries,
+  /// is one broadcast against b vector lanes).  Each lane is the canonical
+  /// residue of the same sum as apply(), charged in bulk as b * len
+  /// multiplications and additions per row -- so results and op counts are
+  /// identical to b separate apply() calls, at every SIMD level and for 1..N
+  /// workers (parallel chunking is by row, independent of the worker count).
   /// Other rings fall back to a (row, vector) cell grid.
   std::vector<std::vector<Element>> apply_many(
       const R& r, const std::vector<const std::vector<Element>*>& xs) const {

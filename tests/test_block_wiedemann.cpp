@@ -10,11 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <vector>
 
 #include "core/block_krylov.h"
 #include "core/solver.h"
 #include "core/wiedemann.h"
+#include "field/reference.h"
 #include "field/simd.h"
 #include "field/zp.h"
 #include "matrix/blackbox.h"
@@ -259,6 +261,83 @@ TEST(BlockKrylovTest, TransposedSequenceMatchesForward) {
   check(tbox, "toeplitz");
 }
 
+/// CSR entries of a rows x kSweepCols matrix for the word-size-prime SpMM
+/// sweep: rows 0..5 have {0, 1, 31, 32, 33, 65} entries (both sides of the
+/// vector body's row-length gate), row 6 has 3000 entries of p - 1 on
+/// columns 100..3099, and the rest cycle through the short lengths.  At
+/// p = kP61 row 6 would overflow the 64-bit lanes without the vector body's
+/// spills (after ~1366 entries in either lane layout).
+constexpr std::size_t kSweepCols = 3100;
+
+template <class R>
+std::vector<typename matrix::Sparse<R>::Entry> spmm_sweep_entries(
+    std::uint64_t p, std::size_t rows, std::uint64_t seed) {
+  constexpr std::size_t kLens[] = {0, 1, 31, 32, 33, 65};
+  util::Prng prng(seed);
+  std::vector<typename matrix::Sparse<R>::Entry> e;
+  for (std::size_t i = 0; i < rows; ++i) {
+    if (i == 6) {
+      for (std::size_t c = 100; c < kSweepCols; ++c) e.push_back({i, c, p - 1});
+      continue;
+    }
+    for (std::size_t k = 0; k < kLens[i % 6]; ++k) {
+      e.push_back({i, prng.below(kSweepCols), prng.below(p)});
+    }
+  }
+  return e;
+}
+
+/// apply_many over GFp(p) against the seed arithmetic's looped applies, at
+/// every level, IFMA on and off, 1 and 4 workers: identical elements and
+/// OpCounts.  Even-numbered block vectors are p - 1 on the long row's
+/// columns, so that row's lanes take the largest gain per entry.
+void expect_wide_prime_apply_many(std::uint64_t p, std::size_t b) {
+  const std::size_t rows = 256, n = kSweepCols;
+  const field::GFp fast(p);
+  const field::GFpReference ref(p);
+  const matrix::Sparse<field::GFp> sp(
+      fast, rows, n, spmm_sweep_entries<field::GFp>(p, rows, p + b));
+  const matrix::Sparse<field::GFpReference> sr(
+      ref, rows, n, spmm_sweep_entries<field::GFpReference>(p, rows, p + b));
+  util::Prng prng(b);
+  std::vector<std::vector<std::uint64_t>> xs(b);
+  std::vector<const std::vector<std::uint64_t>*> ptrs(b);
+  for (std::size_t k = 0; k < b; ++k) {
+    xs[k].resize(n);
+    for (std::size_t c = 0; c < n; ++c) {
+      xs[k][c] = c >= 100 && k % 2 == 0 ? p - 1 : prng.below(p);
+    }
+    ptrs[k] = &xs[k];
+  }
+  util::OpScope loop_scope;
+  std::vector<std::vector<std::uint64_t>> want;
+  for (std::size_t k = 0; k < b; ++k) want.push_back(sr.apply(ref, xs[k]));
+  const auto want_ops = loop_scope.counts();
+
+  constexpr field::simd::SimdLevel kSweep[] = {
+      field::simd::SimdLevel::kScalar, field::simd::SimdLevel::kAvx2,
+      field::simd::SimdLevel::kAvx512};
+  auto& ctx = pram::ExecutionContext::global();
+  for (const auto lvl : kSweep) {
+    for (const bool ifma : {false, true}) {
+      for (const unsigned workers : {1u, 4u}) {
+        field::simd::set_simd_level(lvl);
+        field::simd::set_simd_ifma(ifma);
+        ctx.set_worker_limit(workers);
+        util::OpScope scope;
+        const auto got = sp.apply_many(fast, ptrs);
+        const auto ops = scope.counts();
+        ctx.set_worker_limit(0);
+        ASSERT_EQ(got, want) << "p=" << p << " b=" << b << " ifma=" << ifma
+                             << " workers=" << workers << " level="
+                             << field::simd::to_string(
+                                    field::simd::simd_level());
+        expect_counts_eq(ops, want_ops, "wide-prime apply_many ops");
+      }
+    }
+  }
+}
+
 TEST(BlockKrylovTest, SparseApplyManyMatchesLoopedApplies) {
   util::Prng prng(223);
   // Small (serial) and large (parallel grid: nnz * b >= kParallelGrain)
@@ -294,6 +373,24 @@ TEST(BlockKrylovTest, SparseApplyManyMatchesLoopedApplies) {
                      "sparse apply_transpose_many ops");
     EXPECT_EQ(tbatched, tlooped) << "n=" << sh.n;
   }
+
+  // Word-size primes: the IFMA SpMM body (packed for b <= 4 and for the
+  // chunk of 1 after 8 at b = 9, one entry per zmm for b = 5, 8) and the
+  // scalar loop, each against the seed arithmetic.
+  const auto saved_level = field::simd::simd_level();
+  const bool saved_ifma = field::simd::simd_ifma();
+  field::simd::set_simd_ifma(true);
+  if (!field::simd::simd_ifma()) {
+    std::printf("note: no AVX-512 IFMA on this host; the vector SpMM body is "
+                "not exercised, only the scalar loop\n");
+  }
+  for (std::uint64_t p : {std::uint64_t{65537}, field::kP61, field::kNttPrime}) {
+    for (std::size_t b : {2u, 3u, 4u, 5u, 8u, 9u}) {
+      ASSERT_NO_FATAL_FAILURE(expect_wide_prime_apply_many(p, b));
+    }
+  }
+  field::simd::set_simd_level(saved_level);
+  field::simd::set_simd_ifma(saved_ifma);
 }
 
 TEST(BlockKrylovTest, ToeplitzApplyTransposeManyMatchesLoop) {
@@ -393,19 +490,26 @@ TEST(BlockWiedemannTest, DetMatchesGauss) {
   }
 }
 
-TEST(BlockWiedemannTest, BitIdenticalAcrossWorkersAndSimdLevels) {
-  util::Prng setup(234);
-  const std::size_t n = 256;
-  const auto sp = nonsingular_sparse(n, 6, setup);
-  const matrix::SparseBox<F> box(f, sp);
-  std::vector<F::Element> x_true(n);
-  for (auto& e : x_true) e = f.random(setup);
-  const auto b = sp.apply(f, x_true);
+/// A b = 4 block solve over `fld` with ~per_row entries per row, replayed at
+/// 1/2/4/8 workers, every SIMD level, IFMA on and off: the same x, attempts
+/// and OpCounts as the forced-scalar serial run.
+template <class Fld>
+void expect_block_solve_bit_identical(const Fld& fld, std::size_t n,
+                                      std::size_t per_row, std::uint64_t seed) {
+  util::Prng setup(seed);
+  auto sp = matrix::Sparse<Fld>::random(fld, n, per_row, setup);
+  while (fld.is_zero(matrix::det_gauss(fld, sp.to_dense(fld)))) {
+    sp = matrix::Sparse<Fld>::random(fld, n, per_row, setup);
+  }
+  const matrix::SparseBox<Fld> box(fld, sp);
+  std::vector<typename Fld::Element> x_true(n);
+  for (auto& e : x_true) e = fld.random(setup);
+  const auto b = sp.apply(fld, x_true);
 
   auto run = [&]() {
     util::Prng p(4242);
     util::OpScope scope;
-    auto res = core::block_wiedemann_solve_status(f, box, b, p, 1u << 20, 4);
+    auto res = core::block_wiedemann_solve_status(fld, box, b, p, 1u << 20, 4);
     return std::pair(std::move(res), scope.counts());
   };
 
@@ -421,22 +525,37 @@ TEST(BlockWiedemannTest, BitIdenticalAcrossWorkersAndSimdLevels) {
   constexpr field::simd::SimdLevel kSweep[] = {
       field::simd::SimdLevel::kScalar, field::simd::SimdLevel::kAvx2,
       field::simd::SimdLevel::kAvx512};
-  for (unsigned workers : {1u, 2u, 8u}) {
+  for (unsigned workers : {1u, 2u, 4u, 8u}) {
     for (const auto want : kSweep) {
-      ctx.set_worker_limit(workers);
-      field::simd::set_simd_level(want);
-      const auto [res, ops] = run();
-      ASSERT_TRUE(res.ok) << workers << " workers";
-      EXPECT_EQ(res.x, base.x)
-          << workers << " workers, level "
-          << field::simd::to_string(field::simd::simd_level());
-      EXPECT_EQ(res.attempts, base.attempts);
-      expect_counts_eq(ops, base_ops, "block solve ops across workers/SIMD");
+      for (const bool ifma : {false, true}) {
+        ctx.set_worker_limit(workers);
+        field::simd::set_simd_level(want);
+        field::simd::set_simd_ifma(ifma);
+        const auto [res, ops] = run();
+        ASSERT_TRUE(res.ok) << workers << " workers";
+        EXPECT_EQ(res.x, base.x)
+            << workers << " workers, ifma " << ifma << ", level "
+            << field::simd::to_string(field::simd::simd_level());
+        EXPECT_EQ(res.attempts, base.attempts);
+        expect_counts_eq(ops, base_ops, "block solve ops across workers/SIMD");
+      }
     }
   }
   ctx.set_worker_limit(0);
   field::simd::set_simd_level(saved_level);
   field::simd::set_simd_ifma(saved_ifma);
+}
+
+TEST(BlockWiedemannTest, BitIdenticalAcrossWorkersAndSimdLevels) {
+  ASSERT_NO_FATAL_FAILURE(expect_block_solve_bit_identical(f, 256, 6, 234));
+  // The benchmark's word-size prime, with rows of ~40 entries so the
+  // block applies cross the vector SpMM body's row-length gate.
+  const field::Zp<field::kNttPrime> wide;
+  if (!field::simd::simd_ifma()) {
+    std::printf("note: no AVX-512 IFMA on this host; the kNttPrime solve "
+                "does not exercise the vector SpMM body\n");
+  }
+  ASSERT_NO_FATAL_FAILURE(expect_block_solve_bit_identical(wide, 256, 40, 236));
 }
 
 TEST(BlockWiedemannTest, KpSolveBlockWidthMatchesScalarRoute) {

@@ -23,6 +23,7 @@
 #include "poly/interp.h"
 #include "poly/ntt.h"
 #include "pram/parallel_for.h"
+#include "seq/matrix_berlekamp_massey.h"
 #include "seq/newton_identities.h"
 #include "util/fault.h"
 #include "util/op_count.h"
@@ -304,6 +305,45 @@ TEST(SimdKernels, GatherEquivalenceAllLevels) {
   }
 }
 
+TEST(SimdKernels, SubmulCrossLevelBitIdentityIncludingOpCounts) {
+  // The sigma-basis axpy dst[i] -= coef * src[i] (Shoup product on
+  // AVX-512) against the seed arithmetic at every level: coefficient
+  // extremes, lengths on both sides of kMinSimdN and around the 8-lane
+  // tail, canonical operand extremes in src and dst.
+  LevelGuard guard;
+  for (std::uint64_t p : {std::uint64_t{65537}, kP61, kNttPrime}) {
+    GFp fast(p);
+    GFpReference ref(p);
+    for (std::size_t n : {8u, 9u, 31u, 32u, 33u, 1000u}) {
+      auto src = random_residues(p, n, 7 * n + p % 101);
+      auto dst0 = random_residues(p, n, 11 * n + p % 103);
+      src[0] = p - 1;
+      src[n - 1] = 0;
+      dst0[0] = 0;
+      dst0[n / 2] = p - 1;
+      for (std::uint64_t coef :
+           {std::uint64_t{0}, std::uint64_t{1}, p - 1,
+            util::Prng(n + p).below(p)}) {
+        auto want = dst0;
+        util::OpScope sr;
+        for (std::size_t i = 0; i < n; ++i) {
+          want[i] = ref.sub(want[i], ref.mul(coef, src[i]));
+        }
+        const auto cr = sr.counts();
+        for (auto lvl : kSweep) {
+          simd::set_simd_level(lvl);
+          auto got = dst0;
+          util::OpScope sf;
+          seq::detail::axpy_sub(fast, got.data(), src.data(), n, coef);
+          ASSERT_EQ(got, want) << "p=" << p << " n=" << n << " coef=" << coef
+                               << " level=" << to_string(simd::simd_level());
+          ASSERT_TRUE(same_counts(sf.counts(), cr)) << p << " " << n;
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdKernels, BatchInverseEquivalenceAllLevels) {
   LevelGuard guard;
   for (std::uint64_t p : {std::uint64_t{65537}, kP61, kNttPrime}) {
@@ -556,9 +596,21 @@ TEST(SimdDispatch, StatsCountVectorGroupsOnlyWhenVectorPathRuns) {
 
   matrix::Matrix<GFp> m(64, 64, 0);
   for (std::size_t i = 0; i < 64 * 64; ++i) m.data()[i] = a[i % n];
+  const std::vector<std::uint64_t> x256(a.begin(), a.begin() + 256);
   simd::reset_simd_stats();
   (void)matrix::mat_mul(fast, m, m);
   EXPECT_EQ(simd::simd_stats().gemm, 0u) << "scalar gemm must not bump stats";
+
+  // A block apply over 40-entry rows (above the SpMM row-length gate) and a
+  // single-vector apply, whose gathered dot is scalar at every level.
+  util::Prng prng(5);
+  const auto sp = matrix::Sparse<GFp>::random(fast, 256, 40, prng);
+  const std::vector<const std::vector<std::uint64_t>*> block = {
+      &x256, &x256, &x256, &x256};
+  simd::reset_simd_stats();
+  (void)sp.apply_many(fast, block);
+  (void)sp.apply(fast, x256);
+  EXPECT_EQ(simd::simd_stats().spmm, 0u) << "scalar SpMM must not bump stats";
 
   if (simd::simd_max_level() >= SimdLevel::kAvx2) {
     simd::set_simd_level(simd::simd_max_level());
@@ -567,6 +619,25 @@ TEST(SimdDispatch, StatsCountVectorGroupsOnlyWhenVectorPathRuns) {
     EXPECT_GT(simd::simd_stats().dot, 0u);
     (void)matrix::mat_mul(fast, m, m);
     EXPECT_GT(simd::simd_stats().gemm, 0u);
+    (void)sp.apply(fast, x256);
+    EXPECT_EQ(simd::simd_stats().gather, 0u);
+    // The counters are per-thread shards: the pooled apply's rows, bumped
+    // from several workers, must sum to the serial count.
+    auto& ctx = pram::ExecutionContext::global();
+    ctx.set_worker_limit(1);
+    simd::reset_simd_stats();
+    (void)sp.apply_many(fast, block);
+    const std::uint64_t serial = simd::simd_stats().spmm;
+    ctx.set_worker_limit(4);
+    simd::reset_simd_stats();
+    (void)sp.apply_many(fast, block);
+    EXPECT_EQ(simd::simd_stats().spmm, serial);
+    ctx.set_worker_limit(0);
+    if (simd::simd_ifma()) {
+      EXPECT_GT(serial, 0u);
+    } else {
+      EXPECT_EQ(serial, 0u) << "SpMM has no non-IFMA body";
+    }
   }
 }
 
