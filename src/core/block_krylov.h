@@ -70,15 +70,18 @@ void axpy_add(const F& f, typename F::Element* dst,
 }
 
 /// Contiguous inner product of length n (the left-projection kernel): the
-/// SIMD dot for word-sized prime fields, the linear chain otherwise.
+/// SIMD dot for word-sized prime fields, the linear chain otherwise.  The
+/// chain starts from the first product, so both paths charge n
+/// multiplications and n - 1 additions.
 template <kp::field::Field F>
 typename F::Element row_dot(const F& f, const typename F::Element* a,
                             const typename F::Element* b, std::size_t n) {
   if constexpr (kp::field::kernels::FastField<F>) {
     return kp::field::kernels::dot(f, a, b, n);
   } else {
-    auto acc = f.zero();
-    for (std::size_t i = 0; i < n; ++i) acc = f.add(acc, f.mul(a[i], b[i]));
+    if (n == 0) return f.zero();
+    auto acc = f.mul(a[0], b[0]);
+    for (std::size_t i = 1; i < n; ++i) acc = f.add(acc, f.mul(a[i], b[i]));
     return acc;
   }
 }
@@ -152,38 +155,6 @@ std::vector<matrix::Matrix<F>> block_krylov_sequence(
   for (std::size_t i = 0; i < count; ++i) {
     if (i) x = matrix::apply_columns(box, x);
     seq.push_back(block_project(f, ut, x));
-  }
-  return seq;
-}
-
-/// The same sequence built from the left: W_0 = rows of Ut,
-/// W_i = A^T W_{i-1}, S_i(r, c) = W_i[r] . v_c.  Exercises the
-/// transpose-side batch path (cached transpose spectra, one CSR pass per
-/// block); values are identical to block_krylov_sequence by associativity.
-template <kp::field::Field F, matrix::TransposableLinOp B>
-  requires std::same_as<typename B::Element, typename F::Element>
-std::vector<matrix::Matrix<F>> block_krylov_sequence_transposed(
-    const F& f, const B& box,
-    const matrix::Matrix<F>& ut,
-    const std::vector<std::vector<typename F::Element>>& v,
-    std::size_t count) {
-  const std::size_t b = ut.rows();
-  const std::size_t n = ut.cols();
-  std::vector<std::vector<typename F::Element>> w(b);
-  for (std::size_t r = 0; r < b; ++r) {
-    w[r].assign(ut.row(r), ut.row(r) + n);
-  }
-  std::vector<matrix::Matrix<F>> seq;
-  seq.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (i) w = matrix::apply_transpose_columns(box, w);
-    matrix::Matrix<F> s(b, v.size(), f.zero());
-    for (std::size_t r = 0; r < b; ++r) {
-      for (std::size_t c = 0; c < v.size(); ++c) {
-        s.at(r, c) = detail::row_dot(f, w[r].data(), v[c].data(), n);
-      }
-    }
-    seq.push_back(std::move(s));
   }
   return seq;
 }

@@ -313,10 +313,10 @@ class Session {
   }
 
   /// The deterministic settle path (degradation level kDenseBaseline):
-  /// materialize once, then Gaussian elimination per request.  Exact, no
-  /// retries, proves kSingularInput; the service falls back here when the
-  /// randomized route keeps failing.  A successful Las Vegas streak never
-  /// pays the materialization.
+  /// materialize and PLU-factor once, then O(n^2) substitution per request.
+  /// Exact, no retries, proves kSingularInput; the service falls back here
+  /// when the randomized route keeps failing.  A successful Las Vegas streak
+  /// never pays the materialization.
   SessionItem<F> solve_dense(const std::vector<E>& b) {
     SessionItem<F> item;
     item.level = DegradationLevel::kDenseBaseline;
@@ -326,15 +326,16 @@ class Session {
                                        "dim(b) != dim(A)");
       return item;
     }
-    if (!dense_) dense_ = matrix::materialize_dense(f_, a_);
-    auto x = matrix::solve_gauss(f_, *dense_, b);
-    if (!x) {
+    if (!plu_) {
+      plu_ = matrix::plu_decompose(f_, matrix::materialize_dense(f_, a_));
+    }
+    if (plu_->rank < n_) {
       item.status = util::Status::Fail(util::FailureKind::kSingularInput,
                                        util::Stage::kServiceExecute,
                                        "Gaussian elimination: no solution");
       return item;
     }
-    item.x = *std::move(x);
+    item.x = matrix::solve_plu(f_, *plu_, b);
     item.status = util::Status::Ok();
     ++solves_completed_;
     return item;
@@ -368,7 +369,7 @@ class Session {
   // The pinned transcript; its box views a_ and ring_.
   std::optional<Transcript<F, matrix::AnyBox<F>>> t_;
   bool prepared_ = false;
-  std::optional<matrix::Matrix<F>> dense_;  ///< lazy baseline materialization
+  std::optional<matrix::Plu<F>> plu_;  ///< lazy baseline factorization
 
   // Circuit breaker.
   bool quarantined_ = false;

@@ -26,9 +26,10 @@
 // Dispatch levels (runtime, overridable):
 //   kScalar -- always available; every entry point returns false.
 //   kAvx2   -- x86-64: 4x64 lanes via _mm256_mul_epu32 odd/even splitting
-//              (dot, sum, gemm).  For ~64-bit moduli AVX2 has
-//              no 64x64 multiplier, so the 4-limb scheme roughly ties the
-//              scalar mulx loop; it wins clearly for p <= 2^29.
+//              for dot and sum, plus the lane ops (vec_add/sub/neg).  For
+//              ~64-bit moduli AVX2 has no 64x64 multiplier, so the 4-limb
+//              scheme roughly ties the scalar mulx loop; it wins clearly for
+//              p <= 2^29.  gemm_rows runs the scalar tile at this level.
 //   kAvx512 -- x86-64: 8x64 lanes (F+DQ for vpmullq); all entry points.
 //              With AVX-512 IFMA the dot, gemm and spmm_row kernels use
 //              52-bit-split vpmadd52 accumulation, the fastest path for any
@@ -1323,12 +1324,6 @@ inline __mmask8 lane_mask8(std::size_t valid) {
   return static_cast<__mmask8>(valid >= 8 ? 0xffu : (1u << valid) - 1);
 }
 
-/// Mask of the first `valid` of 4 lanes, as maskload wants it.
-KP_TGT_AVX2 inline __m256i lane_mask4(std::size_t valid) {
-  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(valid)),
-                            _mm256_setr_epi64x(0, 1, 2, 3));
-}
-
 /// 52-bit-split tile (AVX-512 IFMA), R x 16 outputs in 24 zmm accumulators
 /// at full size.  With x0 = lo52(x) and x1 = x >> 52 < 2^11,
 ///   a * b = a0 b0 + 2^52 (a0 b1 + a1 b0) + 2^104 a1 b1,
@@ -1403,27 +1398,19 @@ struct GemmIfma512 {
   }
 };
 
-/// The 4-limb tiles' shared lanes and fold: each product splits into four
-/// 32x32 vpmuludq partials exactly as in dot_4limb_512.  A limb lane gains
-/// at most 3 * (2^32 - 1) per k-step, far below 2^64 over kGemmBlock
-/// steps; fold_4limb folds each lane once per block.
-struct Gemm4LimbFold {
+/// 4-limb tile (AVX-512 without IFMA), R x 8 outputs: each product splits
+/// into four 32x32 vpmuludq partials exactly as in dot_4limb_512.  A limb
+/// lane gains at most 3 * (2^32 - 1) per k-step, far below 2^64 over
+/// kGemmBlock steps; fold_4limb folds each lane once per block.
+struct Gemm4Limb512 {
   using Lane = u64;
+  static constexpr int kRows = 4;
+  static constexpr int kVecs = 1;
   static constexpr int kLimbs = 4;
+  static constexpr std::size_t kLanes = 8;
   fastmod::Barrett bar;
 
   std::size_t block() const { return kGemmBlock; }
-
-  u64 fold(const u64* limb, u64 acc) const {
-    return fold_4limb(bar, limb[0], limb[1], limb[2], limb[3], acc);
-  }
-};
-
-/// 4-limb tile (AVX-512 without IFMA), R x 8 outputs.
-struct Gemm4Limb512 : Gemm4LimbFold {
-  static constexpr int kRows = 4;
-  static constexpr int kVecs = 1;
-  static constexpr std::size_t kLanes = 8;
 
   template <int R, int NV>
   KP_TGT_AVX512 void accumulate(const u64* a, std::size_t lda, const u64* b,
@@ -1483,78 +1470,9 @@ struct Gemm4Limb512 : Gemm4LimbFold {
       }
     }
   }
-};
 
-/// 4-limb tile (AVX2), R x 4 outputs in 8 ymm accumulators: the 256-bit
-/// rendition of Gemm4Limb512, masked by vpmaskmovq.
-struct Gemm4Limb256 : Gemm4LimbFold {
-  static constexpr int kRows = 2;
-  static constexpr int kVecs = 1;
-  static constexpr std::size_t kLanes = 4;
-
-  template <int R, int NV>
-  KP_TGT_AVX2 void accumulate(const u64* a, std::size_t lda, const u64* b,
-                              std::size_t ldb, std::size_t k0, std::size_t k1,
-                              std::size_t w,
-                              u64 (&lanes)[4][R][NV * 4]) const {
-    const __m256i m32 = _mm256_set1_epi64x(0xffffffffLL);
-    __m256i m[NV];
-    for (int v = 0; v < NV; ++v) m[v] = lane_mask4(w - v * 4);
-    __m256i s0[R][NV], s1[R][NV], s2[R][NV], s3[R][NV];
-#pragma GCC unroll 4
-    for (int r = 0; r < R; ++r) {
-#pragma GCC unroll 2
-      for (int v = 0; v < NV; ++v) {
-        s0[r][v] = s1[r][v] = s2[r][v] = s3[r][v] = _mm256_setzero_si256();
-      }
-    }
-    for (std::size_t k = k0; k < k1; ++k) {
-      __m256i bl[NV], bh[NV];
-#pragma GCC unroll 2
-      for (int v = 0; v < NV; ++v) {
-        bl[v] = _mm256_maskload_epi64(
-            reinterpret_cast<const long long*>(b + k * ldb + v * 4), m[v]);
-        bh[v] = _mm256_srli_epi64(bl[v], 32);
-      }
-#pragma GCC unroll 4
-      for (int r = 0; r < R; ++r) {
-        const u64 av = a[r * lda + k];
-        const __m256i al = _mm256_set1_epi64x(static_cast<long long>(av));
-        const __m256i ah =
-            _mm256_set1_epi64x(static_cast<long long>(av >> 32));
-#pragma GCC unroll 2
-        for (int v = 0; v < NV; ++v) {
-          const __m256i ll = _mm256_mul_epu32(al, bl[v]);
-          const __m256i lh = _mm256_mul_epu32(al, bh[v]);
-          const __m256i hl = _mm256_mul_epu32(ah, bl[v]);
-          const __m256i hh = _mm256_mul_epu32(ah, bh[v]);
-          s0[r][v] = _mm256_add_epi64(s0[r][v], _mm256_and_si256(ll, m32));
-          s1[r][v] = _mm256_add_epi64(
-              s1[r][v],
-              _mm256_add_epi64(_mm256_srli_epi64(ll, 32),
-                               _mm256_add_epi64(_mm256_and_si256(lh, m32),
-                                                _mm256_and_si256(hl, m32))));
-          s2[r][v] = _mm256_add_epi64(
-              s2[r][v],
-              _mm256_add_epi64(_mm256_and_si256(hh, m32),
-                               _mm256_add_epi64(_mm256_srli_epi64(lh, 32),
-                                                _mm256_srli_epi64(hl, 32))));
-          s3[r][v] = _mm256_add_epi64(s3[r][v], _mm256_srli_epi64(hh, 32));
-        }
-      }
-    }
-    for (int r = 0; r < R; ++r) {
-      for (int v = 0; v < NV; ++v) {
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes[0][r] + v * 4),
-                            s0[r][v]);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes[1][r] + v * 4),
-                            s1[r][v]);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes[2][r] + v * 4),
-                            s2[r][v]);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes[3][r] + v * 4),
-                            s3[r][v]);
-      }
-    }
+  u64 fold(const u64* limb, u64 acc) const {
+    return fold_4limb(bar, limb[0], limb[1], limb[2], limb[3], acc);
   }
 };
 
@@ -1793,16 +1711,16 @@ inline bool vec_mod_submul(const fastmod::Barrett&, u64, const u64*, u64*,
 
 /// out[i][j] = sum_k a[i][k] * b[k][j] mod p, canonical, for a rows x k
 /// panel of A (row stride lda) and a k x cols block of B (row stride ldb),
-/// into out (row stride ldo).  The level (and IFMA) picks the tile body;
-/// every p < 2^63 takes the same body.  The gemm stat counts one group per
-/// vector of B's row per output row and k-step.
+/// into out (row stride ldo).  The level (and IFMA) picks the tile body --
+/// an AVX-512 tile, else the scalar one; every p < 2^63 takes the same
+/// body.  The gemm stat counts one group per vector of B's row per output
+/// row and k-step.
 inline void gemm_rows(const fastmod::Barrett& bar, const u64* a,
                       std::size_t lda, const u64* b, std::size_t ldb, u64* out,
                       std::size_t ldo, std::size_t rows, std::size_t k,
                       std::size_t cols) {
 #if defined(KP_SIMD_X86)
-  const SimdLevel lvl = simd_level();
-  if (lvl == SimdLevel::kAvx512) {
+  if (simd_level() == SimdLevel::kAvx512) {
     if (simd_ifma()) {
       detail::gemm_drive(detail::GemmIfma512{bar}, a, lda, b, ldb, out, ldo,
                          rows, k, cols);
@@ -1811,12 +1729,6 @@ inline void gemm_rows(const fastmod::Barrett& bar, const u64* a,
                          rows, k, cols);
     }
     detail::bump(detail::stat_counters().gemm, rows * ((cols + 7) / 8) * k);
-    return;
-  }
-  if (lvl == SimdLevel::kAvx2) {
-    detail::gemm_drive(detail::Gemm4Limb256{bar}, a, lda, b, ldb, out, ldo,
-                       rows, k, cols);
-    detail::bump(detail::stat_counters().gemm, rows * ((cols + 3) / 4) * k);
     return;
   }
 #endif

@@ -3,8 +3,7 @@
 // Wiedemann's algorithm only ever touches the coefficient matrix through
 // matrix-vector products, so the core pipeline is written against this
 // LinOp concept.  Adapters wrap the concrete matrix kinds (dense, sparse,
-// Toeplitz, Hankel, diagonal) and compose (products, transposes, shifts),
-// which is how the preconditioned operator A*H*D of Theorem 2 is formed
+// Toeplitz, Hankel, diagonal) and compose (lazy products), which is how the preconditioned operator A*H*D of Theorem 2 is formed
 // without ever materializing it.  AnyBox type-erases the concept for
 // runtime backend dispatch, and every box advertises a BoxStructure hint
 // that the Theorem-4 solver uses to choose between the doubling route (9)
@@ -33,14 +32,6 @@ concept LinOp = requires(const B b, const std::vector<typename B::Element>& x) {
   { b.apply(x) } -> std::convertible_to<std::vector<typename B::Element>>;
 };
 
-/// A LinOp that can also apply its transpose (needed by the rank/nullspace
-/// extensions and by transposed composed preconditioners).
-template <class B>
-concept TransposableLinOp =
-    LinOp<B> && requires(const B b, const std::vector<typename B::Element>& x) {
-      { b.apply_transpose(x) } -> std::convertible_to<std::vector<typename B::Element>>;
-    };
-
 /// A LinOp that can apply itself to a whole block of vectors in one call
 /// (one pass over its data / one batched transform instead of b).
 template <class B>
@@ -49,16 +40,6 @@ concept BatchLinOp =
     requires(const B b,
              const std::vector<const std::vector<typename B::Element>*>& xs) {
       { b.apply_many(xs) } ->
-          std::convertible_to<std::vector<std::vector<typename B::Element>>>;
-    };
-
-/// A TransposableLinOp with a batched transpose-side apply.
-template <class B>
-concept BatchTransposableLinOp =
-    TransposableLinOp<B> &&
-    requires(const B b,
-             const std::vector<const std::vector<typename B::Element>*>& xs) {
-      { b.apply_transpose_many(xs) } ->
           std::convertible_to<std::vector<std::vector<typename B::Element>>>;
     };
 
@@ -94,28 +75,6 @@ template <LinOp B>
 std::vector<std::vector<typename B::Element>> apply_columns(
     const B& box, const std::vector<std::vector<typename B::Element>>& cols) {
   return apply_columns(box, to_ptrs(cols));
-}
-
-/// Transpose-side twin of apply_columns.
-template <TransposableLinOp B>
-std::vector<std::vector<typename B::Element>> apply_transpose_columns(
-    const B& box,
-    const std::vector<const std::vector<typename B::Element>*>& cols) {
-  if constexpr (BatchTransposableLinOp<B>) {
-    return box.apply_transpose_many(cols);
-  } else {
-    std::vector<std::vector<typename B::Element>> out(cols.size());
-    for (std::size_t i = 0; i < cols.size(); ++i) {
-      out[i] = box.apply_transpose(*cols[i]);
-    }
-    return out;
-  }
-}
-
-template <TransposableLinOp B>
-std::vector<std::vector<typename B::Element>> apply_transpose_columns(
-    const B& box, const std::vector<std::vector<typename B::Element>>& cols) {
-  return apply_transpose_columns(box, to_ptrs(cols));
 }
 
 /// Coarse structure classes; the solver's route selection keys off them:
@@ -155,9 +114,6 @@ class DenseBox {
   std::vector<Element> apply(const std::vector<Element>& x) const {
     return mat_vec(*r_, a_, x);
   }
-  std::vector<Element> apply_transpose(const std::vector<Element>& x) const {
-    return vec_mat(*r_, x, a_);
-  }
   const Matrix<R>& matrix() const { return a_; }
 
  private:
@@ -180,9 +136,6 @@ class DenseViewBox {
   std::vector<Element> apply(const std::vector<Element>& x) const {
     return mat_vec(*r_, *a_, x);
   }
-  std::vector<Element> apply_transpose(const std::vector<Element>& x) const {
-    return vec_mat(*r_, x, *a_);
-  }
   const Matrix<R>& matrix() const { return *a_; }
 
  private:
@@ -203,16 +156,9 @@ class SparseBox {
   std::vector<Element> apply(const std::vector<Element>& x) const {
     return a_.apply(*r_, x);
   }
-  std::vector<Element> apply_transpose(const std::vector<Element>& x) const {
-    return a_.apply_transpose(*r_, x);
-  }
   std::vector<std::vector<Element>> apply_many(
       const std::vector<const std::vector<Element>*>& xs) const {
     return a_.apply_many(*r_, xs);
-  }
-  std::vector<std::vector<Element>> apply_transpose_many(
-      const std::vector<const std::vector<Element>*>& xs) const {
-    return a_.apply_transpose_many(*r_, xs);
   }
   const Sparse<R>& matrix() const { return a_; }
 
@@ -233,16 +179,9 @@ class ToeplitzBox {
   std::vector<Element> apply(const std::vector<Element>& x) const {
     return t_.apply(*ring_, x);
   }
-  std::vector<Element> apply_transpose(const std::vector<Element>& x) const {
-    return t_.apply_transpose(*ring_, x);
-  }
   std::vector<std::vector<Element>> apply_many(
       const std::vector<const std::vector<Element>*>& xs) const {
     return t_.apply_many(*ring_, xs);
-  }
-  std::vector<std::vector<Element>> apply_transpose_many(
-      const std::vector<const std::vector<Element>*>& xs) const {
-    return t_.apply_transpose_many(*ring_, xs);
   }
 
  private:
@@ -250,7 +189,7 @@ class ToeplitzBox {
   Toeplitz<F> t_;
 };
 
-/// Hankel matrix as a black box (symmetric, so transpose == apply).
+/// Hankel matrix as a black box.
 template <kp::field::Field F>
 class HankelBox {
  public:
@@ -262,14 +201,7 @@ class HankelBox {
   std::vector<Element> apply(const std::vector<Element>& x) const {
     return h_.apply(*ring_, x);
   }
-  std::vector<Element> apply_transpose(const std::vector<Element>& x) const {
-    return h_.apply(*ring_, x);
-  }
   std::vector<std::vector<Element>> apply_many(
-      const std::vector<const std::vector<Element>*>& xs) const {
-    return h_.apply_many(*ring_, xs);
-  }
-  std::vector<std::vector<Element>> apply_transpose_many(
       const std::vector<const std::vector<Element>*>& xs) const {
     return h_.apply_many(*ring_, xs);
   }
@@ -289,9 +221,6 @@ class DiagonalBox {
   DiagonalBox(const R& r, Diagonal<R> d) : r_(&r), d_(std::move(d)) {}
   std::size_t dim() const { return d_.dim(); }
   std::vector<Element> apply(const std::vector<Element>& x) const {
-    return d_.apply(*r_, x);
-  }
-  std::vector<Element> apply_transpose(const std::vector<Element>& x) const {
     return d_.apply(*r_, x);
   }
   const Diagonal<R>& matrix() const { return d_; }
@@ -315,21 +244,9 @@ class ProductBox {
   std::vector<Element> apply(const std::vector<Element>& x) const {
     return a_.apply(b_.apply(x));
   }
-  /// (A B)^T x = B^T (A^T x): transposition reverses the composition.
-  std::vector<Element> apply_transpose(const std::vector<Element>& x) const
-    requires TransposableLinOp<A> && TransposableLinOp<B>
-  {
-    return b_.apply_transpose(a_.apply_transpose(x));
-  }
   std::vector<std::vector<Element>> apply_many(
       const std::vector<const std::vector<Element>*>& xs) const {
     return apply_columns(a_, apply_columns(b_, xs));
-  }
-  std::vector<std::vector<Element>> apply_transpose_many(
-      const std::vector<const std::vector<Element>*>& xs) const
-    requires TransposableLinOp<A> && TransposableLinOp<B>
-  {
-    return apply_transpose_columns(b_, apply_transpose_columns(a_, xs));
   }
   /// Cost of a product is dominated by the denser factor.
   BoxStructure structure() const {
@@ -342,33 +259,6 @@ class ProductBox {
 
  private:
   A a_;
-  B b_;
-};
-
-/// Transpose view of a box that supports apply_transpose.
-template <TransposableLinOp B>
-class TransposeBox {
- public:
-  using Element = typename B::Element;
-  explicit TransposeBox(B b) : b_(std::move(b)) {}
-  std::size_t dim() const { return b_.dim(); }
-  std::vector<Element> apply(const std::vector<Element>& x) const {
-    return b_.apply_transpose(x);
-  }
-  std::vector<Element> apply_transpose(const std::vector<Element>& x) const {
-    return b_.apply(x);
-  }
-  std::vector<std::vector<Element>> apply_many(
-      const std::vector<const std::vector<Element>*>& xs) const {
-    return apply_transpose_columns(b_, xs);
-  }
-  std::vector<std::vector<Element>> apply_transpose_many(
-      const std::vector<const std::vector<Element>*>& xs) const {
-    return apply_columns(b_, xs);
-  }
-  BoxStructure structure() const { return box_structure(b_); }
-
- private:
   B b_;
 };
 
@@ -393,12 +283,6 @@ class PreconditionedBox {
   std::vector<Element> apply(const std::vector<Element>& x) const {
     return inner_->apply(h_.apply(*ring_, d_.apply(*f_, x)));
   }
-  /// (A H D)^T x = D (H (A^T x)) since H and D are symmetric.
-  std::vector<Element> apply_transpose(const std::vector<Element>& x) const
-    requires TransposableLinOp<B>
-  {
-    return d_.apply(*f_, h_.apply(*ring_, inner_->apply_transpose(x)));
-  }
   /// Batched (A H D) x_k: one diagonal pass per column, one batched Hankel
   /// product sharing the cached symbol spectrum, then the inner operator's
   /// own batch path (apply_columns falls back per-column when absent).
@@ -409,14 +293,6 @@ class PreconditionedBox {
       scaled[k] = d_.apply(*f_, *xs[k]);
     }
     return apply_columns(*inner_, h_.apply_many(*ring_, to_ptrs(scaled)));
-  }
-  std::vector<std::vector<Element>> apply_transpose_many(
-      const std::vector<const std::vector<Element>*>& xs) const
-    requires TransposableLinOp<B>
-  {
-    auto hs = h_.apply_many(*ring_, to_ptrs(apply_transpose_columns(*inner_, xs)));
-    for (auto& v : hs) v = d_.apply(*f_, v);
-    return hs;
   }
   /// Route selection follows the inner operator: the Hankel/diagonal layers
   /// only add O(M(n)) per product.
@@ -450,11 +326,6 @@ class AnyBox {
   std::vector<Element> apply(const std::vector<Element>& x) const {
     return impl_->apply(x);
   }
-  /// Valid only when transposable() -- asserted, mirroring the library's
-  /// "precondition violations are programming errors" convention.
-  std::vector<Element> apply_transpose(const std::vector<Element>& x) const {
-    return impl_->apply_transpose(x);
-  }
   /// Batched applies: forwarded to the underlying box's apply_many when it
   /// has one, per-column applies otherwise -- so block algorithms can run
   /// through the type-erased interface without losing the batch paths.
@@ -462,11 +333,6 @@ class AnyBox {
       const std::vector<const std::vector<Element>*>& xs) const {
     return impl_->apply_many(xs);
   }
-  std::vector<std::vector<Element>> apply_transpose_many(
-      const std::vector<const std::vector<Element>*>& xs) const {
-    return impl_->apply_transpose_many(xs);
-  }
-  bool transposable() const { return impl_->transposable(); }
   BoxStructure structure() const { return impl_->structure(); }
 
  private:
@@ -474,13 +340,8 @@ class AnyBox {
     virtual ~Concept() = default;
     virtual std::size_t dim() const = 0;
     virtual std::vector<Element> apply(const std::vector<Element>& x) const = 0;
-    virtual std::vector<Element> apply_transpose(
-        const std::vector<Element>& x) const = 0;
     virtual std::vector<std::vector<Element>> apply_many(
         const std::vector<const std::vector<Element>*>& xs) const = 0;
-    virtual std::vector<std::vector<Element>> apply_transpose_many(
-        const std::vector<const std::vector<Element>*>& xs) const = 0;
-    virtual bool transposable() const = 0;
     virtual BoxStructure structure() const = 0;
   };
 
@@ -491,29 +352,10 @@ class AnyBox {
     std::vector<Element> apply(const std::vector<Element>& x) const override {
       return box_.apply(x);
     }
-    std::vector<Element> apply_transpose(
-        const std::vector<Element>& x) const override {
-      if constexpr (TransposableLinOp<B>) {
-        return box_.apply_transpose(x);
-      } else {
-        assert(false && "underlying box has no apply_transpose");
-        return {};
-      }
-    }
     std::vector<std::vector<Element>> apply_many(
         const std::vector<const std::vector<Element>*>& xs) const override {
       return apply_columns(box_, xs);
     }
-    std::vector<std::vector<Element>> apply_transpose_many(
-        const std::vector<const std::vector<Element>*>& xs) const override {
-      if constexpr (TransposableLinOp<B>) {
-        return apply_transpose_columns(box_, xs);
-      } else {
-        assert(false && "underlying box has no apply_transpose");
-        return {};
-      }
-    }
-    bool transposable() const override { return TransposableLinOp<B>; }
     BoxStructure structure() const override { return box_structure(box_); }
     B box_;
   };

@@ -161,36 +161,6 @@ class Sparse {
     return ys;
   }
 
-  /// Batched y_k = A^T x_k.  The transpose product scatters along rows, so a
-  /// single vector stays serial (deterministic accumulation order); a block
-  /// parallelizes across the independent vectors instead.  Values and op
-  /// counts match b separate apply_transpose() calls exactly.
-  std::vector<std::vector<Element>> apply_transpose_many(
-      const R& r, const std::vector<const std::vector<Element>*>& xs) const {
-    std::vector<std::vector<Element>> ys(xs.size());
-    auto one_vector = [&](std::size_t k) { ys[k] = apply_transpose(r, *xs[k]); };
-    if (kp::field::concurrent_ops_v<R> && xs.size() > 1 &&
-        nnz() * xs.size() >= kParallelGrain) {
-      kp::pram::parallel_for(0, xs.size(), one_vector);
-    } else {
-      for (std::size_t k = 0; k < xs.size(); ++k) one_vector(k);
-    }
-    return ys;
-  }
-
-  /// y = A^T x in O(nnz) ring operations.
-  std::vector<Element> apply_transpose(const R& r,
-                                       const std::vector<Element>& x) const {
-    assert(x.size() == rows_);
-    std::vector<Element> y(cols_, r.zero());
-    for (std::size_t i = 0; i < rows_; ++i) {
-      for (std::size_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
-        y[col_[k]] = r.add(y[col_[k]], r.mul(val_[k], x[i]));
-      }
-    }
-    return y;
-  }
-
   Matrix<R> to_dense(const R& r) const {
     Matrix<R> out(rows_, cols_, r.zero());
     for (std::size_t i = 0; i < rows_; ++i) {

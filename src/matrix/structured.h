@@ -40,8 +40,8 @@ class Toeplitz {
     assert(a_.size() == 2 * n_ - 1);
   }
 
-  // The cached symbol transforms are per-instance scratch, not state:
-  // copies start with cold caches and rebuild on first apply.
+  // The cached symbol transform is per-instance scratch, not state:
+  // copies start with a cold cache and rebuild it on first apply.
   Toeplitz(const Toeplitz& o) : n_(o.n_), a_(o.a_) {}
   Toeplitz& operator=(const Toeplitz& o) {
     if (this != &o) {
@@ -49,14 +49,12 @@ class Toeplitz {
       a_ = o.a_;
       std::lock_guard<std::mutex> lk(mu_);
       symbol_.reset();
-      symbol_t_.reset();
     }
     return *this;
   }
   Toeplitz(Toeplitz&& o) noexcept : n_(o.n_), a_(std::move(o.a_)) {
     std::lock_guard<std::mutex> lk(o.mu_);
     symbol_ = std::move(o.symbol_);
-    symbol_t_ = std::move(o.symbol_t_);
   }
   Toeplitz& operator=(Toeplitz&& o) {
     if (this != &o) {
@@ -64,7 +62,6 @@ class Toeplitz {
       a_ = std::move(o.a_);
       std::scoped_lock lk(mu_, o.mu_);
       symbol_ = std::move(o.symbol_);
-      symbol_t_ = std::move(o.symbol_t_);
     }
     return *this;
   }
@@ -108,16 +105,6 @@ class Toeplitz {
     return window(ring, prod);
   }
 
-  /// x^T * T as a column vector, i.e. T^T x.  T^T is the Toeplitz matrix
-  /// with the reversed diagonal vector; its symbol transform is cached
-  /// separately from the forward one.
-  std::vector<Element> apply_transpose(const kp::poly::PolyRing<R>& ring,
-                                       const std::vector<Element>& x) const {
-    assert(x.size() == n_);
-    const auto prod = symbol_transpose(ring).mul(ring, strip_copy(ring, x));
-    return window(ring, prod);
-  }
-
   /// Batched T * x_i for every x_i: one cached symbol spectrum, varying-side
   /// forward transforms dispatched over the pool (TransformedPoly::mul_many).
   /// Element- and op-count-identical to calling apply in a loop.
@@ -137,26 +124,6 @@ class Toeplitz {
     return out;
   }
 
-  /// Batched T^T * x_i: the transpose-side twin of apply_many, sharing the
-  /// separately cached reversed-symbol spectrum.  Left-projection blocks in
-  /// the block-Wiedemann route batch through here so the transpose spectrum
-  /// is transformed once per matrix, not once per vector.
-  std::vector<std::vector<Element>> apply_transpose_many(
-      const kp::poly::PolyRing<R>& ring,
-      const std::vector<const std::vector<Element>*>& xs) const {
-    std::vector<typename kp::poly::PolyRing<R>::Element> stripped(xs.size());
-    std::vector<const typename kp::poly::PolyRing<R>::Element*> ptrs(xs.size());
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      assert(xs[i]->size() == n_);
-      stripped[i] = strip_copy(ring, *xs[i]);
-      ptrs[i] = &stripped[i];
-    }
-    auto prods = symbol_transpose(ring).mul_many(ring, ptrs);
-    std::vector<std::vector<Element>> out(xs.size());
-    for (std::size_t i = 0; i < xs.size(); ++i) out[i] = window(ring, prods[i]);
-    return out;
-  }
-
   /// The cached transform of the (stripped) symbol polynomial; built on
   /// first use, shared by every subsequent apply.
   const kp::poly::TransformedPoly<R>& symbol(
@@ -167,18 +134,6 @@ class Toeplitz {
           ring, strip_copy(ring, a_));
     }
     return *symbol_;
-  }
-
-  const kp::poly::TransformedPoly<R>& symbol_transpose(
-      const kp::poly::PolyRing<R>& ring) const {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (!symbol_t_) {
-      std::vector<Element> rev(a_.rbegin(), a_.rend());
-      auto p = std::move(rev);
-      ring.strip(p);
-      symbol_t_ = std::make_unique<kp::poly::TransformedPoly<R>>(ring, std::move(p));
-    }
-    return *symbol_t_;
   }
 
  private:
@@ -202,7 +157,6 @@ class Toeplitz {
   std::vector<Element> a_;
   mutable std::mutex mu_;
   mutable std::unique_ptr<kp::poly::TransformedPoly<R>> symbol_;
-  mutable std::unique_ptr<kp::poly::TransformedPoly<R>> symbol_t_;
 };
 
 /// n x n Hankel matrix as in Theorem 2:

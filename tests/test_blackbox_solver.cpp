@@ -126,7 +126,6 @@ TEST(BlackboxSolverTest, AnyBoxDispatchesAtRuntime) {
   backends.emplace_back(matrix::SparseBox<F>(f, sparse_from_dense(dense)));
   EXPECT_EQ(backends[0].structure(), matrix::BoxStructure::kDense);
   EXPECT_EQ(backends[1].structure(), matrix::BoxStructure::kSparse);
-  EXPECT_TRUE(backends[0].transposable());
 
   util::Prng p1(42);
   auto ref = core::kp_solve(f, dense, b, p1);
@@ -202,12 +201,9 @@ TEST(BlackboxSolverTest, PreconditionedBoxComposesLazily) {
   for (auto& e : x) e = f.random(prng);
   // Lazy (A(H(Dx))) and dense (A*H*D)x agree exactly.
   EXPECT_EQ(prebox.apply(x), matrix::mat_vec(f, at_dense, x));
-  // (A H D)^T x = D H A^T x agrees with the dense transpose.
-  EXPECT_EQ(prebox.apply_transpose(x),
-            matrix::vec_mat(f, x, at_dense));
 }
 
-TEST(BlackboxSolverTest, ProductBoxTransposeReversesComposition) {
+TEST(BlackboxSolverTest, ProductBoxAppliesInOrderWithDenserHint) {
   util::Prng prng(107);
   const std::size_t n = 7;
   auto a = matrix::random_matrix(f, n, n, prng);
@@ -217,7 +213,6 @@ TEST(BlackboxSolverTest, ProductBoxTransposeReversesComposition) {
   std::vector<F::Element> x(n);
   for (auto& e : x) e = f.random(prng);
   EXPECT_EQ(ab.apply(x), matrix::mat_vec(f, ab_dense, x));
-  EXPECT_EQ(ab.apply_transpose(x), matrix::vec_mat(f, x, ab_dense));
   // The denser factor dominates the composition's structure hint.
   EXPECT_EQ(ab.structure(), matrix::BoxStructure::kDense);
 }

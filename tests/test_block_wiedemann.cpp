@@ -231,34 +231,52 @@ TEST(BlockKrylovTest, SequenceMatchesNaiveProjection) {
   }
 }
 
-TEST(BlockKrylovTest, TransposedSequenceMatchesForward) {
+/// The block Krylov sequence of one sparse operator over GFp (fused SIMD
+/// projection dots) and over the seed arithmetic GFpReference (the generic
+/// chain): identical elements and identical OpCounts.
+TEST(BlockKrylovTest, SequenceOverGFpMatchesReferenceFieldAndOpCounts) {
+  const std::uint64_t p = 1000003;
+  const std::size_t n = 50, b = 3, count = 8;
+  const field::GFp fast(p);
+  const field::GFpReference ref(p);
   util::Prng prng(222);
-  const std::size_t n = 16, b = 4, count = 10;
-  const auto sp = nonsingular_sparse(n, 3, prng);
-  const matrix::SparseBox<F> sbox(f, sp);
-
-  std::vector<F::Element> diag(2 * n - 1);
-  for (auto& e : diag) e = f.random(prng);
-  poly::PolyRing<F> ring(f);
-  const matrix::ToeplitzBox<F> tbox(ring, matrix::Toeplitz<F>(n, diag));
-
-  const auto ut = core::random_block_rows(f, b, n, prng, 1u << 20);
-  const auto v = core::random_block_columns(f, b, n, prng, 1u << 20);
-  auto check = [&](const auto& box, const char* what) {
-    const auto fwd = core::block_krylov_sequence(f, box, ut, v, count);
-    const auto rev = core::block_krylov_sequence_transposed(f, box, ut, v, count);
-    ASSERT_EQ(fwd.size(), rev.size()) << what;
-    for (std::size_t i = 0; i < count; ++i) {
-      for (std::size_t r = 0; r < b; ++r) {
-        for (std::size_t c = 0; c < b; ++c) {
-          EXPECT_TRUE(f.eq(fwd[i].at(r, c), rev[i].at(r, c)))
-              << what << " " << i << "," << r << "," << c;
-        }
+  std::vector<matrix::Sparse<field::GFp>::Entry> fe;
+  std::vector<matrix::Sparse<field::GFpReference>::Entry> re;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t k = 0; k < 4; ++k) {
+      const std::size_t c = prng.below(n);
+      const std::uint64_t v = prng.below(p);
+      fe.push_back({i, c, v});
+      re.push_back({i, c, v});
+    }
+  }
+  const matrix::SparseBox<field::GFp> fbox(
+      fast, matrix::Sparse<field::GFp>(fast, n, n, std::move(fe)));
+  const matrix::SparseBox<field::GFpReference> rbox(
+      ref, matrix::Sparse<field::GFpReference>(ref, n, n, std::move(re)));
+  matrix::Matrix<field::GFp> fut(b, n, 0);
+  matrix::Matrix<field::GFpReference> rut(b, n, 0);
+  std::vector<std::vector<std::uint64_t>> v(b, std::vector<std::uint64_t>(n));
+  for (std::size_t r = 0; r < b; ++r) {
+    for (std::size_t j = 0; j < n; ++j) {
+      fut.at(r, j) = rut.at(r, j) = prng.below(p);
+      v[r][j] = prng.below(p);
+    }
+  }
+  util::OpScope fast_scope;
+  const auto got = core::block_krylov_sequence(fast, fbox, fut, v, count);
+  const auto fast_ops = fast_scope.counts();
+  util::OpScope ref_scope;
+  const auto want = core::block_krylov_sequence(ref, rbox, rut, v, count);
+  expect_counts_eq(fast_ops, ref_scope.counts(), "block_krylov_sequence ops");
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < count; ++i) {
+    for (std::size_t r = 0; r < b; ++r) {
+      for (std::size_t c = 0; c < b; ++c) {
+        EXPECT_EQ(got[i].at(r, c), want[i].at(r, c)) << i << "," << r << "," << c;
       }
     }
-  };
-  check(sbox, "sparse");
-  check(tbox, "toeplitz");
+  }
 }
 
 /// CSR entries of a rows x kSweepCols matrix for the word-size-prime SpMM
@@ -360,18 +378,6 @@ TEST(BlockKrylovTest, SparseApplyManyMatchesLoopedApplies) {
     for (std::size_t k = 0; k < sh.b; ++k) looped.push_back(sp.apply(f, xs[k]));
     expect_counts_eq(batch_ops, loop_scope.counts(), "sparse apply_many ops");
     EXPECT_EQ(batched, looped) << "n=" << sh.n;
-
-    util::OpScope tbatch_scope;
-    const auto tbatched = sp.apply_transpose_many(f, ptrs);
-    const auto tbatch_ops = tbatch_scope.counts();
-    util::OpScope tloop_scope;
-    std::vector<std::vector<F::Element>> tlooped;
-    for (std::size_t k = 0; k < sh.b; ++k) {
-      tlooped.push_back(sp.apply_transpose(f, xs[k]));
-    }
-    expect_counts_eq(tbatch_ops, tloop_scope.counts(),
-                     "sparse apply_transpose_many ops");
-    EXPECT_EQ(tbatched, tlooped) << "n=" << sh.n;
   }
 
   // Word-size primes: the IFMA SpMM body (packed for b <= 4 and for the
@@ -391,36 +397,6 @@ TEST(BlockKrylovTest, SparseApplyManyMatchesLoopedApplies) {
   }
   field::simd::set_simd_level(saved_level);
   field::simd::set_simd_ifma(saved_ifma);
-}
-
-TEST(BlockKrylovTest, ToeplitzApplyTransposeManyMatchesLoop) {
-  util::Prng prng(224);
-  const std::size_t n = 16, b = 3;
-  std::vector<F::Element> diag(2 * n - 1);
-  for (auto& e : diag) e = f.random(prng);
-  const matrix::Toeplitz<F> t(n, diag);
-  poly::PolyRing<F> ring(f);
-  std::vector<std::vector<F::Element>> xs(b);
-  std::vector<const std::vector<F::Element>*> ptrs(b);
-  for (std::size_t k = 0; k < b; ++k) {
-    xs[k].resize(n);
-    for (auto& e : xs[k]) e = f.random(prng);
-    ptrs[k] = &xs[k];
-  }
-  const auto batched = t.apply_transpose_many(ring, ptrs);
-  const auto dense = t.to_dense(f);
-  ASSERT_EQ(batched.size(), b);
-  for (std::size_t k = 0; k < b; ++k) {
-    EXPECT_EQ(batched[k], t.apply_transpose(ring, xs[k])) << k;
-    // Cross-check against the dense transpose.
-    std::vector<F::Element> ref(n, f.zero());
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        ref[i] = f.add(ref[i], f.mul(dense.at(j, i), xs[k][j]));
-      }
-    }
-    EXPECT_EQ(batched[k], ref) << k;
-  }
 }
 
 // ---------------------------------------------------------------------------

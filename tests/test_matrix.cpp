@@ -280,9 +280,6 @@ TEST(ToeplitzTest, ApplyMatchesDense) {
     std::vector<F::Element> x(n);
     for (auto& v : x) v = f.random(prng);
     EXPECT_EQ(t.apply(ring, x), matrix::mat_vec(f, t.to_dense(f), x)) << n;
-    EXPECT_EQ(t.apply_transpose(ring, x),
-              matrix::mat_vec(f, matrix::mat_transpose(f, t.to_dense(f)), x))
-        << n;
   }
 }
 
@@ -366,8 +363,6 @@ TEST(SparseTest, ApplyMatchesDense) {
   std::vector<F::Element> x(25);
   for (auto& v : x) v = f.random(prng);
   EXPECT_EQ(sp.apply(f, x), matrix::mat_vec(f, dense, x));
-  EXPECT_EQ(sp.apply_transpose(f, x),
-            matrix::mat_vec(f, matrix::mat_transpose(f, dense), x));
 }
 
 TEST(SparseTest, DuplicateEntriesAreSummed) {
@@ -399,16 +394,6 @@ TEST(BlackBoxTest, ProductBoxComposes) {
   std::vector<F::Element> x(n);
   for (auto& v : x) v = f.random(prng);
   EXPECT_EQ(ahd.apply(x), matrix::mat_vec(f, dense, x));
-}
-
-TEST(BlackBoxTest, TransposeBox) {
-  util::Prng prng(21);
-  auto a = random_mat(6, prng);
-  matrix::DenseBox<F> box(f, a);
-  matrix::TransposeBox tbox(box);
-  std::vector<F::Element> x(6);
-  for (auto& v : x) v = f.random(prng);
-  EXPECT_EQ(tbox.apply(x), matrix::mat_vec(f, matrix::mat_transpose(f, a), x));
 }
 
 TEST(BlackBoxTest, KrylovSequenceIterative) {

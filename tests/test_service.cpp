@@ -166,6 +166,45 @@ TEST(SessionTest, SolveOneMatchesKnownSolution) {
   EXPECT_EQ(sess.prepares(), 1u);  // the transcript stayed pinned
 }
 
+TEST(SessionTest, SolveDenseFactorsOnceThenSubstitutes) {
+  const std::size_t n = 24;
+  Fixture fx(n);
+  Session<F> sess(f, fx.box(), 5);
+  const auto dense = fx.a.to_dense(f);
+  auto first = sess.solve_dense(fx.b[0]);
+  ASSERT_TRUE(first.status.ok()) << first.status.message();
+  EXPECT_EQ(first.x, fx.x[0]);
+  EXPECT_EQ(first.level, DegradationLevel::kDenseBaseline);
+
+  // The second request reuses the cached PLU factors: two triangular
+  // substitutions, O(n^2), no elimination.
+  util::OpScope scope;
+  auto second = sess.solve_dense(fx.b[1]);
+  const auto ops = scope.counts();
+  ASSERT_TRUE(second.status.ok()) << second.status.message();
+  EXPECT_EQ(second.x, *matrix::solve_gauss(f, dense, fx.b[1]));
+  EXPECT_LE(ops.mul, n * n);
+  EXPECT_LE(ops.add, n * n);
+  EXPECT_EQ(ops.div, n);
+  EXPECT_EQ(sess.solves_completed(), 2u);
+}
+
+TEST(SessionTest, SolveDenseOnSingularOperatorIsSingularInput) {
+  const std::size_t n = 6;
+  std::vector<matrix::Sparse<F>::Entry> entries;
+  for (std::size_t i = 0; i + 1 < n; ++i) entries.push_back({i, i, 1});
+  Session<F> sess(
+      f, matrix::AnyBox<F>(matrix::SparseBox<F>(
+             f, matrix::Sparse<F>(f, n, n, std::move(entries)))),
+      5);
+  const std::vector<F::Element> b(n, 1);
+  for (int i = 0; i < 2; ++i) {
+    const auto item = sess.solve_dense(b);
+    EXPECT_EQ(item.status.kind(), FailureKind::kSingularInput) << i;
+  }
+  EXPECT_EQ(sess.solves_completed(), 0u);
+}
+
 TEST(SessionTest, SolveManyBatchIsExact) {
   Fixture fx(24);
   Session<F> sess(f, fx.box(), 5);
