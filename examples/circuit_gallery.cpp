@@ -72,6 +72,7 @@ int main() {
   std::printf("\ntape evaluation with |S| = 2^30 random leaves: %s\n",
               res.status.ok() ? "no zero-division"
                               : "zero-division (unlucky!)");
+  bool ok = true;  // every checked answer agrees with its reference
   if (res.status.ok()) {
     bool solves = true, matches = ref.status.ok();
     for (std::size_t i = 0; i < n; ++i) {
@@ -81,6 +82,7 @@ int main() {
     std::printf("  solves the system: %s\n", solves ? "yes" : "no");
     std::printf("  matches node-at-a-time evaluate_status(): %s\n",
                 matches ? "yes" : "NO (bug!)");
+    ok = solves && matches;
   }
 
   // Unlucky evaluation: all random leaves zero -> A-tilde = 0, certain
@@ -92,6 +94,7 @@ int main() {
   std::printf("evaluation with all-zero random leaves: %s\n",
               bad.status.ok() ? "UNEXPECTEDLY ok"
                               : bad.status.message().c_str());
+  ok = ok && !bad.status.ok();
 
   // Empirical failure rate at a tiny sample set vs the 3n^2/|S| bound.
   const std::uint64_t s = 64;
@@ -132,5 +135,5 @@ int main() {
       path.c_str(), loaded.value().num_instrs(), loaded.value().tests.size(),
       check.message().c_str());
   std::remove(path.c_str());
-  return check.ok() ? 0 : 1;
+  return ok && check.ok() ? 0 : 1;
 }

@@ -14,6 +14,7 @@
 #include "core/crt_shard.h"
 #include "field/rational.h"
 #include "matrix/dense.h"
+#include "matrix/gauss.h"
 #include "util/prng.h"
 
 using kp::field::Rational;
@@ -56,7 +57,9 @@ int main() {
   std::printf("  early terminated: %s   det certified: %s\n",
               res.early_terminated ? "yes" : "no",
               res.det_certified ? "yes" : "no");
-  std::printf("  det(A) = %s\n", q.to_string(res.det).c_str());
+  const auto det_ref = kp::matrix::det_gauss(q, a);
+  std::printf("  det(A) = %s (elimination: %s)\n", q.to_string(res.det).c_str(),
+              det_ref == res.det ? "same" : "DIFFERENT");
   if (!res.primes.empty()) {
     std::printf("  first shard prime: %llu\n",
                 static_cast<unsigned long long>(res.primes.front()));
@@ -77,5 +80,12 @@ int main() {
   std::printf("capped at 1 shard: used_generic=%d, answer exact: %s\n",
               generic.used_generic ? 1 : 0,
               generic.x == x_true ? "yes" : "no");
-  return 0;
+
+  // A wrong answer is a failure of the library, not of the example: say so
+  // in the exit status.
+  const bool ok = res.ok && res.x == x_true && res.det == det_ref &&
+                  generic.ok && generic.x == x_true &&
+                  generic.det == det_ref;
+  if (!ok) std::printf("MISMATCH: an answer differs from its reference\n");
+  return ok ? 0 : 1;
 }

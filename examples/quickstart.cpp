@@ -30,11 +30,12 @@ int main() {
   // verified; res.ok == false means A was singular or the randomness was
   // unlucky max_attempts times, probability <= (3n^2/|S|)^attempts).
   auto res = kp::core::kp_solve(f, a, b, prng);
+  const auto det_ref = kp::matrix::det_gauss(f, a);
   std::printf("kp_solve over Z/1000003: ok=%d, attempts=%d\n", res.ok, res.attempts);
   std::printf("  solution matches: %s\n", res.x == x_true ? "yes" : "no");
   std::printf("  det(A) = %s (pipeline) = %s (elimination)\n",
-              f.to_string(res.det).c_str(),
-              f.to_string(kp::matrix::det_gauss(f, a)).c_str());
+              f.to_string(res.det).c_str(), f.to_string(det_ref).c_str());
+  bool ok = res.ok && res.x == x_true && res.det == det_ref;
 
   // ------------------------------------------------------------------- Q --
   using kp::field::BigInt;
@@ -56,5 +57,13 @@ int main() {
   }
   std::printf("  det(H3) = %s (exact; known value 1/2160)\n",
               hres.det.to_string().c_str());
-  return 0;
+  // H3^{-1} e_1 = (9, -36, 30).
+  const std::vector<Rational> hx{Rational(9), Rational(-36), Rational(30)};
+  ok = ok && hres.ok && hres.x == hx &&
+       hres.det == Rational(BigInt(1), BigInt(2160));
+
+  // A wrong answer is a failure of the library, not of the example: say so
+  // in the exit status.
+  if (!ok) std::printf("\nMISMATCH: an answer differs from its reference\n");
+  return ok ? 0 : 1;
 }

@@ -3,16 +3,24 @@
 //   A^{2^i} (v  Av  ...  A^{2^i - 1} v) = (A^{2^i} v  ...  A^{2^{i+1}-1} v)
 //
 // Repeated squaring of A (krylov_powers) followed by block products
-// (krylov_block) produces the whole Krylov block (v, Av, ..., A^{count-1} v)
-// in O(log count) matrix products, i.e. O(n^omega log n) work and
-// O(log^2 n) depth -- this is where the pipeline earns its processor
-// efficiency over the naive 2n sequential matrix-vector products (route
-// (8), which krylov_block_iterative provides for black-box operators whose
-// products are cheaper than dense ones).  The squares depend on A alone, so
-// every block of one operator can share them.  KrylovRoute names the two
-// routes; the Theorem-4 solver picks per operator structure.
+// (krylov_block) produces the Krylov block (v, Av, ..., A^{count-1} v) in
+// O(log count) matrix products, i.e. O(n^omega log n) work and O(log^2 n)
+// depth -- this is where the pipeline earns its processor efficiency over
+// the naive 2n sequential matrix-vector products (route (8), which
+// krylov_block_iterative provides for black-box operators whose products
+// are cheaper than dense ones).  The squares depend on A alone, so every
+// block of one operator can share them.
+//
+// Neither consumer of the Theorem-4 pipeline needs a block as wide as its
+// count: the 2n projected terms u A^i v split between the two sides (the
+// first n project (v ... A^{n-1} v) on u, the next n on w = u A^n), and the
+// Cayley-Hamilton finish sum_i q_i A^i b takes a giant step through the top
+// stored power.  Both stop one squaring short of A^n.  KrylovRoute names
+// the two routes; the Theorem-4 solver picks per operator structure.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <utility>
 #include <vector>
 
@@ -71,7 +79,8 @@ inline std::size_t krylov_power_count(std::size_t count) {
 /// The repeated squares of the doubling step: A^{2^j} for
 /// j < krylov_power_count(count), i.e. every power a count-column block
 /// multiplies by.  A caller that builds several blocks of the same operator
-/// squares once and hands the powers to the stored-powers krylov_block.
+/// squares once and hands the powers to the stored-powers krylov_block,
+/// krylov_sequence_doubling or krylov_combine_giant_step.
 /// Returns an empty vector when A is not square.
 template <kp::field::Field F>
 std::vector<matrix::Matrix<F>> krylov_powers(
@@ -103,17 +112,27 @@ matrix::Matrix<F> krylov_block(const F& f,
     return matrix::Matrix<F>(0, 0, f.zero());
   }
   const std::size_t n = powers[0].rows();
+  if (count == 0) return matrix::Matrix<F>(n, 0, f.zero());
   matrix::Matrix<F> block(n, 1, f.zero());
   for (std::size_t i = 0; i < n; ++i) block.at(i, 0) = v[i];
   for (std::size_t j = 0; block.cols() < count; ++j) {
-    // [block | A^{2^j} * block]: the merge copies disjoint rows, so it runs
-    // on the pooled ExecutionContext for large blocks.
-    const auto ext = matrix::mat_mul(f, powers[j], block, strategy);
-    matrix::Matrix<F> merged(n, 2 * block.cols(), f.zero());
+    // [block | A^{2^j} * block], the last level multiplying only the
+    // count - cols columns still missing.  The merge copies disjoint rows,
+    // so it runs on the pooled ExecutionContext for large blocks.
     const std::size_t cols = block.cols();
+    const std::size_t ext_cols = std::min(cols, count - cols);
+    matrix::Matrix<F> ext;
+    if (ext_cols == cols) {
+      ext = matrix::mat_mul(f, powers[j], block, strategy);
+    } else {
+      ext = matrix::mat_mul(
+          f, powers[j], matrix::detail::submatrix(f, block, 0, 0, n, ext_cols),
+          strategy);
+    }
+    matrix::Matrix<F> merged(n, cols + ext_cols, f.zero());
     auto merge_row = [&](std::size_t i) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        merged.at(i, c) = block.at(i, c);
+      for (std::size_t c = 0; c < cols; ++c) merged.at(i, c) = block.at(i, c);
+      for (std::size_t c = 0; c < ext_cols; ++c) {
         merged.at(i, cols + c) = ext.at(i, c);
       }
     };
@@ -123,13 +142,6 @@ matrix::Matrix<F> krylov_block(const F& f,
       for (std::size_t i = 0; i < n; ++i) merge_row(i);
     }
     block = std::move(merged);
-  }
-  if (block.cols() > count) {
-    matrix::Matrix<F> trimmed(n, count, f.zero());
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < count; ++j) trimmed.at(i, j) = block.at(i, j);
-    }
-    block = std::move(trimmed);
   }
   return block;
 }
@@ -169,16 +181,59 @@ matrix::Matrix<F> krylov_block_iterative(const F& f, const B& box,
   return block;
 }
 
-/// The projected sequence a_i = u A^i v, i < count, via one doubling block
-/// and a single vector-matrix product.
+/// The projected sequence a_i = u A^i v, i < count, from stored powers
+/// (powers[j] = A^{2^j}).  One block K = (v, Av, ..., A^{h-1} v), h =
+/// ceil(count/2), serves both halves: a_i = u K(:, i) and a_{h+i} =
+/// w K(:, i) with w = u A^h, formed by vector-matrix products over the
+/// powers.  So count terms need only krylov_power_count(h) powers -- one
+/// squaring fewer than a count-column block -- and no n x count block.  On
+/// the circuit, w's products run beside the block's last level.  Returns an
+/// empty sequence on a malformed input, including too few powers for h.
+template <kp::field::Field F>
+std::vector<typename F::Element> krylov_sequence_doubling(
+    const F& f, const std::vector<matrix::Matrix<F>>& powers,
+    const std::vector<typename F::Element>& u,
+    const std::vector<typename F::Element>& v, std::size_t count,
+    matrix::MatMulStrategy strategy = matrix::MatMulStrategy::kClassical) {
+  const std::size_t h = (count + 1) / 2;
+  if (count == 0 || powers.size() < krylov_power_count(h) ||
+      u.size() != v.size() ||
+      !validate_krylov_input(f, powers[0].rows(), powers[0].cols(), v.size())
+           .ok()) {
+    return {};
+  }
+  const auto block = krylov_block(f, powers, v, h, strategy);
+  auto seq = matrix::vec_mat(f, u, block);
+  if (count > h) {
+    // w = u A^h over the binary digits of h, low powers first (they are
+    // squared earliest).  The powers reach A^{2^top} >= A^{h/2}, so what is
+    // left above the low digits is A^{2^top} once or twice.
+    const std::size_t top = powers.size() - 1;
+    auto w = u;
+    for (std::size_t j = 0; j < top; ++j) {
+      if ((h >> j) & 1) w = matrix::vec_mat(f, w, powers[j]);
+    }
+    for (std::size_t r = h >> top; r > 0; --r) {
+      w = matrix::vec_mat(f, w, powers[top]);
+    }
+    // An odd count drops the last of these h terms.
+    const auto tail = matrix::vec_mat(f, w, block);
+    seq.insert(seq.end(), tail.begin(),
+               tail.begin() + static_cast<std::ptrdiff_t>(count - h));
+  }
+  return seq;
+}
+
+/// The same sequence for a single use: squares A as ceil(count/2) columns
+/// need, then projects from those powers.
 template <kp::field::Field F>
 std::vector<typename F::Element> krylov_sequence_doubling(
     const F& f, const matrix::Matrix<F>& a,
     const std::vector<typename F::Element>& u,
     const std::vector<typename F::Element>& v, std::size_t count,
     matrix::MatMulStrategy strategy = matrix::MatMulStrategy::kClassical) {
-  const auto block = krylov_block(f, a, v, count, strategy);
-  return matrix::vec_mat(f, u, block);
+  return krylov_sequence_doubling(
+      f, krylov_powers(f, a, (count + 1) / 2, strategy), u, v, count, strategy);
 }
 
 /// K * c for a Krylov block K: evaluates (sum_i c_i A^i) v from the block
@@ -208,6 +263,37 @@ std::vector<typename F::Element> krylov_combine(
     out[i] = matrix::balanced_sum(f, terms);
   }
   return out;
+}
+
+/// (sum_i c_i A^i) b from stored powers, with a giant step through the top
+/// power A^P, P = 2^{powers.size() - 1}: the P-column block K of b gives
+/// K c[0..P) + A^P (K c[P..)) for any c of at most 2P coefficients.  Half
+/// the block of krylov_combine over all of c, for one matrix-vector product
+/// that follows the combination (one product deeper on the circuit).
+/// Returns an empty vector on a malformed input.
+template <kp::field::Field F>
+std::vector<typename F::Element> krylov_combine_giant_step(
+    const F& f, const std::vector<matrix::Matrix<F>>& powers,
+    const std::vector<typename F::Element>& b,
+    const std::vector<typename F::Element>& coeffs,
+    matrix::MatMulStrategy strategy = matrix::MatMulStrategy::kClassical) {
+  using E = typename F::Element;
+  if (powers.empty()) return {};
+  const std::size_t top = powers.size() - 1;
+  const std::size_t p = std::size_t{1} << top;
+  if (coeffs.size() > 2 * p) return {};
+  const std::size_t cols = std::min(p, coeffs.size());
+  const auto block = krylov_block(f, powers, b, cols, strategy);
+  if (block.rows() != b.size()) return {};
+  const auto split = coeffs.begin() + static_cast<std::ptrdiff_t>(cols);
+  auto x = krylov_combine(f, block, std::vector<E>(coeffs.begin(), split));
+  if (split != coeffs.end()) {
+    const auto giant = matrix::mat_vec(
+        f, powers[top],
+        krylov_combine(f, block, std::vector<E>(split, coeffs.end())));
+    for (std::size_t i = 0; i < x.size(); ++i) x[i] = f.add(x[i], giant[i]);
+  }
+  return x;
 }
 
 }  // namespace kp::core

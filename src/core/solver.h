@@ -9,16 +9,20 @@
 //      [O(n^w log n), the processor-efficient dense route] or via 2n
 //      black-box products (8) [the cheap route when one product costs
 //      o(n^2): sparse O(nnz), structured O(M(n))].  The doubling route
-//      keeps its squares A-tilde^{2^j} for step 4.
+//      squares only to A-tilde^P, P = 2^{ceil(log2 n) - 1} >= n/2: the
+//      block (v ... A-tilde^{n-1} v) projects on u for a_0..a_{n-1} and on
+//      w = u A-tilde^n for a_n..a_{2n-1}.  It keeps the squares for step 4.
 //   3. The generator c of a_0..a_{2n-1}: the solution of T c =
 //      (a_n..a_{2n-1}), T = Toeplitz(a_0..a_{2n-2}) (Lemma 1).  By default
 //      Berlekamp-Massey finds it in O(n^2) -- the paper's sequential method,
 //      whose result has degree n exactly when det(T) != 0.  Under
 //      depth_optimal: charpoly(T) by Theorem 3 and Cayley-Hamilton on T.
 //   4. c is w.h.p. the characteristic polynomial of A-tilde     [est. (2)];
-//      Cayley-Hamilton on A-tilde (through the Krylov block of b, built
-//      from step 2's squares) gives x-tilde = A-tilde^{-1} b, and
-//      x = H D x-tilde.
+//      Cayley-Hamilton on A-tilde gives x-tilde = A-tilde^{-1} b = q(A-tilde)
+//      b, and x = H D x-tilde.  The doubling route builds the P-column
+//      Krylov block K of b from step 2's squares and takes x-tilde =
+//      K q[0..P) + A-tilde^P (K q[P..n)); under depth_optimal it builds all n
+//      columns instead, so the combination stays the circuit's last step.
 //   5. det(A) = (-1)^n g(0) / (det(H) det(D)), det(H) from the
 //      Berlekamp-Massey discrepancies of H in O(n^2); via the row-mirror
 //      Toeplitz and Theorem 3 (section 4) when H is not normal or the run
@@ -165,10 +169,11 @@ struct Transcript {
   std::size_t block_width;  ///< b of the iterative route (1: scalar)
   std::optional<Preconditioner<F>> pre;    ///< H, D
   /// Doubling route: powers[j] = A-tilde^{2^j} for the j an n-column
-  /// Krylov block multiplies by (powers[0] is A-tilde), squared once in
-  /// prepare and shared by every finish.  ceil(log2 n) n x n matrices:
-  /// about 4 MiB at n = 256 with 8-byte elements, 3.5 MiB beyond A-tilde
-  /// itself.  Empty on the iterative route, which sessions always take.
+  /// Krylov block multiplies by (powers[0] is A-tilde, the top one
+  /// A-tilde^P with P >= n/2), squared once in prepare for the projection
+  /// and shared by every finish.  ceil(log2 n) n x n matrices: about 4 MiB
+  /// at n = 256 with 8-byte elements, 3.5 MiB beyond A-tilde itself.  Empty
+  /// on the iterative route, which sessions always take.
   std::vector<matrix::Matrix<F>> powers;
   std::optional<matrix::PreconditionedBox<F, B>> box;  ///< lazy A-tilde
   std::vector<E> g;  ///< charpoly of A-tilde
@@ -327,8 +332,8 @@ util::Status prepare_attempt(const F& f, const kp::poly::PolyRing<F>& ring,
   // redraw targets only the stream the failure implicated.
   kp::util::Prng r{at.projection_seed()};
   if (t.route == KrylovRoute::kDoubling) {
-    t.powers = krylov_powers(f, dense_preconditioned(f, ring, a, *t.pre),
-                             2 * n, opt.matmul);
+    t.powers = krylov_powers(f, dense_preconditioned(f, ring, a, *t.pre), n,
+                             opt.matmul);
   } else {
     t.box.emplace(f, ring, a, t.pre->hankel, t.pre->diagonal);
   }
@@ -354,10 +359,7 @@ util::Status prepare_attempt(const F& f, const kp::poly::PolyRing<F>& ring,
     // lazily composed A H D.
     std::vector<E> seq;
     if (t.route == KrylovRoute::kDoubling) {
-      seq = matrix::vec_mat(f, u,
-                            krylov_block(f, t.powers, v, 2 * n, opt.matmul));
-      // The finish's n-column blocks need one power fewer than this one.
-      t.powers.resize(krylov_power_count(n));
+      seq = krylov_sequence_doubling(f, t.powers, u, v, 2 * n, opt.matmul);
     } else {
       seq = matrix::krylov_sequence_iterative(f, *t.box, u, v, 2 * n);
     }
@@ -398,10 +400,11 @@ struct FinishedRhs {
 /// x = H D x-tilde and (opt.verify) the Las Vegas check A x = b.
 ///
 ///   * q = solution_combination(g) once per call.  The doubling route
-///     combines each column's Krylov block; the iterative route advances all
-///     k columns through one batched recurrence (combine_powers), checking
-///     opt.control every 16 steps at kSolveFinish.  A control trip fails
-///     every column.
+///     combines each column's P-column Krylov block and takes the giant step
+///     through A-tilde^P (the whole n-column block under depth_optimal);
+///     the iterative route advances all k columns through one batched
+///     recurrence (combine_powers), checking opt.control every 16 steps at
+///     kSolveFinish.  A control trip fails every column.
 ///   * Per column, in order: the kSolveFinish fault site, unpreconditioning,
 ///     then (opt.verify) the column's own control check at kVerify (its
 ///     member_controls entry when non-null, else opt.control) and the
@@ -424,8 +427,13 @@ std::vector<FinishedRhs<F>> finish_many(
   std::vector<std::vector<E>> xt;
   if (t.route == KrylovRoute::kDoubling) {
     for (const auto* b : rhs) {
-      const auto block = krylov_block(f, t.powers, *b, a.dim(), opt.matmul);
-      xt.push_back(krylov_combine(f, block, q));
+      // depth_optimal keeps the combination the last step of the circuit;
+      // the default halves the block for one product by A-tilde^P after it.
+      xt.push_back(
+          opt.depth_optimal
+              ? krylov_combine(
+                    f, krylov_block(f, t.powers, *b, a.dim(), opt.matmul), q)
+              : krylov_combine_giant_step(f, t.powers, *b, q, opt.matmul));
     }
   } else if (Status st = combine_powers(f, *t.box, q, rhs, opt.control, xt);
              !st.ok()) {

@@ -449,8 +449,8 @@ TEST(BuildersTest, DetAndSolverCircuitsArePinned) {
   struct Pin {
     std::size_t n, det_size, det_depth, solver_size, solver_depth;
   };
-  for (const Pin& p : {Pin{4, 8758, 79, 8925, 88},
-                       Pin{8, 161458, 131, 162653, 142}}) {
+  for (const Pin& p : {Pin{4, 8590, 79, 8757, 88},
+                       Pin{8, 159778, 131, 160973, 142}}) {
     const auto det = circuit::build_det_circuit(p.n);
     const auto solver = circuit::build_solver_circuit(p.n);
     EXPECT_EQ(det.size(), p.det_size) << p.n;

@@ -67,16 +67,98 @@ TEST(KrylovTest, BlockColumnsArePowers) {
 
 TEST(KrylovTest, DoublingMatchesIterative) {
   util::Prng prng(2);
-  for (std::size_t n : {1u, 2u, 5u, 12u}) {
+  for (std::size_t n : {1u, 2u, 3u, 5u, 7u, 12u, 100u}) {
     auto a = random_mat(n, prng);
     std::vector<F::Element> u(n), v(n);
     for (auto& e : u) e = f.random(prng);
     for (auto& e : v) e = f.random(prng);
     matrix::DenseBox<F> box(f, a);
-    EXPECT_EQ(core::krylov_sequence_doubling(f, a, u, v, 2 * n),
-              matrix::krylov_sequence_iterative(f, box, u, v, 2 * n))
+    for (std::size_t count : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                              2 * n - 1, 2 * n}) {
+      EXPECT_EQ(core::krylov_sequence_doubling(f, a, u, v, count),
+                matrix::krylov_sequence_iterative(f, box, u, v, count))
+          << n << " " << count;
+    }
+  }
+}
+
+TEST(KrylovTest, StoredPowersSequenceNeedsHalfTheCount) {
+  // count terms project a ceil(count/2)-column block from both sides, so
+  // the powers that block needs are all the sequence needs; one fewer is a
+  // malformed call.
+  util::Prng prng(4);
+  for (std::size_t n : {1u, 4u, 7u, 12u}) {
+    const auto a = random_mat(n, prng);
+    std::vector<F::Element> u(n), v(n);
+    for (auto& e : u) e = f.random(prng);
+    for (auto& e : v) e = f.random(prng);
+    matrix::DenseBox<F> box(f, a);
+    for (std::size_t count : {std::size_t{1}, std::size_t{2}, std::size_t{5},
+                              n, 2 * n - 1, 2 * n, 2 * n + 3}) {
+      const std::size_t need = core::krylov_power_count((count + 1) / 2);
+      auto powers = core::krylov_powers(f, a, (count + 1) / 2);
+      ASSERT_EQ(powers.size(), need) << n << " " << count;
+      EXPECT_EQ(core::krylov_sequence_doubling(f, powers, u, v, count),
+                matrix::krylov_sequence_iterative(f, box, u, v, count))
+          << n << " " << count;
+      if (need > 1) {
+        powers.pop_back();
+        EXPECT_TRUE(
+            core::krylov_sequence_doubling(f, powers, u, v, count).empty())
+            << n << " " << count;
+      }
+    }
+  }
+}
+
+TEST(KrylovTest, GiantStepCombineMatchesFullBlock) {
+  // sum_i c_i A^i b through the half-width block and one product by the top
+  // power equals the combination over the full block, for every length the
+  // powers cover.
+  util::Prng prng(6);
+  for (std::size_t n : {1u, 2u, 3u, 8u, 13u}) {
+    const auto a = random_mat(n, prng);
+    std::vector<F::Element> b(n);
+    for (auto& e : b) e = f.random(prng);
+    const auto powers = core::krylov_powers(f, a, n);
+    const std::size_t reach = std::size_t{2} << (powers.size() - 1);
+    for (std::size_t len = 1; len <= reach; ++len) {
+      std::vector<F::Element> c(len);
+      for (auto& e : c) e = f.random(prng);
+      EXPECT_EQ(core::krylov_combine_giant_step(f, powers, b, c),
+                core::krylov_combine(f, core::krylov_block(f, a, b, len), c))
+          << n << " " << len;
+    }
+    EXPECT_TRUE(core::krylov_combine_giant_step(
+                    f, powers, b, std::vector<F::Element>(reach + 1))
+                    .empty())
         << n;
   }
+}
+
+TEST(KrylovTest, TrimmedLastLevelCostsLessThanFullDoubling) {
+  // A count that is not a power of two multiplies only the columns it still
+  // needs at the last level: 96 columns cost strictly less than 128.
+  const field::GFp big(field::kNttPrime);
+  util::Prng prng(96);
+  const std::size_t n = 96;
+  const auto a = matrix::random_matrix(big, n, n, prng);
+  std::vector<std::uint64_t> v(n);
+  for (auto& e : v) e = big.random(prng);
+  const auto powers = core::krylov_powers(big, a, 128);
+  util::OpScope short_scope;
+  const auto short_block = core::krylov_block(big, powers, v, 96);
+  const auto short_ops = short_scope.counts().total();
+  util::OpScope full_scope;
+  const auto full_block = core::krylov_block(big, powers, v, 128);
+  const auto full_ops = full_scope.counts().total();
+  ASSERT_EQ(short_block.cols(), 96u);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < 96; ++j) {
+      EXPECT_EQ(short_block.at(i, j), full_block.at(i, j));
+    }
+  }
+  EXPECT_LT(short_ops, full_ops);
 }
 
 TEST(KrylovTest, DoublingWithStrassen) {
@@ -319,11 +401,12 @@ TEST(SolverTest, DetIdenticalWithDepthOptimalOnAndOff) {
 // The generator step: Berlekamp-Massey by default, Theorem 3 under
 // depth_optimal.
 
-/// Same seed, default and depth_optimal: the generator route must not move
-/// any output, the attempt count, or the draws of any attempt.
+/// Same seed, default and depth_optimal: neither the generator route nor
+/// the finish (full-block combine or giant step) may move any output, the
+/// attempt count, or the draws of any attempt.
 template <class Fld>
-void expect_generator_routes_agree(const Fld& fld, std::size_t n,
-                                   std::uint64_t seed) {
+void expect_depth_optimal_routes_agree(const Fld& fld, std::size_t n,
+                                       std::uint64_t seed) {
   util::Prng data(seed);
   const auto a = matrix::random_matrix(fld, n, n, data);
   std::vector<typename Fld::Element> b(n);
@@ -357,9 +440,12 @@ void expect_generator_routes_agree(const Fld& fld, std::size_t n,
 }
 
 TEST(SequentialGeneratorTest, MatchesTheorem3OverNttPrime) {
+  // depth_optimal also switches the finish from the giant step through the
+  // top square A-tilde^P to the full n-column block; n - P runs from one
+  // coefficient (3, 5, 33) to the whole P-column block (2, 16, 64).
   const Zp<field::kNttPrime> big;
-  for (std::size_t n : {1u, 2u, 3u, 7u, 16u, 64u}) {
-    expect_generator_routes_agree(big, n, 500 + n);
+  for (std::size_t n : {1u, 2u, 3u, 5u, 7u, 12u, 16u, 33u, 64u, 100u}) {
+    expect_depth_optimal_routes_agree(big, n, 500 + n);
   }
 }
 
@@ -369,7 +455,7 @@ TEST(SequentialGeneratorTest, MatchesTheorem3OverSmallPrime) {
   const Zp<131> small;
   for (std::size_t n : {1u, 2u, 3u, 7u, 16u, 64u}) {
     for (std::uint64_t seed : {600u, 700u, 800u}) {
-      expect_generator_routes_agree(small, n, seed + n);
+      expect_depth_optimal_routes_agree(small, n, seed + n);
       if (n == 64) break;  // one draw: the Theorem-3 side dominates here
     }
   }
@@ -391,16 +477,16 @@ TEST(DenseRouteCostPin, KpSolveN96OpsAndDiagSeeds) {
   const auto res = core::kp_solve(f, a, b, prng);
   const auto ops = scope.counts();
   ASSERT_TRUE(res.ok);
-  EXPECT_EQ(ops.total(), 21593833u);
-  EXPECT_EQ(ops.add, 11026563u);
-  EXPECT_EQ(ops.mul, 10566595u);
+  EXPECT_EQ(ops.total(), 15781321u);
+  EXPECT_EQ(ops.add, 8135523u);
+  EXPECT_EQ(ops.mul, 7645123u);
   EXPECT_EQ(ops.div, 482u);
   EXPECT_EQ(ops.zero_test, 193u);
   EXPECT_EQ(res.attempts, 1);
   ASSERT_EQ(res.diags.size(), 1u);
   EXPECT_EQ(res.diags[0].precondition_seed, 362395845592970028u);
   EXPECT_EQ(res.diags[0].projection_seed, 16232961778811808461u);
-  EXPECT_EQ(res.diags[0].ops.total(), 21593833u);
+  EXPECT_EQ(res.diags[0].ops.total(), 15781321u);
   const auto expect = matrix::solve_gauss(f, a, b);
   ASSERT_TRUE(expect.has_value());
   EXPECT_EQ(res.x, *expect);
