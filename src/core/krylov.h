@@ -11,12 +11,12 @@
 // are cheaper than dense ones).  The squares depend on A alone, so every
 // block of one operator can share them.
 //
-// Neither consumer of the Theorem-4 pipeline needs a block as wide as its
-// count: the 2n projected terms u A^i v split between the two sides (the
-// first n project (v ... A^{n-1} v) on u, the next n on w = u A^n), and the
-// Cayley-Hamilton finish sum_i q_i A^i b takes a giant step through the top
-// stored power.  Both stop one squaring short of A^n.  KrylovRoute names
-// the two routes; the Theorem-4 solver picks per operator structure.
+// The 2n projected terms u A^i v need a block only n columns wide: the
+// first n project (v ... A^{n-1} v) on u, the next n on w = u A^n, so the
+// sequence stops one squaring short of A^n.  The doubling buys depth, not
+// work: route (8) on a dense operator costs about 6n^3 operations against
+// the squarings' 2n^3 each.  KrylovRoute names the two routes, and
+// resolve_route keeps the doubling for depth-optimal runs (the circuits).
 #pragma once
 
 #include <algorithm>
@@ -52,19 +52,25 @@ util::Status validate_krylov_input(const F&, std::size_t rows,
 
 /// Which route produces the Krylov data of the Theorem-4 pipeline.
 enum class KrylovRoute {
-  kAuto,       ///< doubling for dense operators, iterative otherwise
+  kAuto,       ///< doubling for depth-optimal dense runs, iterative otherwise
   kDoubling,   ///< equation (9): O(log n) matrix products
   kIterative,  ///< route (8): 2n black-box products
 };
 
-/// Resolves kAuto against the operator's structure hint: a dense operator
-/// amortizes into the doubling route, while for sparse/structured operators
-/// n black-box products beat an O(n^omega log n) dense doubling.
+/// Resolves kAuto against the operator's structure hint and the run's
+/// depth goal.  Only a depth-optimal run (every circuit builder) on a dense
+/// operator takes the doubling route: its O(log^2 n) depth is the point of
+/// Theorem 4, while the default generator is O(n)-deep anyway, and there
+/// 3n products with the dense A-tilde cost about 6n^3 operations against
+/// the squarings' ~2n^3 log n.  Sparse and structured operators always
+/// iterate.
 inline KrylovRoute resolve_route(KrylovRoute requested,
-                                 matrix::BoxStructure structure) {
+                                 matrix::BoxStructure structure,
+                                 bool depth_optimal) {
   if (requested != KrylovRoute::kAuto) return requested;
-  return structure == matrix::BoxStructure::kDense ? KrylovRoute::kDoubling
-                                                   : KrylovRoute::kIterative;
+  return structure == matrix::BoxStructure::kDense && depth_optimal
+             ? KrylovRoute::kDoubling
+             : KrylovRoute::kIterative;
 }
 
 /// How many powers A^{2^j}, j = 0, 1, ..., a count-column doubling block
@@ -79,8 +85,8 @@ inline std::size_t krylov_power_count(std::size_t count) {
 /// The repeated squares of the doubling step: A^{2^j} for
 /// j < krylov_power_count(count), i.e. every power a count-column block
 /// multiplies by.  A caller that builds several blocks of the same operator
-/// squares once and hands the powers to the stored-powers krylov_block,
-/// krylov_sequence_doubling or krylov_combine_giant_step.
+/// squares once and hands the powers to the stored-powers krylov_block or
+/// krylov_sequence_doubling.
 /// Returns an empty vector when A is not square.
 template <kp::field::Field F>
 std::vector<matrix::Matrix<F>> krylov_powers(
@@ -263,37 +269,6 @@ std::vector<typename F::Element> krylov_combine(
     out[i] = matrix::balanced_sum(f, terms);
   }
   return out;
-}
-
-/// (sum_i c_i A^i) b from stored powers, with a giant step through the top
-/// power A^P, P = 2^{powers.size() - 1}: the P-column block K of b gives
-/// K c[0..P) + A^P (K c[P..)) for any c of at most 2P coefficients.  Half
-/// the block of krylov_combine over all of c, for one matrix-vector product
-/// that follows the combination (one product deeper on the circuit).
-/// Returns an empty vector on a malformed input.
-template <kp::field::Field F>
-std::vector<typename F::Element> krylov_combine_giant_step(
-    const F& f, const std::vector<matrix::Matrix<F>>& powers,
-    const std::vector<typename F::Element>& b,
-    const std::vector<typename F::Element>& coeffs,
-    matrix::MatMulStrategy strategy = matrix::MatMulStrategy::kClassical) {
-  using E = typename F::Element;
-  if (powers.empty()) return {};
-  const std::size_t top = powers.size() - 1;
-  const std::size_t p = std::size_t{1} << top;
-  if (coeffs.size() > 2 * p) return {};
-  const std::size_t cols = std::min(p, coeffs.size());
-  const auto block = krylov_block(f, powers, b, cols, strategy);
-  if (block.rows() != b.size()) return {};
-  const auto split = coeffs.begin() + static_cast<std::ptrdiff_t>(cols);
-  auto x = krylov_combine(f, block, std::vector<E>(coeffs.begin(), split));
-  if (split != coeffs.end()) {
-    const auto giant = matrix::mat_vec(
-        f, powers[top],
-        krylov_combine(f, block, std::vector<E>(split, coeffs.end())));
-    for (std::size_t i = 0; i < x.size(); ++i) x[i] = f.add(x[i], giant[i]);
-  }
-  return x;
 }
 
 }  // namespace kp::core

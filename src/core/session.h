@@ -11,7 +11,9 @@
 //     TransformedPoly caches inside it stay warm across every solve (the
 //     box holds H and D by value; copying it would drop the cached spectra,
 //     which is why the session is immovable and hands out batch solves
-//     rather than the box);
+//     rather than the box).  A dense operator at block width 1 pins the
+//     formed A-tilde instead, stored transposed, and every solve iterates
+//     on it with row-vector products;
 //   * the Transcript of kp_solve's prepare (core/solver.h): H, D, the
 //     charpoly g and det(A); the Diag seeds that drew it make a solve
 //     failure replayable in isolation;
@@ -147,13 +149,14 @@ class Session {
   }
 
   /// Phase 1: run kp_solve's per-operator prepare (detail::prepare_attempt)
-  /// on the iterative route -- the session's box stays lazy, so its cached
-  /// spectra stay warm -- and pin the resulting Transcript.  Same Las Vegas
-  /// loop as the one-shot solver: stage-targeted redraws, |S| doubling on
-  /// full restarts, the block route when solver.block_width > 1.  Also
-  /// detects singular operators: g(0) = 0 on every attempt surfaces as the
-  /// usual kZeroConstantTerm failure and the dense path can prove
-  /// kSingularInput.
+  /// on the iterative route and pin the resulting Transcript.  A sparse or
+  /// structured operator's box stays lazy, so its cached spectra stay warm;
+  /// a dense one at b = 1 iterates on A-tilde^T, formed once per attempt.
+  /// Same Las Vegas loop as the one-shot solver: stage-targeted redraws,
+  /// |S| doubling on full restarts, the block route when
+  /// solver.block_width > 1.  Also detects singular operators: g(0) = 0 on
+  /// every attempt surfaces as the usual kZeroConstantTerm failure and the
+  /// dense path can prove kSingularInput.
   util::Status prepare(const util::ExecControl* control = nullptr) {
     prepared_ = false;
     SolverOptions opt = opt_.solver;

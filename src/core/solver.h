@@ -5,13 +5,17 @@
 //
 //   1. Draw the random Hankel H, diagonal D, row vector u, column vector v
 //      with entries from S; form A-tilde = A H D.               [Theorem 2]
-//   2. a_i = u A-tilde^i v for i < 2n, either via Krylov doubling (9)
-//      [O(n^w log n), the processor-efficient dense route] or via 2n
-//      black-box products (8) [the cheap route when one product costs
-//      o(n^2): sparse O(nnz), structured O(M(n))].  The doubling route
-//      squares only to A-tilde^P, P = 2^{ceil(log2 n) - 1} >= n/2: the
-//      block (v ... A-tilde^{n-1} v) projects on u for a_0..a_{n-1} and on
-//      w = u A-tilde^n for a_n..a_{2n-1}.  It keeps the squares for step 4.
+//   2. a_i = u A-tilde^i v for i < 2n, either via 2n products (8) or via
+//      Krylov doubling (9) [O(n^w log n) work in O(log^2 n) depth, the
+//      processor-efficient circuit route, taken under depth_optimal].  A
+//      sparse or structured operator iterates on the lazily composed
+//      A H D.  A dense one forms A-tilde once and iterates on it stored
+//      transposed: each product is a row-vector product over A-tilde^T's
+//      contiguous rows, about 6n^3 operations for steps 2 and 4 together.
+//      The doubling route squares only to A-tilde^P, P = 2^{ceil(log2 n)
+//      - 1} >= n/2: the block (v ... A-tilde^{n-1} v) projects on u for
+//      a_0..a_{n-1} and on w = u A-tilde^n for a_n..a_{2n-1}.  It keeps the
+//      squares for step 4.
 //   3. The generator c of a_0..a_{2n-1}: the solution of T c =
 //      (a_n..a_{2n-1}), T = Toeplitz(a_0..a_{2n-2}) (Lemma 1).  By default
 //      Berlekamp-Massey finds it in O(n^2) -- the paper's sequential method,
@@ -19,10 +23,10 @@
 //      depth_optimal: charpoly(T) by Theorem 3 and Cayley-Hamilton on T.
 //   4. c is w.h.p. the characteristic polynomial of A-tilde     [est. (2)];
 //      Cayley-Hamilton on A-tilde gives x-tilde = A-tilde^{-1} b = q(A-tilde)
-//      b, and x = H D x-tilde.  The doubling route builds the P-column
-//      Krylov block K of b from step 2's squares and takes x-tilde =
-//      K q[0..P) + A-tilde^P (K q[P..n)); under depth_optimal it builds all n
-//      columns instead, so the combination stays the circuit's last step.
+//      b, and x = H D x-tilde.  The iterative route runs the recurrence
+//      through n - 1 more products with the same operator; the doubling
+//      route builds the n-column Krylov block of b from step 2's squares
+//      and combines its columns.
 //   5. det(A) = (-1)^n g(0) / (det(H) det(D)), det(H) from the
 //      Berlekamp-Massey discrepancies of H in O(n^2); via the row-mirror
 //      Toeplitz and Theorem 3 (section 4) when H is not normal or the run
@@ -31,8 +35,8 @@
 // Every stage touches A only through matrix-vector products, so kp_solve /
 // kp_det accept any matrix::LinOp; dense matrix::Matrix<F> call sites keep
 // working through an adapter overload that wraps a DenseBox.  The
-// preconditioned operator is composed lazily (PreconditionedBox); only the
-// dense doubling route materializes A-tilde.
+// preconditioned operator is composed lazily (PreconditionedBox) unless the
+// operator is dense, where A-tilde is materialized once per attempt.
 //
 // The pipeline splits into a per-OPERATOR prepare (steps 1-3 and det(H D):
 // detail::prepare_attempt fills a Transcript) and a per-RHS finish (steps
@@ -92,10 +96,11 @@ struct SolverOptions {
   /// Newton-identity solve of the Theorem-3 charpolys: used only under
   /// depth_optimal and by the det(H) fallback for a non-normal H.
   seq::NewtonIdentityMethod newton = seq::NewtonIdentityMethod::kTriangularSolve;
-  /// How the Krylov data of steps 2 and 4 is produced.  kAuto keys off the
-  /// operator's BoxStructure: doubling (9) for dense operators, iterative
-  /// (8) for sparse/structured ones where n black-box products beat an
-  /// O(n^omega log n) dense doubling.
+  /// How the Krylov data of steps 2 and 4 is produced.  kAuto takes the
+  /// doubling (9) only for a dense operator under depth_optimal, where the
+  /// O(log^2 n) depth is wanted, and the 3n products of (8) otherwise: on
+  /// the dense A-tilde they cost about 6n^3 operations, below the
+  /// squarings alone.  See resolve_route.
   KrylovRoute route = KrylovRoute::kAuto;
   /// Replace the O(n)-deep sequential steps (the Berlekamp-Massey
   /// generator, the Berlekamp-Massey det(H) and, inside Theorem 3, the
@@ -122,8 +127,9 @@ struct SolverOptions {
   /// U A-tilde^i V with the sigma-basis generator (core/block_krylov.h,
   /// seq/matrix_berlekamp_massey.h), cutting the iteration count ~b x and
   /// batching every step's applies over the pool.  Falls back to 1 when the
-  /// route is doubling, n <= 1, or the field is too small for the
-  /// det-by-interpolation step (characteristic < 2n + 2).
+  /// route is doubling, kAuto meets a dense operator, n <= 1, or the field
+  /// is too small for the det-by-interpolation step (characteristic <
+  /// 2n + 2).
   std::size_t block_width = 1;
   /// Cooperative deadline/cancellation token (util/deadline.h), checked at
   /// the same stage boundaries as the KP_FAULT_POINT sites.  A trip aborts
@@ -150,34 +156,54 @@ struct SolveResult {
 
 /// The per-operator half of Theorem 4 (steps 1-3 and the det of step 5):
 /// what prepare leaves for any number of per-right-hand-side finishes.
-/// The box (iterative route) views `a`, `f` and the ring it was prepared
-/// with, so those must outlive the transcript.
+/// The lazy box views `a`, `f` and the ring it was prepared with, so those
+/// must outlive the transcript.
 template <kp::field::Field F, matrix::LinOp B>
 struct Transcript {
   using E = typename F::Element;
 
-  /// Resolves the route (and, on the iterative route, the block width)
-  /// once for the whole run.
+  /// Resolves the route and the block width once for the whole run.  A
+  /// dense operator under kAuto keeps b = 1, as it did when kAuto meant
+  /// doubling for it; an explicit kIterative may widen the block.
   Transcript(const F& f, const B& a, const SolverOptions& opt)
-      : route(resolve_route(opt.route, matrix::box_structure(a))),
-        block_width(route == KrylovRoute::kIterative
-                        ? detail::effective_block_width(f, opt.block_width,
-                                                        a.dim())
-                        : 1) {}
+      : route(resolve_route(opt.route, matrix::box_structure(a),
+                            opt.depth_optimal)),
+        block_width(
+            opt.route == KrylovRoute::kIterative ||
+                    (opt.route == KrylovRoute::kAuto &&
+                     matrix::box_structure(a) != matrix::BoxStructure::kDense)
+                ? detail::effective_block_width(f, opt.block_width, a.dim())
+                : 1),
+        materialized(route == KrylovRoute::kIterative && block_width == 1 &&
+                     matrix::box_structure(a) == matrix::BoxStructure::kDense) {
+  }
 
   KrylovRoute route;        ///< kDoubling or kIterative
   std::size_t block_width;  ///< b of the iterative route (1: scalar)
+  /// Iterative route at b = 1 on a dense operator: A-tilde is formed each
+  /// attempt and iterated on as `dense` rather than composed lazily.
+  bool materialized;
   std::optional<Preconditioner<F>> pre;    ///< H, D
-  /// Doubling route: powers[j] = A-tilde^{2^j} for the j an n-column
+  /// Doubling route only: powers[j] = A-tilde^{2^j} for the j an n-column
   /// Krylov block multiplies by (powers[0] is A-tilde, the top one
   /// A-tilde^P with P >= n/2), squared once in prepare for the projection
   /// and shared by every finish.  ceil(log2 n) n x n matrices: about 4 MiB
-  /// at n = 256 with 8-byte elements, 3.5 MiB beyond A-tilde itself.  Empty
-  /// on the iterative route, which sessions always take.
+  /// at n = 256 with 8-byte elements.
   std::vector<matrix::Matrix<F>> powers;
+  /// Materialized iterative route: A-tilde stored transposed, 0.5 MiB at
+  /// n = 256.  Its products are row-vector products (TransposedDenseBox).
+  std::optional<matrix::TransposedDenseBox<F>> dense;
   std::optional<matrix::PreconditionedBox<F, B>> box;  ///< lazy A-tilde
   std::vector<E> g;  ///< charpoly of A-tilde
   E det{};           ///< det(A)
+
+  /// Calls fn with the iterative route's operator A-tilde: `dense` when
+  /// materialized, the lazy `box` otherwise.
+  template <class Fn>
+  decltype(auto) with_operator(Fn&& fn) const {
+    if (materialized) return fn(*dense);
+    return fn(*box);
+  }
 };
 
 namespace detail {
@@ -236,9 +262,10 @@ util::Status generator_from_sequence_status(
   return st;
 }
 
-/// Dense A-tilde for the doubling route: the O(n^2 polylog) Hankel-product
-/// formation when the box exposes its dense matrix, otherwise n black-box
-/// products (identical values either way -- exact arithmetic).
+/// Dense A-tilde for the doubling and materialized routes: the O(n^2
+/// polylog) Hankel-product formation when the box exposes its dense matrix,
+/// otherwise n black-box products (identical values either way -- exact
+/// arithmetic).
 template <kp::field::Field F, matrix::LinOp B>
 matrix::Matrix<F> dense_preconditioned(const F& f,
                                        const kp::poly::PolyRing<F>& ring,
@@ -334,6 +361,10 @@ util::Status prepare_attempt(const F& f, const kp::poly::PolyRing<F>& ring,
   if (t.route == KrylovRoute::kDoubling) {
     t.powers = krylov_powers(f, dense_preconditioned(f, ring, a, *t.pre), n,
                              opt.matmul);
+  } else if (t.materialized) {
+    auto at = dense_preconditioned(f, ring, a, *t.pre);
+    matrix::transpose_in_place(at);
+    t.dense.emplace(f, std::move(at));
   } else {
     t.box.emplace(f, ring, a, t.pre->hankel, t.pre->diagonal);
   }
@@ -355,13 +386,15 @@ util::Status prepare_attempt(const F& f, const kp::poly::PolyRing<F>& ring,
     std::vector<E> u(n), v(n);
     for (auto& e : u) e = f.sample(r, s);
     for (auto& e : v) e = f.sample(r, s);
-    // a_i = u A-tilde^i v by doubling (9), or by 2n products (8) with the
-    // lazily composed A H D.
+    // a_i = u A-tilde^i v by doubling (9), or by 2n products (8) with
+    // A-tilde.
     std::vector<E> seq;
     if (t.route == KrylovRoute::kDoubling) {
       seq = krylov_sequence_doubling(f, t.powers, u, v, 2 * n, opt.matmul);
     } else {
-      seq = matrix::krylov_sequence_iterative(f, *t.box, u, v, 2 * n);
+      seq = t.with_operator([&](const auto& op) {
+        return matrix::krylov_sequence_iterative(f, op, u, v, 2 * n);
+      });
     }
     if (KP_FAULT_POINT(Stage::kProjection)) {
       return Status::Injected(FailureKind::kDegenerateProjection,
@@ -400,9 +433,8 @@ struct FinishedRhs {
 /// x = H D x-tilde and (opt.verify) the Las Vegas check A x = b.
 ///
 ///   * q = solution_combination(g) once per call.  The doubling route
-///     combines each column's P-column Krylov block and takes the giant step
-///     through A-tilde^P (the whole n-column block under depth_optimal);
-///     the iterative route advances all k columns through one batched
+///     combines each column's n-column Krylov block; the iterative route
+///     (lazy or materialized) advances all k columns through one batched
 ///     recurrence (combine_powers), checking opt.control every 16 steps at
 ///     kSolveFinish.  A control trip fails every column.
 ///   * Per column, in order: the kSolveFinish fault site, unpreconditioning,
@@ -427,15 +459,12 @@ std::vector<FinishedRhs<F>> finish_many(
   std::vector<std::vector<E>> xt;
   if (t.route == KrylovRoute::kDoubling) {
     for (const auto* b : rhs) {
-      // depth_optimal keeps the combination the last step of the circuit;
-      // the default halves the block for one product by A-tilde^P after it.
-      xt.push_back(
-          opt.depth_optimal
-              ? krylov_combine(
-                    f, krylov_block(f, t.powers, *b, a.dim(), opt.matmul), q)
-              : krylov_combine_giant_step(f, t.powers, *b, q, opt.matmul));
+      xt.push_back(krylov_combine(
+          f, krylov_block(f, t.powers, *b, a.dim(), opt.matmul), q));
     }
-  } else if (Status st = combine_powers(f, *t.box, q, rhs, opt.control, xt);
+  } else if (Status st = t.with_operator([&](const auto& op) {
+               return combine_powers(f, op, q, rhs, opt.control, xt);
+             });
              !st.ok()) {
     for (auto& o : out) o.status = st;
     return out;
@@ -564,8 +593,8 @@ SolveResult<F> kp_det(const F& f, const B& a, kp::util::Prng& prng,
 }
 
 /// Dense-matrix adapter: existing call sites keep their signature; the
-/// matrix is wrapped in a DenseBox (kAuto then resolves to the doubling
-/// route, reproducing the historical dense pipeline exactly).
+/// matrix is wrapped in a DenseViewBox, so kAuto iterates on the formed
+/// A-tilde (doubling under depth_optimal).
 template <kp::field::Field F>
 SolveResult<F> kp_solve(const F& f, const matrix::Matrix<F>& a,
                         const std::vector<typename F::Element>& b,

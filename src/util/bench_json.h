@@ -7,7 +7,9 @@
 // key/value pairs (sizes, wall times, op counts).
 #pragma once
 
+#include <algorithm>
 #include <chrono>
+#include <ctime>
 #include <cstdint>
 #include <fstream>
 #include <string>
@@ -36,6 +38,32 @@ class WallTimer {
  private:
   std::chrono::steady_clock::time_point start_;
 };
+
+/// Process CPU-time stopwatch: the time every thread of the process spent
+/// on a CPU, pool workers included.
+class CpuTimer {
+ public:
+  CpuTimer() : start_(now_ms()) {}
+  double elapsed_ms() const { return now_ms() - start_; }
+
+ private:
+  static double now_ms() {
+    timespec ts{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) * 1e3 +
+           static_cast<double>(ts.tv_nsec) * 1e-6;
+  }
+  double start_;
+};
+
+/// Median of a sample of timings (the mean of the middle two for an even
+/// count, 0 for none).
+inline double median(std::vector<double> v) {
+  if (v.empty()) return 0;
+  std::sort(v.begin(), v.end());
+  const std::size_t h = v.size() / 2;
+  return v.size() % 2 ? v[h] : (v[h - 1] + v[h]) / 2;
+}
 
 /// Collects rows and writes BENCH_<name>.json on write() (or destruction).
 class BenchReport {

@@ -68,7 +68,7 @@ TEST(BlackboxSolverTest, BackendsProduceIdenticalResults) {
   util::Prng p1(seed);
   auto dense_res = core::kp_solve(f, dense, b, p1);
   ASSERT_TRUE(dense_res.ok);
-  EXPECT_EQ(dense_res.route_used, core::KrylovRoute::kDoubling);
+  EXPECT_EQ(dense_res.route_used, core::KrylovRoute::kIterative);
   EXPECT_EQ(dense_res.x, x_true);
 
   util::Prng p2(seed);
@@ -130,13 +130,14 @@ TEST(BlackboxSolverTest, AnyBoxDispatchesAtRuntime) {
   util::Prng p1(42);
   auto ref = core::kp_solve(f, dense, b, p1);
   ASSERT_TRUE(ref.ok);
-  // The erased dense backend resolves to the doubling route through its
-  // structure() hint; the sparse one goes iterative.  Both match the ref.
+  // Both erased backends resolve to the iterative route; the dense one's
+  // structure() hint makes it iterate on the formed A-tilde, the sparse one
+  // on the lazy box.  Both match the ref.
   {
     util::Prng p(42);
     auto res = core::kp_solve(f, backends[0], b, p);
     ASSERT_TRUE(res.ok);
-    EXPECT_EQ(res.route_used, core::KrylovRoute::kDoubling);
+    EXPECT_EQ(res.route_used, core::KrylovRoute::kIterative);
     EXPECT_EQ(res.x, ref.x);
     EXPECT_EQ(res.det, ref.det);
   }
@@ -158,16 +159,29 @@ TEST(BlackboxSolverTest, ForcedRoutesAgreeOnDenseOperator) {
   std::vector<F::Element> b(n);
   for (auto& e : b) e = f.random(setup);
 
-  core::SolverOptions doubling, iterative;
+  core::SolverOptions doubling, iterative, wide;
   doubling.route = core::KrylovRoute::kDoubling;
   iterative.route = core::KrylovRoute::kIterative;
-  util::Prng p1(9), p2(9);
+  // kAuto keeps a dense operator at b = 1 whatever block width is asked.
+  wide.block_width = 4;
+  util::Prng p1(9), p2(9), p3(9), p4(9);
   auto r1 = core::kp_solve(f, a, b, p1, doubling);
   auto r2 = core::kp_solve(f, a, b, p2, iterative);
-  ASSERT_TRUE(r1.ok && r2.ok);
-  EXPECT_EQ(r1.x, r2.x);
-  EXPECT_EQ(r1.det, r2.det);
-  EXPECT_EQ(r1.charpoly_at, r2.charpoly_at);
+  auto r3 = core::kp_solve(f, a, b, p3);
+  auto r4 = core::kp_solve(f, a, b, p4, wide);
+  ASSERT_TRUE(r1.ok && r2.ok && r3.ok && r4.ok);
+  EXPECT_EQ(r1.route_used, core::KrylovRoute::kDoubling);
+  for (const auto* r : {&r2, &r3, &r4}) {
+    EXPECT_EQ(r->route_used, core::KrylovRoute::kIterative);
+    EXPECT_EQ(r1.x, r->x);
+    EXPECT_EQ(r1.det, r->det);
+    EXPECT_EQ(r1.charpoly_at, r->charpoly_at);
+    EXPECT_EQ(r1.attempts, r->attempts);
+    ASSERT_EQ(r->diags.size(), r1.diags.size());
+    EXPECT_EQ(r->diags[0].projection_seed, r1.diags[0].projection_seed);
+  }
+  // The same draws and the same operations: b stayed 1.
+  EXPECT_EQ(r4.diags[0].ops.total(), r3.diags[0].ops.total());
 }
 
 TEST(BlackboxSolverTest, SingularSparseReportsFailure) {

@@ -206,17 +206,27 @@ TEST(SessionTest, SolveDenseOnSingularOperatorIsSingularInput) {
 }
 
 TEST(SessionTest, SolveManyBatchIsExact) {
+  // The sparse operator keeps the lazy box; its dense copy iterates on the
+  // formed A-tilde^T.  Same seed, same draws: same det, same answers.
   Fixture fx(24);
-  Session<F> sess(f, fx.box(), 5);
-  std::vector<const std::vector<F::Element>*> rhs;
-  for (const auto& b : fx.b) rhs.push_back(&b);
-  auto out = sess.solve_many(rhs);
-  ASSERT_EQ(out.items.size(), fx.b.size());
-  for (std::size_t i = 0; i < out.items.size(); ++i) {
-    ASSERT_TRUE(out.items[i].status.ok()) << out.items[i].status.message();
-    EXPECT_EQ(out.items[i].x, fx.x[i]);
-    EXPECT_EQ(out.items[i].level, DegradationLevel::kBatched);
+  const matrix::AnyBox<F> dense(matrix::DenseBox<F>(f, fx.a.to_dense(f)));
+  std::vector<F::Element> dets;
+  for (const matrix::AnyBox<F>& box : {fx.box(), dense}) {
+    Session<F> sess(f, box, 5);
+    std::vector<const std::vector<F::Element>*> rhs;
+    for (const auto& b : fx.b) rhs.push_back(&b);
+    auto out = sess.solve_many(rhs);
+    EXPECT_EQ(sess.transcript().materialized,
+              box.structure() == matrix::BoxStructure::kDense);
+    dets.push_back(sess.det());
+    ASSERT_EQ(out.items.size(), fx.b.size());
+    for (std::size_t i = 0; i < out.items.size(); ++i) {
+      ASSERT_TRUE(out.items[i].status.ok()) << out.items[i].status.message();
+      EXPECT_EQ(out.items[i].x, fx.x[i]);
+      EXPECT_EQ(out.items[i].level, DegradationLevel::kBatched);
+    }
   }
+  EXPECT_EQ(dets[0], dets[1]);
 }
 
 TEST(SessionTest, BlockWidthPreparesThroughTheBlockRoute) {
@@ -370,14 +380,14 @@ TEST(SessionTest, FinishManyMatchesOneColumnFinishes) {
   Fixture fx(24);
   const matrix::SparseBox<F> sparse(f, fx.a);
   ASSERT_EQ(core::resolve_route(core::KrylovRoute::kAuto,
-                                matrix::box_structure(sparse)),
+                                matrix::box_structure(sparse), false),
             core::KrylovRoute::kIterative);
   expect_batched_finish_matches_solo(sparse, fx);
   const matrix::Matrix<F> dense = fx.a.to_dense(f);
   const matrix::DenseViewBox<F> dense_box(f, dense);
   ASSERT_EQ(core::resolve_route(core::KrylovRoute::kAuto,
-                                matrix::box_structure(dense_box)),
-            core::KrylovRoute::kDoubling);
+                                matrix::box_structure(dense_box), false),
+            core::KrylovRoute::kIterative);
   expect_batched_finish_matches_solo(dense_box, fx);
 }
 
@@ -399,6 +409,44 @@ TEST(SessionTest, FinishManyControlTripFailsEveryColumnAtSolveFinish) {
     EXPECT_EQ(col.status.kind(), FailureKind::kDeadlineExceeded);
     EXPECT_EQ(col.status.stage(), Stage::kSolveFinish);
   }
+}
+
+TEST(DeadlineTest, DenseDefaultRouteFinishTripsAtSolveFinish) {
+  // kp_solve's own prepare and finish on a dense operator under default
+  // options: the finish iterates on the formed A-tilde (no powers kept) and
+  // checks the token at kSolveFinish, so an expired one fails every column
+  // there and hands out no x.
+  Fixture fx(40);
+  const matrix::Matrix<F> dense = fx.a.to_dense(f);
+  const matrix::DenseViewBox<F> a(f, dense);
+  poly::PolyRing<F> ring(f);
+  core::SolverOptions opt;
+  core::Transcript<F, matrix::DenseViewBox<F>> t(f, a, opt);
+  util::Prng prng(3);
+  const auto run = core::run_las_vegas(
+      prng, core::detail::las_vegas_options(opt, a.dim(), std::nullopt),
+      nullptr, [&](core::Attempt& at) {
+        return core::detail::prepare_attempt(f, ring, a, opt, at, t);
+      });
+  ASSERT_TRUE(run.status.ok()) << run.status.message();
+  EXPECT_EQ(t.route, core::KrylovRoute::kIterative);
+  EXPECT_TRUE(t.materialized);
+  EXPECT_TRUE(t.powers.empty());
+  EXPECT_FALSE(t.box.has_value());
+  ExecControl expired(Deadline::after(std::chrono::nanoseconds(-1)));
+  opt.control = &expired;
+  const auto out =
+      core::detail::finish_many(f, ring, a, t, {&fx.b[0], &fx.b[1]}, opt);
+  ASSERT_EQ(out.size(), 2u);
+  for (const auto& col : out) {
+    EXPECT_EQ(col.status.kind(), FailureKind::kDeadlineExceeded);
+    EXPECT_EQ(col.status.stage(), Stage::kSolveFinish);
+    EXPECT_TRUE(col.x.empty());
+  }
+  opt.control = nullptr;
+  const auto ok = core::detail::finish_many(f, ring, a, t, {&fx.b[0]}, opt);
+  ASSERT_TRUE(ok[0].status.ok()) << ok[0].status.message();
+  EXPECT_EQ(ok[0].x, fx.x[0]);
 }
 
 #if KP_FAULT_INJECTION_ENABLED
