@@ -3,8 +3,9 @@
 // landscape --
 //
 //   Gaussian elimination    O(n^3) work, depth ~n (sequential)
-//   Wiedemann + BM          O(n^3) work, randomized
+//   Wiedemann + BM          O(n^3) work, randomized (kp_det's default)
 //   Kaltofen-Pan (Thm 4)    O(n^3 polylog) work, depth O(log^2 n)
+//                           (kp_det under depth_optimal)
 //   Csanky/Leverrier        O(n^4) work (the processor gap the paper closes)
 //   Faddeev-LeVerrier       O(n^4) work
 //   Berkowitz               O(n^4) work, division-free, any characteristic
@@ -21,7 +22,6 @@
 #include "circuit/field.h"
 #include "core/baselines.h"
 #include "core/solver.h"
-#include "core/wiedemann.h"
 #include "field/zp.h"
 #include "matrix/gauss.h"
 #include "util/bench_json.h"
@@ -37,7 +37,7 @@ int main() {
   kp::util::BenchReport report("comparison");
 
   std::printf("E11: determinant work comparison (field operations)\n\n");
-  kp::util::Table t({"n", "gauss", "wiedemann", "kp (Thm 4)", "csanky",
+  kp::util::Table t({"n", "gauss", "wiedemann + BM", "kp (Thm 4)", "csanky",
                      "faddeev", "berkowitz", "chistov"});
   std::vector<double> ns, kp_ops, cs_ops;
   for (std::size_t n : {8u, 16u, 32u, 48u, 64u}) {
@@ -50,16 +50,22 @@ int main() {
     (void)kp::matrix::det_gauss(f, a);
     const auto ops_gauss = s0.counts().total();
 
+    // The default kp_det is Wiedemann's preconditioned method: 2n products
+    // with the formed A-tilde and the Berlekamp-Massey generator.
     kp::util::OpScope s1;
-    auto wd = kp::core::wiedemann_det(f, a, prng, 1u << 30);
+    auto wd = kp::core::kp_det(f, a, prng);
     const auto ops_wied = s1.counts().total();
 
+    // Theorem 4 as the paper states it: Krylov doubling, the Theorem-3
+    // generator and det(H) -- the circuit builders' options.
+    kp::core::SolverOptions deep;
+    deep.depth_optimal = true;
     kp::util::OpScope s2;
-    auto kpd = kp::core::kp_det(f, a, prng);
+    auto kpd = kp::core::kp_det(f, a, prng, deep);
     const auto ops_kp = s2.counts().total();
 
     std::uint64_t ops_csanky = 0, ops_faddeev = 0, ops_berk = 0, ops_chistov = 0;
-    bool all_ok = wd.ok && f.eq(wd.value, det_ref) && kpd.ok && f.eq(kpd.det, det_ref);
+    bool all_ok = wd.ok && f.eq(wd.det, det_ref) && kpd.ok && f.eq(kpd.det, det_ref);
     if (n <= 48) {
       kp::util::OpScope s3;
       auto pc = kp::core::charpoly_csanky(f, a);
@@ -104,7 +110,7 @@ int main() {
   }
   t.print();
 
-  std::printf("\nfitted exponents: kp %.2f (expect ~3 + log factors), csanky %.2f (expect ~4)\n",
+  std::printf("\nfitted exponents: kp (Thm 4) %.2f (expect ~3 + log factors), csanky %.2f (expect ~4)\n",
               kp::util::fit_exponent(ns, kp_ops),
               kp::util::fit_exponent(
                   std::vector<double>(ns.begin(),

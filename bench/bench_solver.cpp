@@ -7,10 +7,11 @@
 //   2. direct-implementation work counts of kp_solve vs Gaussian
 //      elimination, and the work ratio (the "processor efficiency" claim:
 //      within a polylog factor of matrix multiplication).  The default
-//      route iterates on the formed A-tilde; the forced doubling (9), the
-//      circuit's route, keeps a tracked cost beside it;
-//   3. CPU and wall medians of the two dense routes at n = 256..1024 and
-//      1 and 4 workers.
+//      route iterates on the formed A-tilde; depth_optimal, the circuits'
+//      options (doubling (9) and the Theorem-3 generator), keeps a tracked
+//      cost beside it;
+//   3. CPU and wall medians of the default dense route at n = 256..1024
+//      and 1 and 4 workers.
 #include <cmath>
 #include <cstdio>
 #include <vector>
@@ -77,17 +78,17 @@ int main() {
   std::printf("random nodes are exactly 5n-1 = (2n-1) Hankel + n diagonal + 2n projections\n\n");
 
   std::printf("Direct implementation: work vs Gaussian elimination\n\n");
-  kp::util::Table tw({"n", "kp_solve ops", "doubling ops", "gauss ops",
+  kp::util::Table tw({"n", "kp_solve ops", "depth_optimal ops", "gauss ops",
                       "ratio", "ratio/log2(n)^2"});
-  kp::core::SolverOptions doubling;
-  doubling.route = kp::core::KrylovRoute::kDoubling;
+  kp::core::SolverOptions deep;
+  deep.depth_optimal = true;
   for (std::size_t n : {8u, 16u, 32u, 64u, 96u}) {
     kp::util::WallTimer wt;
     auto a = kp::matrix::random_matrix(f, n, n, prng);
     std::vector<F::Element> b(n);
     for (auto& e : b) e = f.random(prng);
 
-    kp::util::Prng pd = prng;  // the same draws for the forced doubling
+    kp::util::Prng pd = prng;  // the same draws under depth_optimal
     kp::util::OpScope s1;
     auto res = kp::core::kp_solve(f, a, b, prng);
     const auto kp_ops = s1.counts().total();
@@ -97,8 +98,8 @@ int main() {
       return 1;
     }
     kp::util::OpScope s3;
-    const auto dres = kp::core::kp_solve(f, a, b, pd, doubling);
-    const auto doubling_ops = s3.counts().total();
+    const auto dres = kp::core::kp_solve(f, a, b, pd, deep);
+    const auto deep_ops = s3.counts().total();
     if (!dres.ok || dres.x != res.x || dres.det != res.det) {
       std::printf("ROUTE MISMATCH at n=%zu\n", n);
       return 1;
@@ -114,13 +115,13 @@ int main() {
     report.begin_row("E6_work");
     report.put("n", n);
     report.put("ops_kp_solve", kp_ops);
-    report.put("ops_kp_solve_doubling", doubling_ops);
+    report.put("ops_kp_solve_depth_optimal", deep_ops);
     report.put("ops_gauss", gauss_ops);
     report.put("wall_ms", wt.elapsed_ms());
     const double ratio = static_cast<double>(kp_ops) / static_cast<double>(gauss_ops);
     const double lg = std::log2(static_cast<double>(n));
     tw.add_row({std::to_string(n), kp::util::Table::num(kp_ops),
-                kp::util::Table::num(doubling_ops),
+                kp::util::Table::num(deep_ops),
                 kp::util::Table::num(gauss_ops), kp::util::Table::num(ratio, 3),
                 kp::util::Table::num(ratio / (lg * lg), 3)});
   }
@@ -130,14 +131,12 @@ int main() {
       "(the paper's processor-efficiency claim) but realizes an O(log^2 n)-deep\n"
       "circuit where elimination is inherently sequential (depth ~n).\n");
 
-  // The two dense routes in time: medians of 11 solves per row (5 at
-  // n = 1024), the routes alternating run by run on the same fresh system.
-  // CPU time is the whole process's, so pooled squarings pay for every
-  // worker.
-  std::printf(
-      "\nDense routes: default (2n + n products) vs forced doubling\n\n");
+  // The default dense route in time: medians of 11 solves per row (5 at
+  // n = 1024) on one fresh system, each run with its own draws.  CPU time
+  // is the whole process's, so pooled products pay for every worker.
+  std::printf("\nDense default route (2n + n products)\n\n");
   auto& ctx = kp::pram::ExecutionContext::global();
-  kp::util::Table td({"n", "workers", "route", "cpu ms", "wall ms", "ops"});
+  kp::util::Table td({"n", "workers", "cpu ms", "wall ms", "ops"});
   for (std::size_t n : {256u, 512u, 1024u}) {
     kp::util::Prng setup(300 + n);
     const auto a = kp::matrix::random_matrix(f, n, n, setup);
@@ -145,47 +144,37 @@ int main() {
     for (auto& e : b) e = f.random(setup);
     for (const unsigned workers : {1u, 4u}) {
       ctx.set_worker_limit(workers);
-      std::vector<double> cpu[2], wall[2];
-      std::uint64_t ops[2] = {0, 0};
+      std::vector<double> cpu, wall;
+      std::uint64_t ops = 0;
       std::vector<F::Element> x;
       const int runs = n < 1024 ? 11 : 5;
       for (int run = 0; run < runs; ++run) {
-        for (int k = 0; k < 2; ++k) {
-          const int route = (run + k) % 2;  // alternate which goes first
-          kp::util::Prng p(run);
-          kp::util::OpScope scope;
-          kp::util::CpuTimer ct;
-          kp::util::WallTimer wt;
-          const auto res =
-              route == 0 ? kp::core::kp_solve(f, a, b, p)
-                         : kp::core::kp_solve(f, a, b, p, doubling);
-          wall[route].push_back(wt.elapsed_ms());
-          cpu[route].push_back(ct.elapsed_ms());
-          ops[route] = scope.counts().total();
-          if (x.empty()) x = res.x;
-          if (!res.ok || res.x != x) {
-            std::printf("DENSE ROUTE MISMATCH at n=%zu\n", n);
-            return 1;
-          }
+        kp::util::Prng p(run);
+        kp::util::OpScope scope;
+        kp::util::CpuTimer ct;
+        kp::util::WallTimer wt;
+        const auto res = kp::core::kp_solve(f, a, b, p);
+        wall.push_back(wt.elapsed_ms());
+        cpu.push_back(ct.elapsed_ms());
+        ops = scope.counts().total();
+        if (x.empty()) x = res.x;
+        if (!res.ok || res.x != x) {
+          std::printf("DENSE ROUTE MISMATCH at n=%zu\n", n);
+          return 1;
         }
       }
-      for (int route = 0; route < 2; ++route) {
-        const char* name = route == 0 ? "default" : "doubling";
-        const double cpu_ms = kp::util::median(cpu[route]);
-        const double wall_ms = kp::util::median(wall[route]);
-        report.begin_row("E6_dense_routes");
-        report.put("n", n);
-        report.put("workers", std::uint64_t{workers});
-        report.put("route", name);
-        report.put("runs", runs);
-        report.put("cpu_ms_median", cpu_ms);
-        report.put("wall_ms_median", wall_ms);
-        report.put("ops", ops[route]);
-        td.add_row({std::to_string(n), std::to_string(workers), name,
-                    kp::util::Table::num(cpu_ms),
-                    kp::util::Table::num(wall_ms),
-                    kp::util::Table::num(ops[route])});
-      }
+      const double cpu_ms = kp::util::median(cpu);
+      const double wall_ms = kp::util::median(wall);
+      report.begin_row("E6_dense_routes");
+      report.put("n", n);
+      report.put("workers", std::uint64_t{workers});
+      report.put("runs", runs);
+      report.put("cpu_ms_median", cpu_ms);
+      report.put("wall_ms_median", wall_ms);
+      report.put("ops", ops);
+      td.add_row({std::to_string(n), std::to_string(workers),
+                  kp::util::Table::num(cpu_ms), kp::util::Table::num(wall_ms),
+                  kp::util::Table::num(ops)});
     }
     ctx.set_worker_limit(0);
   }

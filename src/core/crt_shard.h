@@ -93,8 +93,9 @@ struct CrtOptions {
   /// Keep each successful shard's raw residues in the result (tests,
   /// debugging; off by default -- it is O(K n) extra memory).
   bool keep_residues = false;
-  /// Per-shard pipeline knobs (block width, route, budgets...).  The engine
-  /// forces verify + dense_fallback on top, see shard_solver_options().
+  /// Per-shard pipeline knobs (block width, depth goal, budgets...).  The
+  /// engine forces verify + dense_fallback on top, see
+  /// shard_solver_options().
   SolverOptions solver;
   /// Warm-start pinning for sessions (core/session.h): primes a previous
   /// solve of the SAME operator proved good, pre-seeded into the stream

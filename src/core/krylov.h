@@ -15,8 +15,9 @@
 // first n project (v ... A^{n-1} v) on u, the next n on w = u A^n, so the
 // sequence stops one squaring short of A^n.  The doubling buys depth, not
 // work: route (8) on a dense operator costs about 6n^3 operations against
-// the squarings' 2n^3 each.  KrylovRoute names the two routes, and
-// resolve_route keeps the doubling for depth-optimal runs (the circuits).
+// the squarings' 2n^3 each.  KrylovRoute names the two routes; the
+// Theorem-4 Transcript (core/solver.h) takes the doubling only for a dense
+// operator under depth_optimal (the circuits).
 #pragma once
 
 #include <algorithm>
@@ -50,28 +51,13 @@ util::Status validate_krylov_input(const F&, std::size_t rows,
   return util::Status::Ok();
 }
 
-/// Which route produces the Krylov data of the Theorem-4 pipeline.
+/// Which route produced the Krylov data of a Theorem-4 run: derived from
+/// the operator's structure and the depth goal (Transcript in
+/// core/solver.h), reported in SolveResult::route_used.
 enum class KrylovRoute {
-  kAuto,       ///< doubling for depth-optimal dense runs, iterative otherwise
   kDoubling,   ///< equation (9): O(log n) matrix products
   kIterative,  ///< route (8): 2n black-box products
 };
-
-/// Resolves kAuto against the operator's structure hint and the run's
-/// depth goal.  Only a depth-optimal run (every circuit builder) on a dense
-/// operator takes the doubling route: its O(log^2 n) depth is the point of
-/// Theorem 4, while the default generator is O(n)-deep anyway, and there
-/// 3n products with the dense A-tilde cost about 6n^3 operations against
-/// the squarings' ~2n^3 log n.  Sparse and structured operators always
-/// iterate.
-inline KrylovRoute resolve_route(KrylovRoute requested,
-                                 matrix::BoxStructure structure,
-                                 bool depth_optimal) {
-  if (requested != KrylovRoute::kAuto) return requested;
-  return structure == matrix::BoxStructure::kDense && depth_optimal
-             ? KrylovRoute::kDoubling
-             : KrylovRoute::kIterative;
-}
 
 /// How many powers A^{2^j}, j = 0, 1, ..., a count-column doubling block
 /// multiplies by: the block doubles from 1 column per product, so the last

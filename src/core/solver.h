@@ -5,17 +5,20 @@
 //
 //   1. Draw the random Hankel H, diagonal D, row vector u, column vector v
 //      with entries from S; form A-tilde = A H D.               [Theorem 2]
-//   2. a_i = u A-tilde^i v for i < 2n, either via 2n products (8) or via
-//      Krylov doubling (9) [O(n^w log n) work in O(log^2 n) depth, the
-//      processor-efficient circuit route, taken under depth_optimal].  A
-//      sparse or structured operator iterates on the lazily composed
-//      A H D.  A dense one forms A-tilde once and iterates on it stored
-//      transposed: each product is a row-vector product over A-tilde^T's
-//      contiguous rows, about 6n^3 operations for steps 2 and 4 together.
-//      The doubling route squares only to A-tilde^P, P = 2^{ceil(log2 n)
-//      - 1} >= n/2: the block (v ... A-tilde^{n-1} v) projects on u for
-//      a_0..a_{n-1} and on w = u A-tilde^n for a_n..a_{2n-1}.  It keeps the
-//      squares for step 4.
+//   2. a_i = u A-tilde^i v for i < 2n.  The route follows the operator
+//      and the depth goal (Transcript), never an option.  A dense operator
+//      under depth_optimal -- the processor-efficient circuit route --
+//      takes Krylov doubling (9), O(n^w log n) work in O(log^2 n) depth:
+//      it squares only to A-tilde^P, P = 2^{ceil(log2 n) - 1} >= n/2, the
+//      block (v ... A-tilde^{n-1} v) projects on u for a_0..a_{n-1} and on
+//      w = u A-tilde^n for a_n..a_{2n-1}, and the squares are kept for
+//      step 4.  Every other run takes the 2n products (8): a dense
+//      operator forms A-tilde once and iterates on it stored transposed
+//      (each product a row-vector product over A-tilde^T's contiguous
+//      rows, about 6n^3 operations for steps 2 and 4 together), a sparse
+//      or structured one on the lazily composed A H D.  At block_width
+//      b > 1 the iterative route projects U A-tilde^i V instead and finds
+//      the generator with the sigma-basis (core/block_krylov.h).
 //   3. The generator c of a_0..a_{2n-1}: the solution of T c =
 //      (a_n..a_{2n-1}), T = Toeplitz(a_0..a_{2n-2}) (Lemma 1).  By default
 //      Berlekamp-Massey finds it in O(n^2) -- the paper's sequential method,
@@ -24,9 +27,9 @@
 //   4. c is w.h.p. the characteristic polynomial of A-tilde     [est. (2)];
 //      Cayley-Hamilton on A-tilde gives x-tilde = A-tilde^{-1} b = q(A-tilde)
 //      b, and x = H D x-tilde.  The iterative route runs the recurrence
-//      through n - 1 more products with the same operator; the doubling
-//      route builds the n-column Krylov block of b from step 2's squares
-//      and combines its columns.
+//      through n - 1 more products with step 2's operator, at any b; the
+//      doubling route builds the n-column Krylov block of b from step 2's
+//      squares and combines its columns.
 //   5. det(A) = (-1)^n g(0) / (det(H) det(D)), det(H) from the
 //      Berlekamp-Massey discrepancies of H in O(n^2); via the row-mirror
 //      Toeplitz and Theorem 3 (section 4) when H is not normal or the run
@@ -34,7 +37,7 @@
 //
 // Every stage touches A only through matrix-vector products, so kp_solve /
 // kp_det accept any matrix::LinOp; dense matrix::Matrix<F> call sites keep
-// working through an adapter overload that wraps a DenseBox.  The
+// working through an adapter overload that wraps a DenseViewBox.  The
 // preconditioned operator is composed lazily (PreconditionedBox) unless the
 // operator is dense, where A-tilde is materialized once per attempt.
 //
@@ -96,12 +99,6 @@ struct SolverOptions {
   /// Newton-identity solve of the Theorem-3 charpolys: used only under
   /// depth_optimal and by the det(H) fallback for a non-normal H.
   seq::NewtonIdentityMethod newton = seq::NewtonIdentityMethod::kTriangularSolve;
-  /// How the Krylov data of steps 2 and 4 is produced.  kAuto takes the
-  /// doubling (9) only for a dense operator under depth_optimal, where the
-  /// O(log^2 n) depth is wanted, and the 3n products of (8) otherwise: on
-  /// the dense A-tilde they cost about 6n^3 operations, below the
-  /// squarings alone.  See resolve_route.
-  KrylovRoute route = KrylovRoute::kAuto;
   /// Replace the O(n)-deep sequential steps (the Berlekamp-Massey
   /// generator, the Berlekamp-Massey det(H) and, inside Theorem 3, the
   /// triangular Newton-identity solve) with Theorem 3 plus a doubling
@@ -109,7 +106,8 @@ struct SolverOptions {
   /// kPowerSeriesExp Newton method, so that the realized CIRCUIT has
   /// poly-logarithmic depth as Theorem 4 states.  Costs more work (Theorem
   /// 3 is O(n^2 polylog n) against O(n^2)); the default optimizes
-  /// sequential work instead.
+  /// sequential work instead.  On a dense operator it also selects the
+  /// Krylov doubling (9) for steps 2 and 4 (see Transcript).
   bool depth_optimal = false;
   /// Cap on the field operations one attempt may spend (0 = unlimited).
   /// When a failed attempt exceeds it, the Las Vegas loop stops and the
@@ -126,10 +124,9 @@ struct SolverOptions {
   /// scalar sequence u A-tilde^i v; b > 1 switches to block projections
   /// U A-tilde^i V with the sigma-basis generator (core/block_krylov.h,
   /// seq/matrix_berlekamp_massey.h), cutting the iteration count ~b x and
-  /// batching every step's applies over the pool.  Falls back to 1 when the
-  /// route is doubling, kAuto meets a dense operator, n <= 1, or the field
-  /// is too small for the det-by-interpolation step (characteristic <
-  /// 2n + 2).
+  /// batching every step's applies over the pool.  Falls back to 1 on the
+  /// doubling route, when n <= 1, or when the field is too small for the
+  /// det-by-interpolation step (characteristic < 2n + 2).
   std::size_t block_width = 1;
   /// Cooperative deadline/cancellation token (util/deadline.h), checked at
   /// the same stage boundaries as the KP_FAULT_POINT sites.  A trip aborts
@@ -147,7 +144,7 @@ struct SolveResult {
   typename F::Element det{};                ///< det(A) (always computed)
   std::vector<typename F::Element> charpoly_at;  ///< charpoly of A-tilde
   int attempts = 0;
-  KrylovRoute route_used = KrylovRoute::kAuto;   ///< resolved route
+  KrylovRoute route_used = KrylovRoute::kIterative;  ///< Transcript::route
   util::Status status;             ///< Ok, or the run's final failure
   std::vector<util::Diag> diags;   ///< one record per attempt (collect_diag)
   bool used_fallback = false;      ///< answer came from the dense baseline
@@ -162,26 +159,30 @@ template <kp::field::Field F, matrix::LinOp B>
 struct Transcript {
   using E = typename F::Element;
 
-  /// Resolves the route and the block width once for the whole run.  A
-  /// dense operator under kAuto keeps b = 1, as it did when kAuto meant
-  /// doubling for it; an explicit kIterative may widen the block.
+  /// The route follows the operator and the depth goal, once for the whole
+  /// run.  A dense operator under depth_optimal -- every circuit builder --
+  /// takes the doubling (9): its O(log^2 n) depth is the point of Theorem
+  /// 4.  Every other run iterates (8) at the requested block width: on the
+  /// formed A-tilde^T when the operator is dense (3n products cost about
+  /// 6n^3 operations, below the squarings' ~2n^3 log n), on the lazy
+  /// composition otherwise.
   Transcript(const F& f, const B& a, const SolverOptions& opt)
-      : route(resolve_route(opt.route, matrix::box_structure(a),
-                            opt.depth_optimal)),
-        block_width(
-            opt.route == KrylovRoute::kIterative ||
-                    (opt.route == KrylovRoute::kAuto &&
-                     matrix::box_structure(a) != matrix::BoxStructure::kDense)
-                ? detail::effective_block_width(f, opt.block_width, a.dim())
-                : 1),
-        materialized(route == KrylovRoute::kIterative && block_width == 1 &&
+      : route(matrix::box_structure(a) == matrix::BoxStructure::kDense &&
+                      opt.depth_optimal
+                  ? KrylovRoute::kDoubling
+                  : KrylovRoute::kIterative),
+        block_width(route == KrylovRoute::kIterative
+                        ? detail::effective_block_width(f, opt.block_width,
+                                                        a.dim())
+                        : 1),
+        materialized(route == KrylovRoute::kIterative &&
                      matrix::box_structure(a) == matrix::BoxStructure::kDense) {
   }
 
   KrylovRoute route;        ///< kDoubling or kIterative
   std::size_t block_width;  ///< b of the iterative route (1: scalar)
-  /// Iterative route at b = 1 on a dense operator: A-tilde is formed each
-  /// attempt and iterated on as `dense` rather than composed lazily.
+  /// Iterative route on a dense operator: A-tilde is formed each attempt
+  /// and iterated on as `dense` rather than composed lazily.
   bool materialized;
   std::optional<Preconditioner<F>> pre;    ///< H, D
   /// Doubling route only: powers[j] = A-tilde^{2^j} for the j an n-column
@@ -370,7 +371,9 @@ util::Status prepare_attempt(const F& f, const kp::poly::PolyRing<F>& ring,
   }
   if (t.block_width > 1) {
     // Block route: ~2n/bw batched block applies feeding the sigma-basis.
-    auto g_or = block_charpoly_candidate(f, *t.box, t.block_width, r, s);
+    auto g_or = t.with_operator([&](const auto& op) {
+      return block_charpoly_candidate(f, op, t.block_width, r, s);
+    });
     if (!g_or.ok()) return g_or.status();
     t.g = std::move(g_or).value();
     if (t.g.size() != n + 1) {
@@ -593,8 +596,8 @@ SolveResult<F> kp_det(const F& f, const B& a, kp::util::Prng& prng,
 }
 
 /// Dense-matrix adapter: existing call sites keep their signature; the
-/// matrix is wrapped in a DenseViewBox, so kAuto iterates on the formed
-/// A-tilde (doubling under depth_optimal).
+/// matrix is wrapped in a DenseViewBox, so the run iterates on the formed
+/// A-tilde^T (doubling under depth_optimal).
 template <kp::field::Field F>
 SolveResult<F> kp_solve(const F& f, const matrix::Matrix<F>& a,
                         const std::vector<typename F::Element>& b,

@@ -9,8 +9,10 @@
 //   * wiedemann_singular_test -- Las Vegas "det(A) = 0" certificate
 //   * wiedemann_solve_status  -- non-singular solve, Las Vegas (verifies Ax=b)
 //   * block_wiedemann_solve_status -- the same with block projections
-//   * wiedemann_det           -- determinant via the Theorem-2 preconditioner,
-//                                scalar or block projections
+//
+// The preconditioned determinant is kp_det (core/solver.h): Wiedemann's
+// method with the Theorem-2 preconditioner is its default route, and its
+// block_width option switches to the block projections.
 //
 // The Las Vegas entries run on run_las_vegas (core/las_vegas.h): every
 // attempt leaves a util::Diag, and retries re-draw only the implicated
@@ -18,13 +20,11 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/annihilator.h"
 #include "core/block_krylov.h"
 #include "core/las_vegas.h"
-#include "core/preconditioners.h"
 #include "field/concepts.h"
 #include "matrix/blackbox.h"
 #include "seq/berlekamp_massey.h"
@@ -307,106 +307,6 @@ WiedemannSolveResult<F> block_wiedemann_solve_status(
                               "A x != b");
         }
         res.x = std::move(x);
-        return Status::Ok();
-      });
-  res.ok = run.status.ok();
-  res.attempts = run.attempts;
-  res.status = run.status;
-  return res;
-}
-
-/// Result of the randomized determinant.
-template <kp::field::Field F>
-struct DetResult {
-  bool ok = false;                 ///< false: unlucky randomness (or singular)
-  typename F::Element value{};     ///< det(A) when ok
-  int attempts = 0;
-  util::Status status;
-  std::vector<util::Diag> diags;   ///< one record per attempt
-};
-
-/// Determinant of a non-singular A by Wiedemann's method with the
-/// Saunders/Theorem-2 preconditioner: A-tilde = A H D, the projected minimum
-/// polynomial g of A-tilde is its characteristic polynomial w.h.p., and
-/// det(A) = (-1)^n g(0) / (det(H) det(D)).  Failure probability <= 3n^2/|S|
-/// per attempt (estimate (2)).
-///
-/// block_width > 1 projects through U, V blocks instead of u, b: the block
-/// generator's determinant is then a scalar multiple of the charpoly of
-/// A-tilde.  Fields too small for its det-by-interpolation step
-/// (characteristic <= 2n + 1) and n <= 1 use the scalar projection.
-///
-/// Retries are stage-targeted like the Theorem-4 solver (same loop): a
-/// degenerate projection re-draws only the projection, a zero constant term
-/// or singular H, D only the preconditioner, and a repeat of a component
-/// re-drawn alone restarts both with |S| doubled.
-template <kp::field::Field F>
-DetResult<F> wiedemann_det(const F& f, const matrix::Matrix<F>& a,
-                           kp::util::Prng& prng, std::uint64_t s,
-                           int max_attempts = 3, std::size_t block_width = 1) {
-  using util::FailureKind;
-  using util::Stage;
-  using util::Status;
-  DetResult<F> res;
-  if (!a.is_square()) {
-    res.status = Status::Fail(FailureKind::kInvalidArgument, Stage::kNone,
-                              "A must be square");
-    return res;
-  }
-  const std::size_t n = a.rows();
-  const std::size_t bw = detail::effective_block_width(f, block_width, n);
-  kp::poly::PolyRing<F> ring(f);
-  std::optional<Preconditioner<F>> pre;
-  std::optional<matrix::Matrix<F>> at;  // A-tilde, kept with H, D
-
-  const LasVegasRun run = run_las_vegas(
-      prng, {n, std::nullopt, max_attempts, s}, &res.diags,
-      [&](Attempt& attempt) -> Status {
-        attempt.draw();
-        if (attempt.redraws().precondition) {
-          kp::util::Prng r{attempt.precondition_seed()};
-          pre = Preconditioner<F>::draw(f, n, r, attempt.sample_size());
-          at = pre->apply_dense(f, ring, a);
-        }
-        const matrix::DenseViewBox<F> box(f, *at);
-        // A kept projection replays its recorded seed bit-for-bit.
-        kp::util::Prng r{attempt.projection_seed()};
-        std::vector<typename F::Element> g;
-        if (bw > 1) {
-          auto g_or = detail::block_charpoly_candidate(f, box, bw, r,
-                                                       attempt.sample_size());
-          if (!g_or.ok()) return g_or.status();
-          g = std::move(g_or).value();
-          if (g.size() != n + 1) {
-            return Status::Fail(FailureKind::kDegenerateProjection,
-                                Stage::kBlockGenerator, "deg det G != n");
-          }
-        } else {
-          if (KP_FAULT_POINT(Stage::kProjection)) {
-            return Status::Injected(FailureKind::kDegenerateProjection,
-                                    Stage::kProjection);
-          }
-          g = wiedemann_minpoly(f, box, r, attempt.sample_size());
-          // deg < n: the projection lost information.
-          if (g.size() != n + 1) {
-            return Status::Fail(FailureKind::kDegenerateProjection,
-                                Stage::kProjection, "deg f_u < n");
-          }
-        }
-        if (Status gst = detail::constant_term_status(
-                f, g, "g(0) = 0: A-tilde singular");
-            !gst.ok()) {
-          return gst;
-        }
-        const auto det_at = (n % 2 == 0) ? g[0] : f.neg(g[0]);
-        const auto det_hd = pre->det(f);
-        if (f.eq(det_hd, f.zero())) {
-          // Cannot happen organically when g(0) != 0; reachable via the
-          // Preconditioner::det fault site.
-          return Status::Fail(FailureKind::kSingularPrecondition,
-                              Stage::kPrecondition, "det(H D) = 0");
-        }
-        res.value = f.div(det_at, det_hd);
         return Status::Ok();
       });
   res.ok = run.status.ok();

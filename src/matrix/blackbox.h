@@ -6,8 +6,7 @@
 // Toeplitz, Hankel, diagonal) and compose (lazy products), which is how the preconditioned operator A*H*D of Theorem 2 is formed
 // without ever materializing it.  AnyBox type-erases the concept for
 // runtime backend dispatch, and every box advertises a BoxStructure hint
-// that the Theorem-4 solver uses to choose between the doubling route (9)
-// and the iterative route (8).
+// that the Theorem-4 solver keys its Krylov route off.
 #pragma once
 
 #include <cassert>
@@ -78,9 +77,9 @@ std::vector<std::vector<typename B::Element>> apply_columns(
 }
 
 /// Coarse structure classes; the solver's route selection keys off them:
-/// a dense operator amortizes into the O(n^omega log n) doubling route (9),
-/// while sparse/structured operators are cheaper through 2n black-box
-/// products (route (8)).
+/// a dense operator has its preconditioned form materialized (iterated on,
+/// or squared by the doubling route (9) under depth_optimal), while
+/// sparse/structured operators keep 2n lazy black-box products (route (8)).
 enum class BoxStructure {
   kDense,       ///< O(n^2) per product
   kSparse,      ///< O(nnz) per product
@@ -389,9 +388,10 @@ class AnyBox {
 };
 
 /// Materializes a box as a dense matrix: column j = B e_j, n black-box
-/// products.  Only the explicit-doubling route on a non-dense box pays this;
-/// the values are exactly the operator's entries, so downstream arithmetic
-/// is identical to the dense path.
+/// products.  The solver pays this for a dense-structured box without a
+/// matrix() accessor (an AnyBox) and for the dense baseline; the values are
+/// exactly the operator's entries, so downstream arithmetic is identical to
+/// the dense path.
 template <kp::field::CommutativeRing R, LinOp B>
 Matrix<R> materialize_dense(const R& r, const B& box) {
   const std::size_t n = box.dim();

@@ -276,47 +276,4 @@ std::optional<GohbergSemencul<F>> gs_from_toeplitz(
   return GohbergSemencul<F>{std::move(u), std::move(y), std::move(u1_inv)};
 }
 
-/// Minimum polynomial of a linearly generated sequence by the PARALLEL
-/// route of Lemma 1: scan mu down from max_degree to the largest mu with
-/// det(T_mu) != 0 through the Theorem-3 determinant (up to max_degree
-/// determinant evaluations, each NC^2 and independent of the others), then
-/// one Toeplitz solve for the coefficients.
-/// The sequential counterpart is Berlekamp-Massey; the two are checked
-/// against each other in the tests.  Needs seq[0..2*max_degree-1] and
-/// char(K) = 0 or > max_degree; assumes the determinant pattern of Lemma 1
-/// (valid for every linearly generated sequence).
-template <kp::field::Field F>
-std::vector<typename F::Element> minpoly_parallel(
-    const F& f, const std::vector<typename F::Element>& seq,
-    std::size_t max_degree, const kp::poly::PolyRing<F>& ring) {
-  if (seq.size() < 2 * max_degree) return {};  // malformed: too few terms
-  auto det_nonzero = [&](std::size_t mu) {
-    const auto t = matrix::Toeplitz<F>::from_sequence(mu, seq);
-    return !f.is_zero(toeplitz_det(f, t));
-  };
-  // Lemma 1: det(T_mu) != 0 for mu = m and 0 for mu > m, but below m the
-  // pattern may oscillate -- so scan down for the largest non-zero rather
-  // than bisecting blindly.
-  std::size_t m = 0;
-  for (std::size_t mu = max_degree; mu >= 1; --mu) {
-    if (det_nonzero(mu)) {
-      m = mu;
-      break;
-    }
-  }
-  if (m == 0) return {f.one()};
-
-  const auto t = matrix::Toeplitz<F>::from_sequence(m, seq);
-  std::vector<typename F::Element> rhs(seq.begin() + static_cast<std::ptrdiff_t>(m),
-                                       seq.begin() + static_cast<std::ptrdiff_t>(2 * m));
-  auto y = toeplitz_solve_charpoly(f, t, rhs, ring);
-  // det(T_m) != 0 was just certified, so emptiness can only come from the
-  // kNewtonToeplitz fault site; report the degenerate result upward.
-  if (y.empty()) return {};
-  std::vector<typename F::Element> out(m + 1, f.zero());
-  out[m] = f.one();
-  for (std::size_t i = 0; i < m; ++i) out[m - 1 - i] = f.neg(y[i]);
-  return out;
-}
-
 }  // namespace kp::seq

@@ -130,7 +130,7 @@ TEST(BlackboxSolverTest, AnyBoxDispatchesAtRuntime) {
   util::Prng p1(42);
   auto ref = core::kp_solve(f, dense, b, p1);
   ASSERT_TRUE(ref.ok);
-  // Both erased backends resolve to the iterative route; the dense one's
+  // Both erased backends take the iterative route; the dense one's
   // structure() hint makes it iterate on the formed A-tilde, the sparse one
   // on the lazy box.  Both match the ref.
   {
@@ -151,7 +151,10 @@ TEST(BlackboxSolverTest, AnyBoxDispatchesAtRuntime) {
   }
 }
 
-TEST(BlackboxSolverTest, ForcedRoutesAgreeOnDenseOperator) {
+TEST(BlackboxSolverTest, DenseBlockWidthsAgree) {
+  // A dense operator iterates on the formed A-tilde^T at every block width:
+  // the scalar sequence at b = 1, the block projections at b = 2 and 4.
+  // Same H, D and projection seeds, so the same answer from the same draws.
   util::Prng setup(104);
   const std::size_t n = 11;
   auto a = matrix::random_matrix(f, n, n, setup);
@@ -159,29 +162,85 @@ TEST(BlackboxSolverTest, ForcedRoutesAgreeOnDenseOperator) {
   std::vector<F::Element> b(n);
   for (auto& e : b) e = f.random(setup);
 
-  core::SolverOptions doubling, iterative, wide;
-  doubling.route = core::KrylovRoute::kDoubling;
-  iterative.route = core::KrylovRoute::kIterative;
-  // kAuto keeps a dense operator at b = 1 whatever block width is asked.
-  wide.block_width = 4;
-  util::Prng p1(9), p2(9), p3(9), p4(9);
-  auto r1 = core::kp_solve(f, a, b, p1, doubling);
-  auto r2 = core::kp_solve(f, a, b, p2, iterative);
-  auto r3 = core::kp_solve(f, a, b, p3);
-  auto r4 = core::kp_solve(f, a, b, p4, wide);
-  ASSERT_TRUE(r1.ok && r2.ok && r3.ok && r4.ok);
-  EXPECT_EQ(r1.route_used, core::KrylovRoute::kDoubling);
-  for (const auto* r : {&r2, &r3, &r4}) {
-    EXPECT_EQ(r->route_used, core::KrylovRoute::kIterative);
-    EXPECT_EQ(r1.x, r->x);
-    EXPECT_EQ(r1.det, r->det);
-    EXPECT_EQ(r1.charpoly_at, r->charpoly_at);
-    EXPECT_EQ(r1.attempts, r->attempts);
-    ASSERT_EQ(r->diags.size(), r1.diags.size());
-    EXPECT_EQ(r->diags[0].projection_seed, r1.diags[0].projection_seed);
+  std::vector<core::SolveResult<F>> rs;
+  for (const std::size_t bw : {1u, 2u, 4u}) {
+    core::SolverOptions opt;
+    opt.block_width = bw;
+    util::Prng p(9);
+    rs.push_back(core::kp_solve(f, a, b, p, opt));
+    ASSERT_TRUE(rs.back().ok) << bw;
+    EXPECT_EQ(rs.back().route_used, core::KrylovRoute::kIterative) << bw;
   }
-  // The same draws and the same operations: b stayed 1.
-  EXPECT_EQ(r4.diags[0].ops.total(), r3.diags[0].ops.total());
+  const auto& r1 = rs[0];
+  for (std::size_t k = 1; k < rs.size(); ++k) {
+    const auto& r = rs[k];
+    EXPECT_EQ(r1.x, r.x) << k;
+    EXPECT_EQ(r1.det, r.det) << k;
+    EXPECT_EQ(r1.charpoly_at, r.charpoly_at) << k;
+    EXPECT_EQ(r1.attempts, r.attempts) << k;
+    ASSERT_EQ(r.diags.size(), r1.diags.size()) << k;
+    for (std::size_t i = 0; i < r1.diags.size(); ++i) {
+      EXPECT_EQ(r.diags[i].precondition_seed, r1.diags[i].precondition_seed);
+      EXPECT_EQ(r.diags[i].projection_seed, r1.diags[i].projection_seed);
+    }
+  }
+
+  // b = 4 is honoured on the dense operator, over the formed A-tilde^T.
+  core::SolverOptions wide;
+  wide.block_width = 4;
+  const matrix::DenseViewBox<F> box(f, a);
+  const core::Transcript<F, matrix::DenseViewBox<F>> t(f, box, wide);
+  EXPECT_EQ(t.route, core::KrylovRoute::kIterative);
+  EXPECT_EQ(t.block_width, 4u);
+  EXPECT_TRUE(t.materialized);
+}
+
+TEST(BlackboxSolverTest, TranscriptRouteFollowsStructureAndDepthGoal) {
+  // The whole route rule: doubling exactly for a dense operator under
+  // depth_optimal (at b = 1 whatever width is asked); otherwise iterate at
+  // the requested width, on the formed A-tilde^T for a dense operator and
+  // on the lazy box for any other.
+  util::Prng setup(105);
+  const std::size_t n = 11;
+  auto a = matrix::random_matrix(f, n, n, setup);
+  ASSERT_FALSE(f.is_zero(matrix::det_gauss(f, a)));
+  std::vector<F::Element> b(n);
+  for (auto& e : b) e = f.random(setup);
+  const matrix::DenseViewBox<F> dbox(f, a);
+  const matrix::SparseBox<F> sbox(f, sparse_from_dense(a));
+  ASSERT_EQ(matrix::box_structure(dbox), matrix::BoxStructure::kDense);
+  ASSERT_NE(matrix::box_structure(sbox), matrix::BoxStructure::kDense);
+
+  for (const bool depth : {false, true}) {
+    for (const std::size_t bw : {1u, 4u}) {
+      core::SolverOptions opt;
+      opt.depth_optimal = depth;
+      opt.block_width = bw;
+      const core::Transcript<F, matrix::DenseViewBox<F>> td(f, dbox, opt);
+      const core::Transcript<F, matrix::SparseBox<F>> ts(f, sbox, opt);
+      EXPECT_EQ(td.route, depth ? core::KrylovRoute::kDoubling
+                                : core::KrylovRoute::kIterative)
+          << depth << " " << bw;
+      EXPECT_EQ(td.block_width, depth ? 1u : bw) << depth << " " << bw;
+      EXPECT_EQ(td.materialized, !depth) << depth << " " << bw;
+      EXPECT_EQ(ts.route, core::KrylovRoute::kIterative) << depth << " " << bw;
+      EXPECT_EQ(ts.block_width, bw) << depth << " " << bw;
+      EXPECT_FALSE(ts.materialized) << depth << " " << bw;
+
+      // A run reports the route its transcript chose, and every route
+      // returns the same x and det.
+      util::Prng pd(9), ps(9);
+      const auto rd = core::kp_solve(f, dbox, b, pd, opt);
+      const auto rs = core::kp_solve(f, sbox, b, ps, opt);
+      ASSERT_TRUE(rd.ok && rs.ok) << depth << " " << bw;
+      EXPECT_EQ(rd.route_used, td.route) << depth << " " << bw;
+      EXPECT_EQ(rs.route_used, ts.route) << depth << " " << bw;
+      EXPECT_EQ(rd.x, rs.x) << depth << " " << bw;
+      EXPECT_EQ(rd.det, rs.det) << depth << " " << bw;
+      EXPECT_EQ(matrix::mat_vec(f, a, rd.x), b) << depth << " " << bw;
+      EXPECT_EQ(rd.det, matrix::det_gauss(f, a)) << depth << " " << bw;
+    }
+  }
 }
 
 TEST(BlackboxSolverTest, SingularSparseReportsFailure) {

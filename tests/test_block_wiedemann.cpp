@@ -458,10 +458,13 @@ TEST(BlockWiedemannTest, DetMatchesGauss) {
     const auto expect = matrix::det_gauss(f, a);
     for (std::size_t bw : {2u, 4u}) {
       util::Prng p(1000 + n);
-      auto res = core::wiedemann_det(f, a, p, 1u << 20, 3, bw);
+      core::SolverOptions opt;
+      opt.sample_size = 1u << 20;
+      opt.block_width = bw;
+      auto res = core::kp_det(f, a, p, opt);
       ASSERT_TRUE(res.ok) << "n=" << n << " bw=" << bw << ": "
                           << res.status.message();
-      EXPECT_TRUE(f.eq(res.value, expect)) << "n=" << n << " bw=" << bw;
+      EXPECT_TRUE(f.eq(res.det, expect)) << "n=" << n << " bw=" << bw;
     }
   }
 }
@@ -544,7 +547,6 @@ TEST(BlockWiedemannTest, KpSolveBlockWidthMatchesScalarRoute) {
   const auto b = sp.apply(f, x_true);
 
   core::SolverOptions scalar_opt;
-  scalar_opt.route = core::KrylovRoute::kIterative;
   util::Prng p1(77);
   const auto scalar = core::kp_solve(f, box, b, p1, scalar_opt);
   ASSERT_TRUE(scalar.ok);
@@ -587,7 +589,6 @@ TEST(BlockWiedemannTest, KpSolveSmallFieldFallsBackToScalar) {
   const matrix::DenseBox<Fs> box(fs, a);
 
   core::SolverOptions opt1;
-  opt1.route = core::KrylovRoute::kIterative;
   core::SolverOptions opt4 = opt1;
   opt4.block_width = 4;
 
@@ -664,7 +665,6 @@ TEST(BlockWiedemannFaultInjectionTest, KpSolveBlockFaultRedrawsOnlyProjection) {
   const auto b = sp.apply(f, x_true);
 
   core::SolverOptions opt;
-  opt.route = core::KrylovRoute::kIterative;
   opt.block_width = 4;
   util::fault::ScopedFault fi(Stage::kBlockProjection, /*attempt=*/1);
   util::Prng p(13);

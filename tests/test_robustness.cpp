@@ -221,7 +221,9 @@ TEST(ValidationTest, WiedemannRejectsDimensionMismatch) {
   EXPECT_TRUE(block0.diags.empty());
 
   auto rect = matrix::random_matrix(f, 4, 6, prng);
-  auto det = core::wiedemann_det(f, rect, prng, 1u << 20);
+  core::SolverOptions det_opt;
+  det_opt.sample_size = 1u << 20;
+  auto det = core::kp_det(f, rect, prng, det_opt);
   EXPECT_FALSE(det.ok);
   EXPECT_EQ(det.status.kind(), FailureKind::kInvalidArgument);
 }
@@ -316,10 +318,6 @@ TEST(ValidationTest, ToeplitzSolveRejectsDimensionMismatch) {
   auto st = seq::toeplitz_solve_charpoly_status(f, t, b3, ring);
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.status().kind(), FailureKind::kInvalidArgument);
-
-  // minpoly_parallel with too few sequence terms is rejected, not UB.
-  std::vector<F::Element> short_seq(3, f.one());
-  EXPECT_TRUE(seq::minpoly_parallel(f, short_seq, 4, ring).empty());
 }
 
 TEST(ValidationTest, LiftDegreeStatus) {
@@ -556,17 +554,14 @@ TEST(FaultInjectionTest, EveryFailureKindIsReachable) {
   };
   for (const auto& c : cases) {
     // Dense default route (3n products with the formed A-tilde) and the
-    // forced doubling route (squarings, n-column block finish).
-    for (const auto route :
-         {core::KrylovRoute::kAuto, core::KrylovRoute::kDoubling}) {
-      const auto want = route == core::KrylovRoute::kAuto
-                            ? core::KrylovRoute::kIterative
-                            : core::KrylovRoute::kDoubling;
-      const std::string where =
-          std::string(util::to_string(c.stage)) +
-          (route == core::KrylovRoute::kAuto ? " (default)" : " (doubling)");
+    // depth_optimal doubling route (squarings, n-column block finish).
+    for (const bool deep : {false, true}) {
+      const auto want =
+          deep ? core::KrylovRoute::kDoubling : core::KrylovRoute::kIterative;
+      const std::string where = std::string(util::to_string(c.stage)) +
+                                (deep ? " (depth_optimal)" : " (default)");
       core::SolverOptions opt;
-      opt.route = route;
+      opt.depth_optimal = deep;
       util::fault::ScopedFault fi(c.stage, /*attempt=*/1);
       util::Prng prng(90);
       auto res = core::kp_solve(f, fx.a, fx.b, prng, opt);
@@ -744,14 +739,16 @@ TEST(FaultInjectionTest, WiedemannSolveRetriesWithFreshProjection) {
 TEST(FaultInjectionTest, WiedemannDetTargetsTheImplicatedComponent) {
   KP_REQUIRE_FAULT_INJECTION();
   SolveFixture fx;
-  // Projection failure: fresh u, b only.
+  core::SolverOptions det_opt;
+  det_opt.sample_size = 1u << 20;
+  // Projection failure: fresh u, v only.
   {
     util::fault::ScopedFault fi(Stage::kProjection, /*attempt=*/1);
     util::Prng prng(92);
-    auto res = core::wiedemann_det(f, fx.a, prng, 1u << 20);
+    auto res = core::kp_det(f, fx.a, prng, det_opt);
     ASSERT_TRUE(res.ok);
     EXPECT_EQ(res.attempts, 2);
-    EXPECT_EQ(res.value, matrix::det_gauss(f, fx.a));
+    EXPECT_EQ(res.det, matrix::det_gauss(f, fx.a));
     ASSERT_EQ(res.diags.size(), 2u);
     EXPECT_TRUE(res.diags[1].redrew_projection);
     EXPECT_FALSE(res.diags[1].redrew_precondition);
@@ -761,20 +758,21 @@ TEST(FaultInjectionTest, WiedemannDetTargetsTheImplicatedComponent) {
   {
     util::fault::ScopedFault fi(Stage::kCharpoly, /*attempt=*/1);
     util::Prng prng(93);
-    auto res = core::wiedemann_det(f, fx.a, prng, 1u << 20);
+    auto res = core::kp_det(f, fx.a, prng, det_opt);
     ASSERT_TRUE(res.ok);
     EXPECT_EQ(res.attempts, 2);
-    EXPECT_EQ(res.value, matrix::det_gauss(f, fx.a));
+    EXPECT_EQ(res.det, matrix::det_gauss(f, fx.a));
     ASSERT_EQ(res.diags.size(), 2u);
     EXPECT_TRUE(res.diags[1].redrew_precondition);
     EXPECT_FALSE(res.diags[1].redrew_projection);
     EXPECT_EQ(res.diags[1].projection_seed, res.diags[0].projection_seed);
   }
-  // Preconditioner-det failure (site in Preconditioner::det): fresh H, D.
+  // Preconditioner failure (the first kPrecondition site, at the draw):
+  // fresh H, D.
   {
     util::fault::ScopedFault fi(Stage::kPrecondition, /*attempt=*/1);
     util::Prng prng(94);
-    auto res = core::wiedemann_det(f, fx.a, prng, 1u << 20);
+    auto res = core::kp_det(f, fx.a, prng, det_opt);
     ASSERT_TRUE(res.ok);
     EXPECT_EQ(res.attempts, 2);
     ASSERT_EQ(res.diags.size(), 2u);
@@ -907,12 +905,12 @@ TEST(RobustnessTest, SingularInputNeverYieldsAWrongAnswer) {
 
     for (unsigned workers : {1u, 2u, 8u}) {
       ctx.set_worker_limit(workers);
-      for (int route = 0; route < 2; ++route) {
+      // Default dense, depth_optimal dense (doubling), sparse.
+      for (int route = 0; route < 3; ++route) {
         core::SolverOptions opt;
-        opt.route = route == 0 ? core::KrylovRoute::kDoubling
-                               : core::KrylovRoute::kIterative;
+        opt.depth_optimal = route == 1;
         util::Prng prng(300 + seed);
-        auto res = route == 0
+        auto res = route < 2
                        ? core::kp_solve(f, a, b, prng, opt)
                        : core::kp_solve(f, matrix::SparseBox<F>(f, sp), b,
                                         prng, opt);

@@ -445,27 +445,6 @@ TEST(NewtonToeplitzTest, StructuredGsReportsSingular) {
   EXPECT_FALSE(seq::gs_from_toeplitz(f, t, ring).has_value());
 }
 
-TEST(NewtonToeplitzTest, MinpolyParallelMatchesBerlekampMassey) {
-  util::Prng prng(19);
-  poly::PolyRing<F> ring(f);
-  for (std::size_t d : {1u, 2u, 4u, 7u, 10u}) {
-    auto mp = random_monic(d, prng);
-    std::vector<F::Element> seed(d);
-    for (auto& v : seed) v = f.random(prng);
-    auto sq = seq::sequence_with_minpoly(f, mp, seed, 4 * d);
-    EXPECT_EQ(seq::minpoly_parallel(f, sq, 2 * d, ring),
-              seq::berlekamp_massey(f, sq))
-        << d;
-  }
-}
-
-TEST(NewtonToeplitzTest, MinpolyParallelZeroSequence) {
-  poly::PolyRing<F> ring(f);
-  std::vector<F::Element> zeros(12, f.zero());
-  EXPECT_EQ(seq::minpoly_parallel(f, zeros, 6, ring),
-            std::vector<F::Element>{f.one()});
-}
-
 TEST(NewtonToeplitzTest, UpperLowerTriangularHelpers) {
   poly::PolyRing<F> ring(f);
   // L((1,2,3)) z and U((1,2,3)) z against explicit matrices.

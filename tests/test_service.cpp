@@ -207,17 +207,25 @@ TEST(SessionTest, SolveDenseOnSingularOperatorIsSingularInput) {
 
 TEST(SessionTest, SolveManyBatchIsExact) {
   // The sparse operator keeps the lazy box; its dense copy iterates on the
-  // formed A-tilde^T.  Same seed, same draws: same det, same answers.
+  // formed A-tilde^T, or keeps the doubling squares under depth_optimal.
+  // Same seed, same draws: same det, same answers.
   Fixture fx(24);
   const matrix::AnyBox<F> dense(matrix::DenseBox<F>(f, fx.a.to_dense(f)));
   std::vector<F::Element> dets;
-  for (const matrix::AnyBox<F>& box : {fx.box(), dense}) {
-    Session<F> sess(f, box, 5);
+  for (const auto& [box, deep] : {std::pair{fx.box(), false},
+                                  std::pair{dense, false},
+                                  std::pair{dense, true}}) {
+    SessionOptions opt;
+    opt.solver.depth_optimal = deep;
+    Session<F> sess(f, box, 5, opt);
     std::vector<const std::vector<F::Element>*> rhs;
     for (const auto& b : fx.b) rhs.push_back(&b);
     auto out = sess.solve_many(rhs);
-    EXPECT_EQ(sess.transcript().materialized,
-              box.structure() == matrix::BoxStructure::kDense);
+    const bool is_dense = box.structure() == matrix::BoxStructure::kDense;
+    EXPECT_EQ(sess.transcript().materialized, is_dense && !deep);
+    EXPECT_EQ(sess.transcript().route, is_dense && deep
+                                           ? core::KrylovRoute::kDoubling
+                                           : core::KrylovRoute::kIterative);
     dets.push_back(sess.det());
     ASSERT_EQ(out.items.size(), fx.b.size());
     for (std::size_t i = 0; i < out.items.size(); ++i) {
@@ -227,6 +235,7 @@ TEST(SessionTest, SolveManyBatchIsExact) {
     }
   }
   EXPECT_EQ(dets[0], dets[1]);
+  EXPECT_EQ(dets[0], dets[2]);
 }
 
 TEST(SessionTest, BlockWidthPreparesThroughTheBlockRoute) {
@@ -379,15 +388,9 @@ void expect_batched_finish_matches_solo(const B& a, const Fixture& fx) {
 TEST(SessionTest, FinishManyMatchesOneColumnFinishes) {
   Fixture fx(24);
   const matrix::SparseBox<F> sparse(f, fx.a);
-  ASSERT_EQ(core::resolve_route(core::KrylovRoute::kAuto,
-                                matrix::box_structure(sparse), false),
-            core::KrylovRoute::kIterative);
   expect_batched_finish_matches_solo(sparse, fx);
   const matrix::Matrix<F> dense = fx.a.to_dense(f);
   const matrix::DenseViewBox<F> dense_box(f, dense);
-  ASSERT_EQ(core::resolve_route(core::KrylovRoute::kAuto,
-                                matrix::box_structure(dense_box), false),
-            core::KrylovRoute::kIterative);
   expect_batched_finish_matches_solo(dense_box, fx);
 }
 
