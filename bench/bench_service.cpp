@@ -4,9 +4,10 @@
 //   S1  Unloaded latency: bursts of max_batch requests against one
 //       prepared session; per-request p50 (queue wait + execution).
 //   S2  Session reuse: solves/sec streaming RHS through one pinned session
-//       (the transcript, preconditioner, and spectra stay warm) vs paying
-//       register_operator + prepare for every request.  The pinned route
-//       must win by >= 5x.
+//       (the transcript and the operator's own minimal generator stay
+//       pinned) vs paying register_operator + prepare for every request.
+//       The pinned route must win by >= 5x.  Also reports the field
+//       operations per RHS of one full batch through the pinned session.
 //   S3  Overload: 2x queue-capacity offered load.  The bounded queue must
 //       shed the excess with kQueueOverflow, every admitted request must
 //       return the exact known solution, and the admitted p50 must stay
@@ -35,6 +36,7 @@
 #include "matrix/sparse.h"
 #include "util/bench_json.h"
 #include "util/fault.h"
+#include "util/op_count.h"
 #include "util/prng.h"
 #include "util/status.h"
 #include "util/tables.h"
@@ -212,6 +214,7 @@ int main(int argc, char** argv) {
   // Session reuse vs re-registering the operator per request.
   {
     double reuse_ms = 0.0;
+    std::uint64_t ops_per_rhs = 0;
     {
       SolverService<F> svc(f, cfg);
       auto sid = svc.register_operator(wl.box(), 7);
@@ -230,6 +233,18 @@ int main(int argc, char** argv) {
         }
       }
       reuse_ms = t.elapsed_ms();
+      // Field operations per right-hand side of one full batch through the
+      // pinned session.  Dispatchers stopped: the session is ours to drive.
+      svc.shutdown();
+      std::vector<const std::vector<F::Element>*> batch;
+      for (std::size_t k = 0; k < cfg.max_batch; ++k) batch.push_back(&wl.b[k]);
+      kp::util::OpScope scope;
+      const auto out = svc.session(sid.value())->solve_many(batch);
+      ops_per_rhs = scope.counts().total() / batch.size();
+      for (std::size_t k = 0; k < batch.size(); ++k) {
+        check(out.items[k].status.ok() && out.items[k].x == wl.x[k],
+              "S2 counted batch answer wrong");
+      }
     }
     double fresh_ms = 0.0;
     {
@@ -254,8 +269,12 @@ int main(int argc, char** argv) {
     report.put("reuse_solves_per_sec", reuse_sps);
     report.put("fresh_solves_per_sec", fresh_sps);
     report.put("speedup", speedup);
-    std::printf("  S2: reuse %.1f solves/s vs fresh %.1f solves/s (%.1fx)\n",
-                reuse_sps, fresh_sps, speedup);
+    report.put("field_ops_per_rhs", ops_per_rhs);
+    std::printf(
+        "  S2: reuse %.1f solves/s vs fresh %.1f solves/s (%.1fx), "
+        "%llu field ops per RHS\n",
+        reuse_sps, fresh_sps, speedup,
+        static_cast<unsigned long long>(ops_per_rhs));
   }
 
   // ----------------------------------------------------------------- S4 --

@@ -20,8 +20,8 @@
 //   quit                          shut the service down and exit
 //
 // Example session:
-//   $ printf 'session 64 7\nsolve 1 random\nstats\nquit\n' \
-//       | ./build/examples/solver_service_cli
+//   $ printf 'session 64 7\nsolve 1 random\nstats\nquit\n' |
+//       ./build/examples/solver_service_cli
 //
 // Everything runs over Z/p for a fixed 61-bit prime; the point is the
 // service machinery (admission, coalescing, deadlines, degradation), not

@@ -2,11 +2,11 @@
 // pipeline -- ROADMAP open item 2, hardened.
 //
 // Lifecycle: a client registers an operator once (register_operator builds
-// and prepares a Session, core/session.h, pinning the preconditioner, the
-// cached Hankel spectra, and the charpoly transcript), then streams
-// right-hand sides with submit().  The service coalesces queued requests of
-// the same session into one batch -- the Cayley-Hamilton finish then runs
-// all of them through the operator's apply_many path together -- and
+// and prepares a Session, core/session.h, pinning the preconditioned
+// transcript that gives det(A) and the operator's own minimal generator),
+// then streams right-hand sides with submit().  The service coalesces queued
+// requests of the same session into one batch -- the annihilator finish then
+// runs all of them through the operator's apply_many path together -- and
 // completes each request's future with the solution plus structured
 // RequestTelemetry built from the pipeline's Diag records.
 //

@@ -1,37 +1,38 @@
 // Solver sessions: register an operator once, stream right-hand sides.
 //
-// The Theorem-4 pipeline splits naturally into a per-OPERATOR phase -- draw
-// the Theorem-2 preconditioner, run the Krylov projection, recover the
-// characteristic polynomial g of A-tilde = A H D -- and a per-RHS phase: the
-// Cayley-Hamilton finish x-tilde = -(1/g_0) sum_j g_{j+1} A-tilde^j b, one
-// unpreconditioning, one Las Vegas verification.  A Session pins everything
-// the first phase produced:
+// Solving A x = b needs only a polynomial that annihilates A, and A's own
+// minimal generator m serves (the paper's equation (8) with Wiedemann's
+// Berlekamp-Massey step, section 2): x = -(1/m_0) sum_j m_{j+1} A^j b.  The
+// Theorem-2 preconditioner is there for det(A) and for singular detection.
+// So a session splits the work into a per-OPERATOR phase and a per-RHS
+// phase, and pins everything the first one produced:
 //
-//   * ONE PreconditionedBox instance, so the Hankel symbol spectrum and any
-//     TransformedPoly caches inside it stay warm across every solve (the
-//     box holds H and D by value; copying it would drop the cached spectra,
-//     which is why the session is immovable and hands out batch solves
-//     rather than the box).  A dense operator pins the formed A-tilde
-//     instead, stored transposed, and every solve iterates on it with
-//     row-vector products (under depth_optimal: the doubling squares);
 //   * the Transcript of kp_solve's prepare (core/solver.h): H, D, the
-//     charpoly g and det(A); the Diag seeds that drew it make a solve
-//     failure replayable in isolation;
+//     charpoly g of A-tilde = A H D and det(A), on kp_solve's own route;
+//     the Diag seeds that drew it make a prepare failure replayable in
+//     isolation;
+//   * m, A's own minimal generator (wiedemann_minpoly: 2n products with A,
+//     then Berlekamp-Massey), drawn from a fork of the prepare's stream
+//     once that Las Vegas run succeeded and stored as the transcript's
+//     `annihilator`.  The prepare's Diag seeds do not depend on it;
 //   * for Q (RationalSession below), the CRT prime set and shard transcript
 //     a previous solve certified, warm-starting the next one.
 //
-// The second phase is BATCHED and is kp_solve's own finish: solve_many hands
-// all pending right-hand sides to detail::finish_many, which advances them
-// through the annihilator recurrence together (apply_columns, so the
-// operator's apply_many / shared-spectrum paths fire once per step for the
-// whole batch) and verifies them in one batched apply.  The session adds
-// only policy on top.  Per-column failures stay per-column: a verify
-// mismatch re-draws the transcript and retries only the failed columns,
-// under a bounded retry budget with exponential backoff; repeated
-// mismatches open the session's circuit breaker (kSessionQuarantined) so a
-// poisoned session fails fast instead of burning pool time.  Cooperative
-// deadlines/cancellation (util/deadline.h) are checked at the same
-// boundaries the one-shot pipeline checks them.
+// The second phase is BATCHED: solve_many hands all pending right-hand
+// sides to detail::finish_many, which sees the annihilator and advances
+// them through m's recurrence on A itself together (apply_columns, so the
+// operator's apply_many path fires once per step for the whole batch).
+// There is no A-tilde product and no unpreconditioning per right-hand
+// side: deg m - 1 products with A, then ONE batched verification A x = b.
+// The session adds only policy on top.  The verify keeps the route Las
+// Vegas: a deficient m (an unlucky projection) shows up as a per-column
+// verify mismatch, which re-draws the transcript -- a fresh H, D, g and a
+// fresh m -- and retries only the failed columns, under a bounded retry
+// budget with exponential backoff; repeated mismatches open the session's
+// circuit breaker (kSessionQuarantined) so a poisoned session fails fast
+// instead of burning pool time.  Cooperative deadlines/cancellation
+// (util/deadline.h) are checked at the same boundaries the one-shot
+// pipeline checks them.
 //
 // Sessions are NOT thread-safe: the service layer (core/service.h) owns the
 // locking and the cross-request coalescing; a session is the single-owner
@@ -136,8 +137,8 @@ class Session {
   std::uint64_t solves_completed() const { return solves_completed_; }
   /// det(A) from the pinned transcript (valid once prepared()).
   E det() const { return t_ ? t_->det : E{}; }
-  /// The pinned transcript: route, block width, H, D, g (valid once
-  /// prepared()).
+  /// The pinned transcript: route, block width, H, D, g, det(A) and A's
+  /// minimal generator `annihilator` (valid once prepared()).
   const Transcript<F, matrix::AnyBox<F>>& transcript() const { return *t_; }
 
   /// Closes the circuit breaker and forces a fresh transcript: the operator
@@ -150,14 +151,16 @@ class Session {
   }
 
   /// Phase 1: run kp_solve's per-operator prepare (detail::prepare_attempt)
-  /// and pin the resulting Transcript, on kp_solve's own route.  A sparse
-  /// or structured operator's box stays lazy, so its cached spectra stay
-  /// warm; a dense one iterates on A-tilde^T, formed once per attempt, or
-  /// keeps the doubling squares under depth_optimal.  Same Las Vegas loop
-  /// as the one-shot solver: stage-targeted redraws, |S| doubling on full
-  /// restarts, the block route when solver.block_width > 1.  Also detects
-  /// singular operators: g(0) = 0 on every attempt surfaces as the usual
+  /// and pin the resulting Transcript, on kp_solve's own route: a sparse or
+  /// structured operator's box stays lazy, a dense one iterates on
+  /// A-tilde^T, formed once per attempt, or keeps the doubling squares
+  /// under depth_optimal.  Same Las Vegas loop as the one-shot solver:
+  /// stage-targeted redraws, |S| doubling on full restarts, the block route
+  /// when solver.block_width > 1.  It gives det(A) and detects singular
+  /// operators: g(0) = 0 on every attempt surfaces as the usual
   /// kZeroConstantTerm failure and the dense path can prove kSingularInput.
+  /// Once it succeeds, A's own minimal generator joins the transcript; the
+  /// finishes run through it.
   util::Status prepare(const util::ExecControl* control = nullptr) {
     prepared_ = false;
     SolverOptions opt = opt_.solver;
@@ -175,6 +178,10 @@ class Session {
         });
     prepares_ += prepare_diags_.size() - before;
     if (!run.status.ok()) return run.status;
+    // Forked only now, so the prepare's own draws (and Diag seeds) are the
+    // ones kp_solve would make.  A deficient m fails the finish's verify.
+    kp::util::Prng r = draw.fork(0x616e6e69686c6174ULL);  // "annihlat"
+    t_->annihilator = wiedemann_minpoly(f_, a_, r, run.sample_size);
     prepared_ = true;
     return run.status;
   }
@@ -242,8 +249,8 @@ class Session {
       }
 
       // The coalesced finish (detail::finish_many): one batched recurrence
-      // and one batched verify through the ORIGINAL operator, so a wrong
-      // transcript can never leak a wrong answer (Las Vegas).
+      // of m on A and one batched verify through A, so a wrong transcript
+      // can never leak a wrong answer (Las Vegas).
       std::vector<const std::vector<E>*> cols;
       std::vector<const util::ExecControl*> members;
       for (const std::size_t k : pending) {

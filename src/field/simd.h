@@ -763,7 +763,9 @@ KP_TGT_AVX2 inline u64 sum_256(const fastmod::Barrett& bar, const u64* a,
     hi = _mm256_sub_epi64(hi, wrapped);  // wrapped lanes are -1
   }
   u128 t = hsum256(lo) + (hsum256(hi) << 64);
-  for (; i < n; ++i) t += a[i];
+  // A pointer walk: gcc 12 misreads the indexed tail, inlined at a
+  // constant n, as unbounded (-Waggressive-loop-optimizations).
+  for (const u64* tail = a + i; tail != a + n; ++tail) t += *tail;
   return bar.reduce_full(t);
 }
 

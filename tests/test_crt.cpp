@@ -115,7 +115,9 @@ TEST(NttPrimeStream, DescendingCertifiedStream) {
     EXPECT_GE(p, 1ULL << (kBits - 1));
     EXPECT_LT(p, 1ULL << kBits);
     EXPECT_GE(std::countr_zero(p - 1), kAdicity);
-    if (prev != 0) EXPECT_LT(p, prev);
+    if (prev != 0) {
+      EXPECT_LT(p, prev);
+    }
     first.push_back(p);
     prev = p;
   }

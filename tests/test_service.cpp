@@ -15,6 +15,7 @@
 #include <future>
 #include <memory>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/service.h"
@@ -29,6 +30,7 @@
 #include "poly/poly_ring.h"
 #include "util/deadline.h"
 #include "util/fault.h"
+#include "util/op_count.h"
 #include "util/prng.h"
 #include "util/status.h"
 
@@ -255,6 +257,193 @@ TEST(SessionTest, BlockWidthPreparesThroughTheBlockRoute) {
     EXPECT_EQ(out.items[i].x, fx.x[i]);
   }
   EXPECT_EQ(sess.prepares(), 1u);
+}
+
+TEST(SessionTest, FinishRunsOnTheOperatorNotOnATilde) {
+  // The service_stream shape: sparse n = 96 with 8 nonzeros per row.  A
+  // session's finish is deg m - 1 products with A plus the verify product;
+  // through A-tilde the same transcript pays n lazy Hankel products and an
+  // unpreconditioning per right-hand side.
+  const std::size_t n = 96;
+  util::Prng prng(2026);
+  const auto a = matrix::Sparse<F>::random(f, n, 8, prng);
+  const matrix::SparseBox<F> box(f, a);
+  std::vector<std::vector<F::Element>> xs(8), bs;
+  for (auto& x : xs) {
+    x.resize(n);
+    for (auto& e : x) e = f.random(prng);
+    bs.push_back(box.apply(x));
+  }
+  std::vector<const std::vector<F::Element>*> rhs;
+  for (const auto& b : bs) rhs.push_back(&b);
+  Session<F> sess(f, matrix::AnyBox<F>(box), 7);
+  ASSERT_TRUE(sess.prepare().ok());
+  ASSERT_EQ(sess.transcript().annihilator.size(), n + 1);
+
+  // Per call: q = solution_combination(m), 98 operations.  Per column,
+  // 184,320: 96 products with A (95 in the recurrence, one in the verify)
+  // and the 96 scaled additions of A^j b.
+  const auto batch_ops = [&](std::size_t k) {
+    const std::vector<const std::vector<F::Element>*> cols(
+        rhs.begin(), rhs.begin() + static_cast<std::ptrdiff_t>(k));
+    util::OpScope scope;
+    const auto out = sess.solve_many(cols);
+    const auto ops = scope.counts();
+    for (std::size_t c = 0; c < k; ++c) {
+      EXPECT_TRUE(out.items[c].status.ok()) << out.items[c].status.message();
+      EXPECT_EQ(out.items[c].x, xs[c]) << "k=" << k << " column " << c;
+    }
+    return ops;
+  };
+  const util::OpCounts one = batch_ops(1);
+  EXPECT_EQ(one.add, 92161u);
+  EXPECT_EQ(one.mul, 92256u);
+  EXPECT_EQ(one.div, 1u);
+  EXPECT_EQ(one.zero_test, 0u);
+  EXPECT_EQ(one.total(), 184320u + 98u);
+  const util::OpCounts eight = batch_ops(8);
+  EXPECT_EQ(eight.add, 737281u);
+  EXPECT_EQ(eight.mul, 737376u);
+  EXPECT_EQ(eight.div, 1u);
+  EXPECT_EQ(eight.zero_test, 0u);
+  EXPECT_EQ(eight.total(), 8 * 184320u + 98u);
+  EXPECT_EQ(sess.prepares(), 1u);
+
+  // The same transcript without the annihilator finishes through A-tilde.
+  auto tilde = sess.transcript();
+  tilde.annihilator.clear();
+  const poly::PolyRing<F> ring(f);
+  const matrix::AnyBox<F> any(box);
+  util::OpScope scope;
+  const auto fin =
+      core::detail::finish_many(f, ring, any, tilde, {rhs[0]}, core::SolverOptions{});
+  const std::uint64_t through_tilde = scope.counts().total();
+  ASSERT_TRUE(fin[0].status.ok()) << fin[0].status.message();
+  EXPECT_EQ(fin[0].x, xs[0]);
+  EXPECT_LT(10 * one.total(), through_tilde);
+  EXPECT_LT(10 * (eight.total() / 8), through_tilde);
+}
+
+/// n x n operators whose minimal polynomial is shorter than the
+/// characteristic one: c I, a diagonal with repeated eigenvalues, a
+/// permutation of cycle lengths 4, 4, 2, 2, and two equal diagonal blocks.
+std::vector<matrix::Matrix<F>> short_minpoly_operators(std::size_t n) {
+  std::vector<matrix::Matrix<F>> ops(4, matrix::Matrix<F>(n, n, f.zero()));
+  for (std::size_t i = 0; i < n; ++i) {
+    ops[0].at(i, i) = f.from_int(7);
+    ops[1].at(i, i) = f.from_int(static_cast<std::int64_t>(i % 3 + 1));
+  }
+  std::size_t start = 0;
+  for (const std::size_t len : {4u, 4u, 2u, 2u}) {
+    for (std::size_t j = 0; j < len; ++j) {
+      ops[2].at(start + j, start + (j + 1) % len) = f.one();
+    }
+    start += len;
+  }
+  util::Prng prng(31);
+  const std::size_t h = n / 2;
+  matrix::Matrix<F> block(h, h, f.zero());
+  do {
+    for (std::size_t i = 0; i < h; ++i) {
+      for (std::size_t j = 0; j < h; ++j) block.at(i, j) = f.random(prng);
+    }
+  } while (f.is_zero(matrix::det_gauss(f, block)));
+  for (std::size_t i = 0; i < h; ++i) {
+    for (std::size_t j = 0; j < h; ++j) {
+      ops[3].at(i, j) = block.at(i, j);
+      ops[3].at(h + i, h + j) = block.at(i, j);
+    }
+  }
+  return ops;
+}
+
+matrix::Sparse<F> sparse_copy(const matrix::Matrix<F>& a) {
+  std::vector<matrix::Sparse<F>::Entry> entries;
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      if (!f.is_zero(a.at(i, j))) entries.push_back({i, j, a.at(i, j)});
+    }
+  }
+  return matrix::Sparse<F>(f, a.rows(), a.cols(), std::move(entries));
+}
+
+TEST(SessionTest, SolvesWhenMinpolyIsShorterThanCharpoly) {
+  // m divides the characteristic polynomial with room to spare; x = q(A) b
+  // is still A^{-1} b, on every route a session prepares through.
+  const std::size_t n = 12;
+  util::Prng prng(17);
+  std::vector<F::Element> b(n);
+  for (auto& e : b) e = f.random(prng);
+  int op_index = 0;
+  for (const auto& a : short_minpoly_operators(n)) {
+    const auto expect_x = matrix::solve_gauss(f, a, b);
+    ASSERT_TRUE(expect_x.has_value()) << op_index;
+    const auto expect_det = matrix::det_gauss(f, a);
+    const matrix::AnyBox<F> sparse(matrix::SparseBox<F>(f, sparse_copy(a)));
+    const matrix::AnyBox<F> dense(matrix::DenseBox<F>(f, a));
+    for (const auto& [box, deep, width] :
+         {std::tuple{sparse, false, std::size_t{1}},
+          std::tuple{sparse, false, std::size_t{4}},
+          std::tuple{dense, false, std::size_t{1}},
+          std::tuple{dense, true, std::size_t{1}}}) {
+      SessionOptions opt;
+      opt.solver.depth_optimal = deep;
+      opt.solver.block_width = width;
+      Session<F> sess(f, box, 5, opt);
+      const auto item = sess.solve_one(b);
+      ASSERT_TRUE(item.status.ok())
+          << op_index << ": " << item.status.message();
+      EXPECT_LT(sess.transcript().annihilator.size() - 1, n) << op_index;
+      EXPECT_EQ(item.x, *expect_x) << op_index;
+      EXPECT_EQ(sess.det(), expect_det) << op_index;
+    }
+    ++op_index;
+  }
+}
+
+TEST(SessionTest, DeficientGeneratorIsCaughtByVerify) {
+  // Over a sample set as small as {0..3}, the projection behind m often
+  // misses part of A's minimal polynomial.  A deficient m gives a wrong
+  // q(A) b that the batched verify rejects, and the session re-draws the
+  // transcript and m; a run either returns the oracle's x or reports a
+  // documented failure.
+  const std::size_t n = 16;
+  Fixture fx(n, 4);
+  SessionOptions opt;
+  opt.solver.sample_size = 4;
+  opt.solver.max_attempts = 30;
+  opt.retry_budget = 6;
+  opt.quarantine_threshold = 8;
+  std::vector<const std::vector<F::Element>*> rhs;
+  for (const auto& b : fx.b) rhs.push_back(&b);
+  int redrawn_then_exact = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Session<F> sess(f, fx.box(), seed, opt);
+    const auto out = sess.solve_many(rhs);
+    bool all_ok = true;
+    for (std::size_t c = 0; c < rhs.size(); ++c) {
+      const auto& st = out.items[c].status;
+      if (st.ok()) {
+        EXPECT_EQ(out.items[c].x, fx.x[c]) << seed;
+        continue;
+      }
+      all_ok = false;
+      EXPECT_FALSE(st.injected()) << seed;
+      EXPECT_TRUE(st.kind() == FailureKind::kVerifyMismatch ||
+                  st.kind() == FailureKind::kSessionQuarantined ||
+                  st.kind() == FailureKind::kSingularPrecondition ||
+                  st.kind() == FailureKind::kDegenerateProjection ||
+                  st.kind() == FailureKind::kZeroConstantTerm)
+          << seed << ": " << st.message();
+    }
+    for (const auto& d : out.diags) {
+      if (d.kind == FailureKind::kVerifyMismatch) {
+        EXPECT_EQ(d.stage, Stage::kVerify) << seed;
+      }
+    }
+    if (all_ok && out.transcript_redraws > 0) ++redrawn_then_exact;
+  }
+  EXPECT_GT(redrawn_then_exact, 0);
 }
 
 TEST(SessionTest, NonPositiveMaxAttemptsIsRejected) {
