@@ -4,10 +4,11 @@
 //   S1  Unloaded latency: bursts of max_batch requests against one
 //       prepared session; per-request p50 (queue wait + execution).
 //   S2  Session reuse: solves/sec streaming RHS through one pinned session
-//       (the transcript and the operator's own minimal generator stay
-//       pinned) vs paying register_operator + prepare for every request.
-//       The pinned route must win by >= 5x.  Also reports the field
-//       operations per RHS of one full batch through the pinned session.
+//       (the operator's own minimal generator stays pinned) vs paying
+//       register_operator + prepare for every request.  The pinned route
+//       must win by >= 5x.  Also reports the field operations of one
+//       Session::prepare and per RHS of one full batch through the pinned
+//       session.
 //   S3  Overload: 2x queue-capacity offered load.  The bounded queue must
 //       shed the excess with kQueueOverflow, every admitted request must
 //       return the exact known solution, and the admitted p50 must stay
@@ -215,6 +216,14 @@ int main(int argc, char** argv) {
   {
     double reuse_ms = 0.0;
     std::uint64_t ops_per_rhs = 0;
+    std::uint64_t prepare_ops = 0;
+    {
+      // The prepare register_operator runs, counted on its own.
+      kp::core::Session<F> sess(f, wl.box(), 7, cfg.session);
+      kp::util::OpScope scope;
+      check(sess.prepare().ok(), "S2 counted prepare failed");
+      prepare_ops = scope.counts().total();
+    }
     {
       SolverService<F> svc(f, cfg);
       auto sid = svc.register_operator(wl.box(), 7);
@@ -269,11 +278,13 @@ int main(int argc, char** argv) {
     report.put("reuse_solves_per_sec", reuse_sps);
     report.put("fresh_solves_per_sec", fresh_sps);
     report.put("speedup", speedup);
+    report.put("prepare_ops", prepare_ops);
     report.put("field_ops_per_rhs", ops_per_rhs);
     std::printf(
         "  S2: reuse %.1f solves/s vs fresh %.1f solves/s (%.1fx), "
-        "%llu field ops per RHS\n",
+        "%llu field ops per prepare, %llu per RHS\n",
         reuse_sps, fresh_sps, speedup,
+        static_cast<unsigned long long>(prepare_ops),
         static_cast<unsigned long long>(ops_per_rhs));
   }
 

@@ -1,6 +1,6 @@
 // The Las Vegas loop: the one attempt loop behind every randomized route
-// (kp_solve / kp_det, Session::prepare, the Wiedemann solves and the
-// Wiedemann determinant).
+// (kp_solve / kp_det, the Wiedemann solves and Session::prepare's minimal
+// generator draw).
 //
 // The paper's failure events are independent, and each one implicates a
 // single random component:
@@ -28,8 +28,9 @@
 //     stream.fork(k).seed(), so any attempt replays from its Diag seeds.
 //
 // A one-component run (LasVegasOptions::preconditioned = false: the
-// Wiedemann solves, whose only randomness is the projection) re-draws the
-// projection every attempt from the caller's stream and keeps |S| fixed.
+// Wiedemann solves and Session::prepare, whose only randomness is the
+// projection) re-draws the projection every attempt from the caller's
+// stream and keeps |S| fixed.
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,9 @@
-// SolverService: the long-running, many-clients front of the Theorem-4
-// pipeline -- ROADMAP open item 2, hardened.
+// SolverService: the long-running, many-clients front of the solver
+// sessions -- ROADMAP open item 2, hardened.
 //
 // Lifecycle: a client registers an operator once (register_operator builds
-// and prepares a Session, core/session.h, pinning the preconditioned
-// transcript that gives det(A) and the operator's own minimal generator),
-// then streams right-hand sides with submit().  The service coalesces queued
+// and prepares a Session, core/session.h, pinning the operator's own
+// minimal generator), then streams right-hand sides with submit().  The service coalesces queued
 // requests of the same session into one batch -- the annihilator finish then
 // runs all of them through the operator's apply_many path together -- and
 // completes each request's future with the solution plus structured
@@ -93,7 +92,7 @@ struct RequestTelemetry {
   int attempts = 0;            ///< execution attempts (batched/solo/dense)
   std::int64_t queue_wait_ns = 0;
   std::int64_t exec_ns = 0;
-  std::vector<util::Diag> diags;  ///< transcript/retry records of the batch
+  std::vector<util::Diag> diags;  ///< prepare/retry records of the batch
 
   std::string to_json() const {
     std::string j = "{";
@@ -178,10 +177,11 @@ class SolverService {
   SolverService(const SolverService&) = delete;
   SolverService& operator=(const SolverService&) = delete;
 
-  /// Registers an operator and eagerly prepares its session (the expensive
-  /// O(n^2)-ish charpoly phase happens HERE, once; every subsequent solve
-  /// pays matrix-apply cost).  Returns the session id, or the prepare
-  /// failure.
+  /// Registers an operator and eagerly prepares its session: the minimal
+  /// generator draw (2n products with A plus Berlekamp-Massey) happens
+  /// HERE, once; every subsequent solve pays deg m products with A.
+  /// Returns the session id, or the prepare failure (a singular operator
+  /// fails with kZeroConstantTerm at kCharpoly).
   util::StatusOr<std::uint64_t> register_operator(matrix::AnyBox<F> a,
                                                   std::uint64_t seed) {
     auto sess = std::make_unique<Session<F>>(f_, std::move(a), seed,
@@ -208,7 +208,7 @@ class SolverService {
     return it == sessions_.end() ? nullptr : it->second.get();
   }
 
-  /// Closes a session's circuit breaker (fresh transcript on next use).
+  /// Closes a session's circuit breaker (fresh generator on next use).
   bool reset_session(std::uint64_t id) {
     std::lock_guard<std::mutex> lk(mu_);
     auto it = sessions_.find(id);

@@ -44,9 +44,10 @@
 // The pipeline splits into a per-OPERATOR prepare (steps 1-3 and det(H D):
 // detail::prepare_attempt fills a Transcript) and a per-RHS finish (steps
 // 4b-5: detail::finish_many, batched over k columns).  kp_det is prepare
-// alone, kp_solve is prepare + a one-column finish, and a Session
-// (core/session.h) pins one Transcript, adds A's own minimal generator to
-// it, and finishes batches on A through that.
+// alone and kp_solve is prepare + a one-column finish.  The finish ends in
+// detail::verify_columns, the per-column fault/control/verify tail that a
+// Session (core/session.h) shares: a session runs no Theorem-4 prepare, it
+// solves through A's own minimal generator and calls kp_det for det(A).
 //
 // Failure handling (the Las Vegas layer, see DESIGN.md section 9):
 //
@@ -101,11 +102,12 @@ struct SolverOptions {
   /// depth_optimal and by the det(H) fallback for a non-normal H.
   seq::NewtonIdentityMethod newton = seq::NewtonIdentityMethod::kTriangularSolve;
   /// Replace the O(n)-deep sequential steps (the Berlekamp-Massey
-  /// generator, the Berlekamp-Massey det(H) and, inside Theorem 3, the
-  /// triangular Newton-identity solve) with Theorem 3 plus a doubling
-  /// Cayley-Hamilton solve on T, Theorem 3 on the Hankel mirror and the
-  /// kPowerSeriesExp Newton method, so that the realized CIRCUIT has
-  /// poly-logarithmic depth as Theorem 4 states.  Costs more work (Theorem
+  /// generator and the Berlekamp-Massey det(H)) with Theorem 3 plus a
+  /// doubling Cayley-Hamilton solve on T and Theorem 3 on the Hankel
+  /// mirror.  Those Theorem-3 charpolys use the `newton` method above, which
+  /// this flag leaves alone: the realized CIRCUIT has poly-logarithmic depth
+  /// as Theorem 4 states only with newton = kPowerSeriesExp as well, as
+  /// circuit::detail::circuit_options() sets it.  Costs more work (Theorem
   /// 3 is O(n^2 polylog n) against O(n^2)); the default optimizes
   /// sequential work instead.  On a dense operator it also selects the
   /// Krylov doubling (9) for steps 2 and 4 (see Transcript).
@@ -152,10 +154,10 @@ struct SolveResult {
   std::uint64_t sample_size_used = 0;  ///< |S| of the last attempt
 };
 
-/// The per-operator half of Theorem 4 (steps 1-3 and the det of step 5):
-/// what prepare leaves for any number of per-right-hand-side finishes.
-/// The lazy box views `a`, `f` and the ring it was prepared with, so those
-/// must outlive the transcript.
+/// The attempt state of kp_solve and kp_det: the per-operator half of
+/// Theorem 4 (steps 1-3 and the det of step 5) that prepare_attempt leaves
+/// for the attempt's finish.  The lazy box views `a`, `f` and the ring it
+/// was prepared with, so those must outlive the transcript.
 template <kp::field::Field F, matrix::LinOp B>
 struct Transcript {
   using E = typename F::Element;
@@ -198,12 +200,6 @@ struct Transcript {
   std::optional<matrix::PreconditionedBox<F, B>> box;  ///< lazy A-tilde
   std::vector<E> g;  ///< charpoly of A-tilde
   E det{};           ///< det(A)
-  /// A's own minimal generator m (Wiedemann: 2n products with A, then
-  /// Berlekamp-Massey), set by a Session once its prepare succeeded.  When
-  /// set, finish_many solves on A itself, x = q(A) b with q =
-  /// solution_combination(m): no A-tilde products, no unpreconditioning.
-  /// kp_solve and kp_det leave it empty.
-  std::vector<E> annihilator;
 
   /// Calls fn with the iterative route's operator A-tilde: `dense` when
   /// materialized, the lazy `box` otherwise.
@@ -431,37 +427,28 @@ util::Status prepare_attempt(const F& f, const kp::poly::PolyRing<F>& ring,
   return Status::Ok();
 }
 
-/// One right-hand side's outcome of finish_many.
+/// One right-hand side's outcome of a finish.
 template <kp::field::Field F>
 struct FinishedRhs {
   util::Status status;
   std::vector<typename F::Element> x;  ///< the solution; valid iff status.ok()
 };
 
-/// The per-right-hand-side half, for k columns through one prepared
-/// transcript: the Cayley-Hamilton finish x-tilde = A-tilde^{-1} b, then
-/// x = H D x-tilde and (opt.verify) the Las Vegas check A x = b.  A
-/// transcript carrying A's own annihilator m (a Session's) finishes on A
-/// instead: x = q(A) b with q = solution_combination(m), nothing to undo.
+/// The per-column tail of every finish, over candidate solutions x_c of
+/// A x_c = b_c: kp_solve's unpreconditioned column and a Session's columns
+/// from A's own minimal generator alike.
 ///
-///   * q = solution_combination(m or g) once per call.  The doubling route
-///     combines each column's n-column Krylov block; the iterative route
-///     (lazy or materialized) and the annihilator finish advance all k
-///     columns through one batched recurrence (combine_powers), checking
-///     opt.control every 16 steps at kSolveFinish.  A control trip fails
-///     every column.
-///   * Per column, in order: the kSolveFinish fault site, unpreconditioning
-///     (not after the annihilator finish), then (opt.verify) the column's
-///     own control check at kVerify (its member_controls entry when
-///     non-null, else opt.control) and the kVerify fault site.
+///   * Per column, in order: the kSolveFinish fault site, then (opt.verify)
+///     the column's own control check at kVerify (its member_controls entry
+///     when non-null, else opt.control) and the kVerify fault site.
 ///   * The columns still live are verified with ONE batched apply of A, so
-///     a deficient m surfaces as kVerifyMismatch like any unlucky draw.
+///     a wrong candidate (an unlucky draw, a deficient generator) surfaces
+///     as kVerifyMismatch.
 template <kp::field::Field F, matrix::LinOp B>
-std::vector<FinishedRhs<F>> finish_many(
-    const F& f, const kp::poly::PolyRing<F>& ring, const B& a,
-    const Transcript<F, B>& t,
+std::vector<FinishedRhs<F>> verify_columns(
+    const F&, const B& a,
     const std::vector<const std::vector<typename F::Element>*>& rhs,
-    const SolverOptions& opt,
+    std::vector<std::vector<typename F::Element>> x, const SolverOptions& opt,
     const std::vector<const util::ExecControl*>* member_controls = nullptr) {
   using E = typename F::Element;
   using util::FailureKind;
@@ -469,27 +456,6 @@ std::vector<FinishedRhs<F>> finish_many(
   using util::Status;
   const std::size_t k = rhs.size();
   std::vector<FinishedRhs<F>> out(k);
-  const bool on_a = !t.annihilator.empty();
-  const auto q = solution_combination(f, on_a ? t.annihilator : t.g);
-  std::vector<std::vector<E>> xt;
-  Status st = Status::Ok();
-  if (on_a) {
-    st = combine_powers(f, a, q, rhs, opt.control, xt);
-  } else if (t.route == KrylovRoute::kDoubling) {
-    for (const auto* b : rhs) {
-      xt.push_back(krylov_combine(
-          f, krylov_block(f, t.powers, *b, a.dim(), opt.matmul), q));
-    }
-  } else {
-    st = t.with_operator([&](const auto& op) {
-      return combine_powers(f, op, q, rhs, opt.control, xt);
-    });
-  }
-  if (!st.ok()) {
-    for (auto& o : out) o.status = st;
-    return out;
-  }
-
   std::vector<std::size_t> live;
   std::vector<const std::vector<E>*> live_x;
   for (std::size_t c = 0; c < k; ++c) {
@@ -498,7 +464,7 @@ std::vector<FinishedRhs<F>> finish_many(
           Status::Injected(FailureKind::kVerifyMismatch, Stage::kSolveFinish);
       continue;
     }
-    out[c].x = on_a ? std::move(xt[c]) : t.pre->unprecondition(f, ring, xt[c]);
+    out[c].x = std::move(x[c]);
     if (opt.verify) {
       const util::ExecControl* member =
           member_controls != nullptr ? (*member_controls)[c] : nullptr;
@@ -526,6 +492,42 @@ std::vector<FinishedRhs<F>> finish_many(
     }
   }
   return out;
+}
+
+/// The per-right-hand-side half, for k columns through one prepared
+/// transcript: the Cayley-Hamilton finish x-tilde = A-tilde^{-1} b with q =
+/// solution_combination(g) once per call, then x = H D x-tilde, then
+/// verify_columns.  The doubling route combines each column's n-column
+/// Krylov block; the iterative route (lazy or materialized) advances all k
+/// columns through one batched recurrence (combine_powers), checking
+/// opt.control every 16 steps at kSolveFinish.  A control trip fails every
+/// column.
+template <kp::field::Field F, matrix::LinOp B>
+std::vector<FinishedRhs<F>> finish_many(
+    const F& f, const kp::poly::PolyRing<F>& ring, const B& a,
+    const Transcript<F, B>& t,
+    const std::vector<const std::vector<typename F::Element>*>& rhs,
+    const SolverOptions& opt) {
+  const auto q = solution_combination(f, t.g);
+  std::vector<std::vector<typename F::Element>> xt;
+  util::Status st = util::Status::Ok();
+  if (t.route == KrylovRoute::kDoubling) {
+    for (const auto* b : rhs) {
+      xt.push_back(krylov_combine(
+          f, krylov_block(f, t.powers, *b, a.dim(), opt.matmul), q));
+    }
+  } else {
+    st = t.with_operator([&](const auto& op) {
+      return combine_powers(f, op, q, rhs, opt.control, xt);
+    });
+  }
+  if (!st.ok()) {
+    std::vector<FinishedRhs<F>> out(rhs.size());
+    for (auto& o : out) o.status = st;
+    return out;
+  }
+  for (auto& x : xt) x = t.pre->unprecondition(f, ring, x);
+  return verify_columns(f, a, rhs, std::move(xt), opt);
 }
 
 /// The Las Vegas knobs of a Theorem-4 run over an n-dimensional operator.

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/annihilator.h"
@@ -133,9 +134,11 @@ kp::util::StatusOr<std::vector<typename F::Element>> block_charpoly_candidate(
   return g;
 }
 
-/// Las Vegas knobs of the one-component Wiedemann solves: the projection is
-/// re-drawn every attempt from the caller's stream, |S| stays fixed.
-inline LasVegasOptions projection_only(std::size_t n, std::size_t rhs_dim,
+/// Las Vegas knobs of the one-component Wiedemann runs (the solves and a
+/// Session's generator draw, which has no right-hand side): the projection
+/// is re-drawn every attempt from the caller's stream, |S| stays fixed.
+inline LasVegasOptions projection_only(std::size_t n,
+                                       std::optional<std::size_t> rhs_dim,
                                        std::uint64_t s, int max_attempts) {
   return {n, rhs_dim, max_attempts, s, 0, /*preconditioned=*/false};
 }

@@ -3,8 +3,8 @@
 // Wiedemann's algorithm only ever touches the coefficient matrix through
 // matrix-vector products, so the core pipeline is written against this
 // LinOp concept.  Adapters wrap the concrete matrix kinds (dense, sparse,
-// Toeplitz, Hankel, diagonal) and compose (lazy products), which is how the preconditioned operator A*H*D of Theorem 2 is formed
-// without ever materializing it.  AnyBox type-erases the concept for
+// Toeplitz), and PreconditionedBox composes A*H*D, the preconditioned
+// operator of Theorem 2, lazily without ever materializing it.  AnyBox type-erases the concept for
 // runtime backend dispatch, and every box advertises a BoxStructure hint
 // that the Theorem-4 solver keys its Krylov route off.
 #pragma once
@@ -211,79 +211,6 @@ class ToeplitzBox {
  private:
   const kp::poly::PolyRing<F>* ring_;
   Toeplitz<F> t_;
-};
-
-/// Hankel matrix as a black box.
-template <kp::field::Field F>
-class HankelBox {
- public:
-  using Element = typename F::Element;
-  static constexpr BoxStructure kStructure = BoxStructure::kStructured;
-  HankelBox(const kp::poly::PolyRing<F>& ring, Hankel<F> h)
-      : ring_(&ring), h_(std::move(h)) {}
-  std::size_t dim() const { return h_.dim(); }
-  std::vector<Element> apply(const std::vector<Element>& x) const {
-    return h_.apply(*ring_, x);
-  }
-  std::vector<std::vector<Element>> apply_many(
-      const std::vector<const std::vector<Element>*>& xs) const {
-    return h_.apply_many(*ring_, xs);
-  }
-  const Hankel<F>& matrix() const { return h_; }
-
- private:
-  const kp::poly::PolyRing<F>* ring_;
-  Hankel<F> h_;
-};
-
-/// Diagonal matrix as a black box.
-template <kp::field::CommutativeRing R>
-class DiagonalBox {
- public:
-  using Element = typename R::Element;
-  static constexpr BoxStructure kStructure = BoxStructure::kStructured;
-  DiagonalBox(const R& r, Diagonal<R> d) : r_(&r), d_(std::move(d)) {}
-  std::size_t dim() const { return d_.dim(); }
-  std::vector<Element> apply(const std::vector<Element>& x) const {
-    return d_.apply(*r_, x);
-  }
-  const Diagonal<R>& matrix() const { return d_; }
-
- private:
-  const R* r_;
-  Diagonal<R> d_;
-};
-
-/// Composition (A * B) x = A (B x) -- preconditioners compose this way
-/// without ever forming the product matrix.
-template <LinOp A, LinOp B>
-  requires std::same_as<typename A::Element, typename B::Element>
-class ProductBox {
- public:
-  using Element = typename A::Element;
-  ProductBox(A a, B b) : a_(std::move(a)), b_(std::move(b)) {
-    assert(a_.dim() == b_.dim());
-  }
-  std::size_t dim() const { return a_.dim(); }
-  std::vector<Element> apply(const std::vector<Element>& x) const {
-    return a_.apply(b_.apply(x));
-  }
-  std::vector<std::vector<Element>> apply_many(
-      const std::vector<const std::vector<Element>*>& xs) const {
-    return apply_columns(a_, apply_columns(b_, xs));
-  }
-  /// Cost of a product is dominated by the denser factor.
-  BoxStructure structure() const {
-    const auto sa = box_structure(a_), sb = box_structure(b_);
-    if (sa == BoxStructure::kUnknown || sb == BoxStructure::kUnknown) {
-      return BoxStructure::kUnknown;
-    }
-    return sa > sb ? sb : sa;  // enum order: dense < sparse < structured
-  }
-
- private:
-  A a_;
-  B b_;
 };
 
 /// The Theorem-2 preconditioned operator A*H*D, composed lazily: one inner

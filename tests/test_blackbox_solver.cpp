@@ -3,8 +3,8 @@
 // type-erased AnyBox) must produce identical solutions, determinants, and
 // characteristic polynomials for a fixed seed -- the doubling route (9) and
 // the iterative route (8) compute the same field elements, only at
-// different costs.  Also covers the lazily composed PreconditionedBox, the
-// ProductBox transpose, and the singular-matrix failure path.
+// different costs.  Also covers the lazily composed PreconditionedBox and
+// the singular-matrix failure path.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -274,20 +274,6 @@ TEST(BlackboxSolverTest, PreconditionedBoxComposesLazily) {
   for (auto& e : x) e = f.random(prng);
   // Lazy (A(H(Dx))) and dense (A*H*D)x agree exactly.
   EXPECT_EQ(prebox.apply(x), matrix::mat_vec(f, at_dense, x));
-}
-
-TEST(BlackboxSolverTest, ProductBoxAppliesInOrderWithDenserHint) {
-  util::Prng prng(107);
-  const std::size_t n = 7;
-  auto a = matrix::random_matrix(f, n, n, prng);
-  auto b = matrix::random_matrix(f, n, n, prng);
-  matrix::ProductBox ab(matrix::DenseBox<F>(f, a), matrix::DenseBox<F>(f, b));
-  const auto ab_dense = matrix::mat_mul(f, a, b);
-  std::vector<F::Element> x(n);
-  for (auto& e : x) e = f.random(prng);
-  EXPECT_EQ(ab.apply(x), matrix::mat_vec(f, ab_dense, x));
-  // The denser factor dominates the composition's structure hint.
-  EXPECT_EQ(ab.structure(), matrix::BoxStructure::kDense);
 }
 
 TEST(BlackboxSolverTest, IterativeKrylovBlockMatchesDoubling) {

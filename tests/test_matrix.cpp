@@ -374,28 +374,6 @@ TEST(SparseTest, DuplicateEntriesAreSummed) {
   EXPECT_EQ(dense.at(0, 1), 0u);
 }
 
-TEST(BlackBoxTest, ProductBoxComposes) {
-  util::Prng prng(20);
-  const std::size_t n = 8;
-  poly::PolyRing<F> ring(f);
-  auto a = random_mat(n, prng);
-  auto h = matrix::Hankel<F>::random(f, n, prng, 1u << 20);
-  auto d = matrix::Diagonal<F>::random(f, n, prng, 1u << 20);
-
-  matrix::DenseBox<F> abox(f, a);
-  matrix::HankelBox<F> hbox(ring, h);
-  matrix::DiagonalBox<F> dbox(f, d);
-  matrix::ProductBox hd(hbox, dbox);
-  matrix::ProductBox ahd(abox, hd);
-
-  // Compare against the dense product A*H*D.
-  auto dense =
-      matrix::mat_mul(f, a, matrix::mat_mul(f, h.to_dense(f), d.to_dense(f)));
-  std::vector<F::Element> x(n);
-  for (auto& v : x) v = f.random(prng);
-  EXPECT_EQ(ahd.apply(x), matrix::mat_vec(f, dense, x));
-}
-
 TEST(BlackBoxTest, KrylovSequenceIterative) {
   util::Prng prng(22);
   const std::size_t n = 6;
