@@ -248,6 +248,8 @@ int main() {
   kp::poly::transform_cache_enabled().store(true);
   tt.print();
   std::printf("\nCached symbols cut the forward-NTT count on the 2n black-box\n"
-              "products; op counts stay constant per row by the recharge contract.\n");
+              "products; op counts stay constant across cached rows by the\n"
+              "recharge contract.  Cache off also takes whole products instead\n"
+              "of half-length middle products, so those rows count more ops.\n");
   return 0;
 }

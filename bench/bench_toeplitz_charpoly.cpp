@@ -230,7 +230,9 @@ int main() {
   kp::poly::transform_cache_enabled().store(true);
   ts.print();
   std::printf("\n'fwd avoided' counts forward NTTs served from operand caches;\n"
-              "logical op counts are charged as if recomputed (constant per row).\n");
+              "logical op counts are charged as if recomputed (constant across\n"
+              "cached rows).  Cache off also takes whole Toeplitz products\n"
+              "instead of half-length middle products.\n");
 
   // Hot-path kernels at large n: (a) repeated Toeplitz products against a
   // fixed matrix, cold (cache off, both forward transforms per product) vs

@@ -79,13 +79,13 @@ struct Barrett {
     return r >> shift;
   }
 
-  /// x mod p for ANY 128-bit x: reduce the high limb first, then the
-  /// recombined (hi mod p):lo value is < p * 2^64 and one more `reduce`
-  /// finishes -- two preinv reductions total, used to drain delayed-
-  /// reduction accumulators.
+  /// x mod p for ANY 128-bit x, used to drain delayed-reduction
+  /// accumulators.  A high limb below p means x < p * 2^64, `reduce`'s own
+  /// domain, so one reduction does; otherwise reduce the high limb first,
+  /// and the recombined (hi mod p):lo value is < p * 2^64.
   constexpr u64 reduce_full(u128 x) const {
     const u64 hi = static_cast<u64>(x >> 64), lo = static_cast<u64>(x);
-    if (hi == 0) return lo >= p ? reduce(lo) : lo;
+    if (hi < p) return reduce(x);
     return reduce((static_cast<u128>(reduce(hi)) << 64) | lo);
   }
 

@@ -5,7 +5,10 @@
 // their characteristic polynomial).  The Hankel matrix is the Theorem-2
 // preconditioner; its row-mirror is Toeplitz, which is how the paper
 // computes det(H).  Matrix-vector products of both reduce to polynomial
-// multiplication, which is where the O(M(n)) costs come from.
+// multiplication, which is where the O(M(n)) costs come from -- and they
+// read only the middle n of the product's 3n - 2 coefficients, so they run
+// as middle products: over an NTT field at a transform length of the power
+// of two >= 2n - 1 (the transposition principle, the paper's section 4).
 #pragma once
 
 #include <cassert>
@@ -20,6 +23,99 @@
 #include "util/prng.h"
 
 namespace kp::matrix {
+
+namespace detail {
+
+/// What Toeplitz and Hankel share: the 2n - 1 coefficients of an n x n
+/// matrix's symbol s, and the matrix-vector product as a middle product,
+/// y_i = (s * X)[n - 1 + i] for 0 <= i < n (poly/transform_cache.h).  X is
+/// the vector's coefficient polynomial, reversed for a Hankel matrix, so
+/// the product needs s * X only at coefficients n - 1 .. 2n - 2 of its
+/// 3n - 2: over an NTT field the transform is the power of two >= 2n - 1
+/// instead of >= 3n - 2.  The symbol's forward transform is cached on first
+/// use and shared by every later product.
+template <kp::field::CommutativeRing R>
+class StructuredSymbol {
+ public:
+  using Element = typename R::Element;
+  using Ring = kp::poly::PolyRing<R>;
+
+  StructuredSymbol(std::size_t n, std::vector<Element> s)
+      : n_(n), s_(std::move(s)) {
+    assert(s_.size() == 2 * n_ - 1);
+  }
+
+  // The cached transform is per-instance scratch, not state: copies start
+  // with a cold cache and rebuild it on first product.
+  StructuredSymbol(const StructuredSymbol& o) : n_(o.n_), s_(o.s_) {}
+  StructuredSymbol& operator=(const StructuredSymbol& o) {
+    if (this != &o) {
+      n_ = o.n_;
+      s_ = o.s_;
+      std::lock_guard<std::mutex> lk(mu_);
+      transformed_.reset();
+    }
+    return *this;
+  }
+  StructuredSymbol(StructuredSymbol&& o) noexcept
+      : n_(o.n_), s_(std::move(o.s_)) {
+    std::lock_guard<std::mutex> lk(o.mu_);
+    transformed_ = std::move(o.transformed_);
+  }
+  StructuredSymbol& operator=(StructuredSymbol&& o) {
+    if (this != &o) {
+      n_ = o.n_;
+      s_ = std::move(o.s_);
+      std::scoped_lock lk(mu_, o.mu_);
+      transformed_ = std::move(o.transformed_);
+    }
+    return *this;
+  }
+
+  std::size_t dim() const { return n_; }
+  const std::vector<Element>& coeffs() const { return s_; }
+
+  /// The products for every x_i; `reversed` reads x_i backwards (Hankel).
+  /// Varying-side transforms are batched over the pool
+  /// (TransformedPoly::middle_many); values and op counts equal those of
+  /// one call per vector.
+  std::vector<std::vector<Element>> apply_many(
+      const Ring& ring, const std::vector<const std::vector<Element>*>& xs,
+      bool reversed) const {
+    std::vector<typename Ring::Element> polys(xs.size());
+    std::vector<const typename Ring::Element*> ptrs(xs.size());
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      assert(xs[i]->size() == n_);
+      if (reversed) {
+        polys[i].assign(xs[i]->rbegin(), xs[i]->rend());
+      } else {
+        polys[i] = *xs[i];
+      }
+      ring.strip(polys[i]);
+      ptrs[i] = &polys[i];
+    }
+    return transformed(ring).middle_many(ring, ptrs, n_ - 1, n_);
+  }
+
+ private:
+  const kp::poly::TransformedPoly<R>& transformed(const Ring& ring) const {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (!transformed_) {
+      auto stripped = s_;
+      ring.strip(stripped);
+      transformed_ = std::make_unique<kp::poly::TransformedPoly<R>>(
+          ring, std::move(stripped));
+    }
+    return *transformed_;
+  }
+
+  std::size_t n_;
+  std::vector<Element> s_;
+  mutable std::mutex mu_;
+  mutable std::unique_ptr<kp::poly::TransformedPoly<R>> transformed_;
+};
+
+}  // namespace detail
 
 /// n x n Toeplitz matrix in the paper's layout (4):
 ///
@@ -36,35 +132,7 @@ class Toeplitz {
   using Element = typename R::Element;
 
   Toeplitz(std::size_t n, std::vector<Element> diagonals)
-      : n_(n), a_(std::move(diagonals)) {
-    assert(a_.size() == 2 * n_ - 1);
-  }
-
-  // The cached symbol transform is per-instance scratch, not state:
-  // copies start with a cold cache and rebuild it on first apply.
-  Toeplitz(const Toeplitz& o) : n_(o.n_), a_(o.a_) {}
-  Toeplitz& operator=(const Toeplitz& o) {
-    if (this != &o) {
-      n_ = o.n_;
-      a_ = o.a_;
-      std::lock_guard<std::mutex> lk(mu_);
-      symbol_.reset();
-    }
-    return *this;
-  }
-  Toeplitz(Toeplitz&& o) noexcept : n_(o.n_), a_(std::move(o.a_)) {
-    std::lock_guard<std::mutex> lk(o.mu_);
-    symbol_ = std::move(o.symbol_);
-  }
-  Toeplitz& operator=(Toeplitz&& o) {
-    if (this != &o) {
-      n_ = o.n_;
-      a_ = std::move(o.a_);
-      std::scoped_lock lk(mu_, o.mu_);
-      symbol_ = std::move(o.symbol_);
-    }
-    return *this;
-  }
+      : a_(n, std::move(diagonals)) {}
 
   /// Builds the Toeplitz matrix of a sequence as in Lemma 1: the mu x mu
   /// matrix T_mu with T(i, j) = seq[(mu - 1) + i - j], which requires
@@ -75,88 +143,41 @@ class Toeplitz {
                                              seq.begin() + static_cast<std::ptrdiff_t>(2 * mu - 1)));
   }
 
-  std::size_t dim() const { return n_; }
-  const std::vector<Element>& diagonals() const { return a_; }
+  std::size_t dim() const { return a_.dim(); }
+  const std::vector<Element>& diagonals() const { return a_.coeffs(); }
 
   const Element& at(std::size_t i, std::size_t j) const {
-    assert(i < n_ && j < n_);
-    return a_[(n_ - 1) + i - j];
+    assert(i < dim() && j < dim());
+    return diagonals()[(dim() - 1) + i - j];
   }
 
   Matrix<R> to_dense(const R& r) const {
-    Matrix<R> out(n_, n_, r.zero());
-    for (std::size_t i = 0; i < n_; ++i) {
-      for (std::size_t j = 0; j < n_; ++j) out.at(i, j) = at(i, j);
+    Matrix<R> out(dim(), dim(), r.zero());
+    for (std::size_t i = 0; i < dim(); ++i) {
+      for (std::size_t j = 0; j < dim(); ++j) out.at(i, j) = at(i, j);
     }
     return out;
   }
 
-  /// T * x via one polynomial multiplication: y_i = (a * X)[n-1+i] where
-  /// X = sum_j x_j z^j.  Cost O(M(n)) instead of O(n^2).  The symbol a is
-  /// fixed for the lifetime of the matrix, so its forward transform is
-  /// cached (poly/transform_cache.h): repeated applies -- the 2n products
-  /// of a Krylov run, the Newton iteration's per-level pair -- pay one
-  /// forward NTT each instead of two.  Values and logical op counts are
-  /// identical to the uncached product.
+  /// T * x as a middle product: y_i = (a * X)[n-1+i] where
+  /// X = sum_j x_j z^j.  Cost O(M(n)) instead of O(n^2), and the symbol's
+  /// cached transform is shared by the 2n products of a Krylov run and the
+  /// Newton iteration's per-level pair.
   std::vector<Element> apply(const kp::poly::PolyRing<R>& ring,
                              const std::vector<Element>& x) const {
-    assert(x.size() == n_);
-    const auto prod = symbol(ring).mul(ring, strip_copy(ring, x));
-    return window(ring, prod);
+    return std::move(a_.apply_many(ring, {&x}, false).front());
   }
 
-  /// Batched T * x_i for every x_i: one cached symbol spectrum, varying-side
-  /// forward transforms dispatched over the pool (TransformedPoly::mul_many).
-  /// Element- and op-count-identical to calling apply in a loop.
+  /// Batched T * x_i for every x_i; element- and op-count-identical to
+  /// calling apply in a loop.
   std::vector<std::vector<Element>> apply_many(
       const kp::poly::PolyRing<R>& ring,
       const std::vector<const std::vector<Element>*>& xs) const {
-    std::vector<typename kp::poly::PolyRing<R>::Element> stripped(xs.size());
-    std::vector<const typename kp::poly::PolyRing<R>::Element*> ptrs(xs.size());
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      assert(xs[i]->size() == n_);
-      stripped[i] = strip_copy(ring, *xs[i]);
-      ptrs[i] = &stripped[i];
-    }
-    auto prods = symbol(ring).mul_many(ring, ptrs);
-    std::vector<std::vector<Element>> out(xs.size());
-    for (std::size_t i = 0; i < xs.size(); ++i) out[i] = window(ring, prods[i]);
-    return out;
-  }
-
-  /// The cached transform of the (stripped) symbol polynomial; built on
-  /// first use, shared by every subsequent apply.
-  const kp::poly::TransformedPoly<R>& symbol(
-      const kp::poly::PolyRing<R>& ring) const {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (!symbol_) {
-      symbol_ = std::make_unique<kp::poly::TransformedPoly<R>>(
-          ring, strip_copy(ring, a_));
-    }
-    return *symbol_;
+    return a_.apply_many(ring, xs, false);
   }
 
  private:
-  static typename kp::poly::PolyRing<R>::Element strip_copy(
-      const kp::poly::PolyRing<R>& ring, const std::vector<Element>& v) {
-    auto out = v;
-    ring.strip(out);
-    return out;
-  }
-
-  /// Reads coefficients n-1 .. 2n-2 of the product polynomial.
-  std::vector<Element> window(
-      const kp::poly::PolyRing<R>& ring,
-      const typename kp::poly::PolyRing<R>::Element& prod) const {
-    std::vector<Element> y(n_, ring.base().zero());
-    for (std::size_t i = 0; i < n_; ++i) y[i] = ring.coeff(prod, n_ - 1 + i);
-    return y;
-  }
-
-  std::size_t n_;
-  std::vector<Element> a_;
-  mutable std::mutex mu_;
-  mutable std::unique_ptr<kp::poly::TransformedPoly<R>> symbol_;
+  detail::StructuredSymbol<R> a_;
 };
 
 /// n x n Hankel matrix as in Theorem 2:
@@ -173,34 +194,7 @@ class Hankel {
   using Element = typename R::Element;
 
   Hankel(std::size_t n, std::vector<Element> entries)
-      : n_(n), h_(std::move(entries)) {
-    assert(h_.size() == 2 * n_ - 1);
-  }
-
-  // Copies start with a cold symbol cache (see Toeplitz).
-  Hankel(const Hankel& o) : n_(o.n_), h_(o.h_) {}
-  Hankel& operator=(const Hankel& o) {
-    if (this != &o) {
-      n_ = o.n_;
-      h_ = o.h_;
-      std::lock_guard<std::mutex> lk(mu_);
-      symbol_.reset();
-    }
-    return *this;
-  }
-  Hankel(Hankel&& o) noexcept : n_(o.n_), h_(std::move(o.h_)) {
-    std::lock_guard<std::mutex> lk(o.mu_);
-    symbol_ = std::move(o.symbol_);
-  }
-  Hankel& operator=(Hankel&& o) {
-    if (this != &o) {
-      n_ = o.n_;
-      h_ = std::move(o.h_);
-      std::scoped_lock lk(mu_, o.mu_);
-      symbol_ = std::move(o.symbol_);
-    }
-    return *this;
-  }
+      : h_(n, std::move(entries)) {}
 
   /// Random Hankel preconditioner with entries from the sample set S.
   template <kp::field::Field F = R>
@@ -211,92 +205,54 @@ class Hankel {
     return Hankel(n, std::move(h));
   }
 
-  std::size_t dim() const { return n_; }
-  const std::vector<Element>& entries() const { return h_; }
+  std::size_t dim() const { return h_.dim(); }
+  const std::vector<Element>& entries() const { return h_.coeffs(); }
 
   const Element& at(std::size_t i, std::size_t j) const {
-    assert(i < n_ && j < n_);
-    return h_[i + j];
+    assert(i < dim() && j < dim());
+    return entries()[i + j];
   }
 
   Matrix<R> to_dense(const R& r) const {
-    Matrix<R> out(n_, n_, r.zero());
-    for (std::size_t i = 0; i < n_; ++i) {
-      for (std::size_t j = 0; j < n_; ++j) out.at(i, j) = at(i, j);
+    Matrix<R> out(dim(), dim(), r.zero());
+    for (std::size_t i = 0; i < dim(); ++i) {
+      for (std::size_t j = 0; j < dim(); ++j) out.at(i, j) = at(i, j);
     }
     return out;
   }
 
-  /// H * x via one polynomial multiplication: with X = sum_j x_j z^{n-1-j},
+  /// H * x as a middle product: with X = sum_j x_j z^{n-1-j},
   /// y_i = (h * X)[n-1+i].  Hankel matrices are symmetric, so this is also
-  /// the transposed product.  The symbol h is fixed, so its forward
-  /// transform is cached across applies (the iterative Wiedemann route's
-  /// Hankel preconditioner sees 2n of them per run).
+  /// the transposed product.  The symbol's cached transform is shared by
+  /// every product (Ã = A·H·D's n row products, the lazy box's 2n per run).
   std::vector<Element> apply(const kp::poly::PolyRing<R>& ring,
                              const std::vector<Element>& x) const {
-    assert(x.size() == n_);
-    std::vector<Element> xp(x.rbegin(), x.rend());
-    ring.strip(xp);
-    const auto prod = symbol(ring).mul(ring, xp);
-    std::vector<Element> y(n_, ring.base().zero());
-    for (std::size_t i = 0; i < n_; ++i) y[i] = ring.coeff(prod, n_ - 1 + i);
-    return y;
+    return std::move(h_.apply_many(ring, {&x}, true).front());
   }
 
   /// Batched H * x_i (see Toeplitz::apply_many).
   std::vector<std::vector<Element>> apply_many(
       const kp::poly::PolyRing<R>& ring,
       const std::vector<const std::vector<Element>*>& xs) const {
-    std::vector<typename kp::poly::PolyRing<R>::Element> rev(xs.size());
-    std::vector<const typename kp::poly::PolyRing<R>::Element*> ptrs(xs.size());
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      assert(xs[i]->size() == n_);
-      rev[i].assign(xs[i]->rbegin(), xs[i]->rend());
-      ring.strip(rev[i]);
-      ptrs[i] = &rev[i];
-    }
-    auto prods = symbol(ring).mul_many(ring, ptrs);
-    std::vector<std::vector<Element>> out(xs.size());
-    for (std::size_t k = 0; k < xs.size(); ++k) {
-      out[k].assign(n_, ring.base().zero());
-      for (std::size_t i = 0; i < n_; ++i) {
-        out[k][i] = ring.coeff(prods[k], n_ - 1 + i);
-      }
-    }
-    return out;
-  }
-
-  /// The cached transform of the (stripped) symbol polynomial.
-  const kp::poly::TransformedPoly<R>& symbol(
-      const kp::poly::PolyRing<R>& ring) const {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (!symbol_) {
-      auto hp = h_;
-      ring.strip(hp);
-      symbol_ = std::make_unique<kp::poly::TransformedPoly<R>>(ring, std::move(hp));
-    }
-    return *symbol_;
+    return h_.apply_many(ring, xs, true);
   }
 
   /// The row-mirror J*H (J the reversal permutation), which is Toeplitz --
   /// the section-4 trick for computing det(H) with the Toeplitz machinery:
   /// det(H) = (-1)^(n(n-1)/2) * det(JH).
   Toeplitz<R> row_mirror_toeplitz() const {
-    std::vector<Element> rev(h_.rbegin(), h_.rend());
-    return Toeplitz<R>(n_, std::move(rev));
+    std::vector<Element> rev(entries().rbegin(), entries().rend());
+    return Toeplitz<R>(dim(), std::move(rev));
   }
 
   /// Sign relating det(H) to det(row_mirror_toeplitz()).
   int mirror_det_sign() const {
     // J is n(n-1)/2 transpositions.
-    return (n_ * (n_ - 1) / 2) % 2 == 0 ? 1 : -1;
+    return (dim() * (dim() - 1) / 2) % 2 == 0 ? 1 : -1;
   }
 
  private:
-  std::size_t n_;
-  std::vector<Element> h_;
-  mutable std::mutex mu_;
-  mutable std::unique_ptr<kp::poly::TransformedPoly<R>> symbol_;
+  detail::StructuredSymbol<R> h_;
 };
 
 /// m x n Vandermonde matrix V(i, j) = x_i^j over pairwise-distinct points.

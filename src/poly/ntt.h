@@ -499,13 +499,13 @@ void ntt_many(const F& f,
 
 /// Forward transform of one multiplication operand, padded to size n.  The
 /// split ntt_forward / ntt_pointwise_finish pair computes exactly what
-/// ntt_mul_prime_field computes (same values, same logical op counts), but
+/// ntt_mul_prime_field computes before its truncation to the product length
+/// (same values, same logical op counts), but
 /// lets a caller with a FIXED operand keep its spectrum across products
 /// (poly/transform_cache.h).
 template <class F>
 struct NttSpectrum {
-  std::size_t n = 0;    ///< padded transform size (power of two)
-  std::size_t len = 0;  ///< operand coefficient count before padding
+  std::size_t n = 0;  ///< padded transform size (power of two)
   std::vector<typename F::Element> data;  ///< forward NTT, size n
 };
 
@@ -519,7 +519,6 @@ NttSpectrum<F> ntt_forward(const F& f,
          "field lacks a root of unity of required order");
   NttSpectrum<F> s;
   s.n = n;
-  s.len = a.size();
   s.data = a;
   s.data.resize(n, f.zero());
   detail::ntt_inplace(f, s.data, detail::ntt_tables(p, n)->forward);
@@ -528,7 +527,10 @@ NttSpectrum<F> ntt_forward(const F& f,
 }
 
 /// Pointwise product of two spectra followed by the inverse transform and
-/// 1/n scale; returns the fa.len + fb.len - 1 product coefficients.
+/// 1/n scale; returns all n coefficients of the cyclic convolution.  When n
+/// covers the whole product these are its coefficients followed by zeros; a
+/// shorter n wraps the product's top coefficients onto its bottom
+/// ones, which a middle product (poly/transform_cache.h) never reads.
 /// Consumes fa's buffer.
 template <class F>
 std::vector<typename F::Element> ntt_pointwise_finish(const F& f,
@@ -536,7 +538,6 @@ std::vector<typename F::Element> ntt_pointwise_finish(const F& f,
                                                       const NttSpectrum<F>& fb) {
   assert(fa.n == fb.n && fa.n > 0 && "ntt_pointwise_finish: size mismatch");
   const std::size_t n = fa.n;
-  const std::size_t out_len = fa.len + fb.len - 1;
   const std::uint64_t p = f.characteristic();
   const std::shared_ptr<const detail::NttTables> t = detail::ntt_tables(p, n);
   std::vector<typename F::Element> c = std::move(fa.data);
@@ -565,7 +566,6 @@ std::vector<typename F::Element> ntt_pointwise_finish(const F& f,
     for (auto& x : c) x = f.mul(x, n_inv);
   }
   detail::transform_counters().inverse.fetch_add(1, std::memory_order_relaxed);
-  c.resize(out_len);
   return c;
 }
 
@@ -583,7 +583,9 @@ std::vector<typename F::Element> ntt_mul_prime_field(
   while (n < out_len) n <<= 1;
   NttSpectrum<F> fa = ntt_forward(f, a, n);
   const NttSpectrum<F> fb = ntt_forward(f, b, n);
-  return ntt_pointwise_finish(f, std::move(fa), fb);
+  auto c = ntt_pointwise_finish(f, std::move(fa), fb);
+  c.resize(out_len);
+  return c;
 }
 
 namespace detail {

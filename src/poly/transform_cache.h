@@ -14,15 +14,26 @@
 // product then costs one forward transform (the varying side) + pointwise +
 // inverse instead of two forwards.
 //
+// Most of those products are read only in part: a Toeplitz or Hankel
+// matrix-vector product needs coefficients n-1 .. 2n-2 of a product of
+// length 3n-2.  middle / middle_many return such a window, and over a ring
+// whose packing is the identity they transform at the smallest power of two
+// that keeps it exact (>= 2n-1 there, not >= 3n-2): the product's top
+// coefficients wrap onto indices below the window.
+//
 // Contract (matches the PR-2 kernel convention: physical work cached,
 // logical charge preserved):
-//   * values are exactly ring.mul(fixed, x) -- the NTT path is taken under
-//     exactly the conditions PolyRing::mul would take it (see NttPlan), and
-//     the pointwise product is commutative, so operand order cannot matter;
-//   * logical op counts are exactly ring.mul's: a cache hit re-charges the
-//     recorded cost of the forward transform it skipped, so OpScope
-//     measurements are independent of cache state.  The saving is visible
-//     only in wall-clock time and in transform_stats().forward_avoided;
+//   * values are exactly ring.mul(fixed, x), or its window -- the NTT path
+//     is taken under exactly the conditions PolyRing::mul would take it
+//     (see NttPlan), and the pointwise product is commutative, so operand
+//     order cannot matter;
+//   * logical op counts of mul / mul_many are exactly ring.mul's, and those
+//     of a middle product are those of its transforms (fewer when it wraps):
+//     a cache hit re-charges the recorded cost of the forward transform it
+//     skipped, so OpScope measurements are independent of cache state, and
+//     a batched call charges what the loop of single calls does.  The cache's
+//     saving is visible only in wall-clock time and in
+//     transform_stats().forward_avoided;
 //   * thread-safe: the spectrum table is mutex-guarded and entries are
 //     immutable once published, so pooled workers may share one
 //     TransformedPoly.
@@ -30,11 +41,13 @@
 // The cache applies to concrete value-semantic coefficient rings whose
 // SplitMul trait is enabled: prime fields with NTT support here, and
 // TruncSeriesRing<F> via its Kronecker packing (specialization in
-// poly/trunc_series.h).  Domains that record their operations (the circuit
-// builder) fall back to plain ring.mul -- replaying a cached spectrum would
-// silently change the recorded circuit.
+// poly/trunc_series.h), whose middle products take the whole packed product.
+// Domains that record their operations (the circuit builder) fall back to
+// plain ring.mul and a slice of it -- replaying a cached spectrum or
+// wrapping the transform would silently change the recorded circuit.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
@@ -52,7 +65,7 @@ namespace kp::poly {
 
 /// Global kill switch, used by the benches to measure cached vs uncached
 /// forward-transform counts on the same build.  Off = every TransformedPoly
-/// degrades to plain ring.mul.
+/// degrades to plain ring.mul (sliced, for a middle product).
 inline std::atomic<bool>& transform_cache_enabled() {
   static std::atomic<bool> on{true};
   return on;
@@ -94,6 +107,10 @@ struct SplitMul {
       const R&, std::vector<typename R::Element>&& prod, std::size_t) {
     return std::move(prod);
   }
+  /// Packed coefficient k is the product's coefficient k, so a window of
+  /// the product may be read off a cyclic transform shorter than the whole
+  /// product (TransformedPoly::middle).
+  static constexpr bool kIdentityPacking = true;
 };
 
 /// The dispatch decision TransformedPoly mirrors from PolyRing::mul for a
@@ -107,9 +124,10 @@ struct NttPlan {
 /// A fixed polynomial operand with memoized forward transforms.
 ///
 /// Construct once from the invariant operand, then call mul(ring, x) in
-/// place of ring.mul(fixed, x).  Copying keeps the operand (and its packed
-/// form) but drops the spectrum cache -- copies are cheap to make and
-/// rebuild their spectra on first use.
+/// place of ring.mul(fixed, x), or middle(ring, x, lo, count) for a window
+/// of that product.  Copying keeps the operand (and its packed form) but
+/// drops the spectrum cache -- copies are cheap to make and rebuild their
+/// spectra on first use.
 template <class R>
 class TransformedPoly {
  public:
@@ -184,10 +202,9 @@ class TransformedPoly {
   /// operand, so the fallback must preserve the original order to keep op
   /// counts bit-identical.
   Poly mul(const Ring& ring, const Poly& x, bool fixed_first = true) const {
-    if constexpr (S::kSupported) {
-      if (plan(ring, x).use_ntt) return mul_ntt(ring, x, fixed_first);
-    }
-    return fixed_first ? ring.mul(fixed_, x) : ring.mul(x, fixed_);
+    Poly out = std::move(products(ring, {&x}, 0, kWhole, fixed_first).front());
+    ring.strip(out);
+    return out;
   }
 
   /// Batched ring.mul(fixed, x_i) for every x_i: the varying-side forward
@@ -196,38 +213,105 @@ class TransformedPoly {
   /// Values and op-count totals are identical to calling mul in a loop.
   std::vector<Poly> mul_many(const Ring& ring,
                              const std::vector<const Poly*>& xs) const {
+    auto out = products(ring, xs, 0, kWhole, true);
+    for (auto& p : out) ring.strip(p);
+    return out;
+  }
+
+  /// Coefficients [lo, lo + count) of fixed * x, zeros past the product's
+  /// end: the middle product (Hanrot-Quercia-Zimmermann), which is what a
+  /// Toeplitz or Hankel matrix-vector product reads.  When the packing is
+  /// the identity and the NTT runs, the cyclic transform is the smallest
+  /// power of two L that keeps the window exact (transform_size), so
+  /// L >= max(lo + count, len(fixed) + len(x) - 1 - lo) at most: the
+  /// product's top coefficients wrap onto indices below lo, which are never
+  /// read.  For a Toeplitz product (lo = n - 1, count = n) that is
+  /// L >= 2n - 1 instead of the whole product's 3n - 2, so L = 512 at
+  /// n = 256 where ring.mul pads to 1024; the logical op count is that of
+  /// the shorter transforms.  Every other case -- Kronecker-packed rings,
+  /// the circuit builder, fields without the NTT, operands too short for
+  /// it -- computes the whole product exactly as mul does and slices it.
+  std::vector<typename R::Element> middle(const Ring& ring, const Poly& x,
+                                          std::size_t lo,
+                                          std::size_t count) const {
+    return std::move(products(ring, {&x}, lo, count, true).front());
+  }
+
+  /// middle for every x_i, batched as mul_many is; values and op-count
+  /// totals are identical to calling middle in a loop.
+  std::vector<std::vector<typename R::Element>> middle_many(
+      const Ring& ring, const std::vector<const Poly*>& xs, std::size_t lo,
+      std::size_t count) const {
+    return products(ring, xs, lo, count, true);
+  }
+
+ private:
+  struct CachedSpectrum {
+    NttSpectrum<typename S::Field> spec;
+    kp::util::OpCounts cost;  ///< logical ops of the forward transform
+  };
+
+  /// `count` value asking products for the whole product.
+  static constexpr std::size_t kWhole = static_cast<std::size_t>(-1);
+
+  /// The one product path under mul, mul_many, middle and middle_many: for
+  /// every x_i, the coefficients [lo, lo + count) of fixed * x_i (count =
+  /// kWhole: all of them).  NTT-eligible items forward-transform their
+  /// varying side in ntt_many batches grouped by transform size, then run
+  /// pointwise + inverse + unpack + window as one parallel region (nested
+  /// transform chunking degrades to serial inside it); the rest take plain
+  /// ring.mul.
+  std::vector<Poly> products(const Ring& ring,
+                             const std::vector<const Poly*>& xs,
+                             std::size_t lo, std::size_t count,
+                             bool fixed_first) const {
+    const auto full_len = [&](const Poly& x) {
+      return fixed_.empty() || x.empty() ? std::size_t{0}
+                                         : fixed_.size() + x.size() - 1;
+    };
+    // The window of a product buffer that is exact at [lo, lo + count)
+    // below full_len(x); coefficients from full_len(x) on are zero.
+    const auto window = [&](const Poly& prod, const Poly& x) {
+      const std::size_t full = full_len(x);
+      Poly y(count == kWhole ? full : count, ring.base().zero());
+      for (std::size_t j = 0; j < y.size() && lo + j < full; ++j) {
+        y[j] = ring.coeff(prod, lo + j);
+      }
+      return y;
+    };
     std::vector<Poly> out(xs.size());
-    if constexpr (S::kSupported) {
+    const auto plain = [&](std::size_t i) {
+      const Poly& x = *xs[i];
+      out[i] = window(fixed_first ? ring.mul(fixed_, x) : ring.mul(x, fixed_),
+                      x);
+    };
+    if constexpr (!S::kSupported) {
+      for (std::size_t i = 0; i < xs.size(); ++i) plain(i);
+    } else {
       const R& r = ring.base();
       const auto& f = S::base(r);
-      // Partition: NTT-eligible items batch, the rest take plain ring.mul.
       std::vector<std::size_t> idx;              // eligible item -> xs index
       std::vector<std::vector<FieldElem>> bufs;  // padded varying operands
-      std::vector<std::size_t> xlen;             // packed length pre-padding
-      std::vector<std::size_t> size;             // padded transform size
+      std::vector<std::size_t> size;             // transform size
       for (std::size_t i = 0; i < xs.size(); ++i) {
         if (!plan(ring, *xs[i]).use_ntt) {
-          out[i] = ring.mul(fixed_, *xs[i]);
+          plain(i);
           continue;
         }
         auto px = S::pack(r, *xs[i]);
         if (packed_.empty() || px.empty()) {
-          out[i] = ring.mul(fixed_, *xs[i]);
+          plain(i);
           continue;
         }
-        const std::size_t out_len = packed_.size() + px.size() - 1;
-        std::size_t n = 1;
-        while (n < out_len) n <<= 1;
-        // Charge/compute the fixed side per use, exactly as a mul loop
-        // would (hits replay the recorded cost).
+        const std::size_t n = transform_size(px.size(), lo, count);
+        // Charge/compute the fixed side per use, exactly as a loop of single
+        // products would (hits replay the recorded cost).
         spectrum(f, n);
         idx.push_back(i);
-        xlen.push_back(px.size());
         size.push_back(n);
         px.resize(n, f.zero());
         bufs.push_back(std::move(px));
       }
-      // Forward transforms of the varying sides, grouped by size.
       std::map<std::size_t, std::vector<std::size_t>> groups;
       for (std::size_t k = 0; k < idx.size(); ++k) groups[size[k]].push_back(k);
       for (const auto& [n, members] : groups) {
@@ -238,57 +322,47 @@ class TransformedPoly {
         detail::transform_counters().forward.fetch_add(
             members.size(), std::memory_order_relaxed);
       }
-      // Pointwise + inverse + unpack per item: independent, so one pool
-      // region (nested transform chunking degrades to serial inside it).
       const auto finish_one = [&](std::size_t k) {
-        const std::size_t n = size[k];
-        NttSpectrum<typename S::Field> fx{n, xlen[k], std::move(bufs[k])};
         const CachedSpectrum* cs = nullptr;
         {
           std::lock_guard<std::mutex> lk(mu_);
-          cs = &spectra_.at(n);
+          cs = &spectra_.at(size[k]);
         }
-        auto prod = ntt_pointwise_finish(f, std::move(fx), cs->spec);
-        Poly res = S::unpack(r, std::move(prod),
-                             fixed_.size() + xs[idx[k]]->size() - 1);
-        ring.strip(res);
-        out[idx[k]] = std::move(res);
+        const Poly& x = *xs[idx[k]];
+        auto cyclic = ntt_pointwise_finish(
+            f, NttSpectrum<typename S::Field>{size[k], std::move(bufs[k])},
+            cs->spec);
+        out[idx[k]] = window(S::unpack(r, std::move(cyclic), full_len(x)), x);
       };
       if (kp::field::concurrent_ops_v<typename S::Field> && idx.size() > 1) {
         kp::pram::parallel_for(0, idx.size(), finish_one);
       } else {
         for (std::size_t k = 0; k < idx.size(); ++k) finish_one(k);
       }
-    } else {
-      for (std::size_t i = 0; i < xs.size(); ++i) {
-        out[i] = ring.mul(fixed_, *xs[i]);
-      }
     }
     return out;
   }
 
- private:
-  struct CachedSpectrum {
-    NttSpectrum<typename S::Field> spec;
-    kp::util::OpCounts cost;  ///< logical ops of the forward transform
-  };
-
-  Poly mul_ntt(const Ring& ring, const Poly& x, bool fixed_first) const {
-    const R& r = ring.base();
-    const auto& f = S::base(r);
-    auto px = S::pack(r, x);
-    if (packed_.empty() || px.empty()) {
-      return fixed_first ? ring.mul(fixed_, x) : ring.mul(x, fixed_);
+  /// Transform size for coefficients [lo, lo + count) of the product of the
+  /// packed operands (lengths packed_.size() and px_len, full product
+  /// length `full`).  The cyclic product of length L holds coefficient k of
+  /// the product plus those at k + L, k + 2L, ...; so for lo <= k < hi =
+  /// min(lo + count, full) it is exact once L >= hi and L >= full - lo.
+  /// Only identity packing may wrap: a Kronecker-packed window is in series
+  /// coefficients, not packed ones, so those rings take the whole product.
+  std::size_t transform_size(std::size_t px_len, std::size_t lo,
+                             std::size_t count) const {
+    const std::size_t full = packed_.size() + px_len - 1;
+    std::size_t need = full;
+    if constexpr (S::kIdentityPacking) {
+      const std::size_t above_lo = full - std::min(lo, full);
+      const std::size_t hi =
+          count == kWhole || count >= above_lo ? full : lo + count;
+      need = std::max({hi, above_lo, packed_.size(), px_len});
     }
-    const std::size_t out_len = packed_.size() + px.size() - 1;
     std::size_t n = 1;
-    while (n < out_len) n <<= 1;
-    const CachedSpectrum& cs = spectrum(f, n);
-    NttSpectrum<typename S::Field> fx = ntt_forward(f, px, n);
-    auto prod = ntt_pointwise_finish(f, std::move(fx), cs.spec);
-    Poly out = S::unpack(r, std::move(prod), fixed_.size() + x.size() - 1);
-    ring.strip(out);
-    return out;
+    while (n < need) n <<= 1;
+    return n;
   }
 
   /// Spectrum of the fixed operand at padded size n.  First use computes

@@ -175,6 +175,9 @@ struct SplitMul<TruncSeriesRing<F>> {
       std::size_t out_len) {
     return NttTraits<SR>::unpack(sr, prod, out_len);
   }
+  /// Packed coefficients are series coefficients of Kronecker blocks, so a
+  /// middle product takes the whole packed product and slices it.
+  static constexpr bool kIdentityPacking = false;
 };
 
 }  // namespace kp::poly

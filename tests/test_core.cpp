@@ -479,9 +479,9 @@ TEST(SequentialGeneratorTest, MatchesTheorem3OverSmallPrime) {
 
 /// The dense default route's cost in the paper's units is a property of
 /// the algorithm, not of the kernels under it: kp_solve at n = 96 over
-/// GF(kNttPrime) -- 3n products with the formed A-tilde -- charges exactly
-/// these counts and draws exactly these seeds however vec_mat is tiled or
-/// pooled.
+/// GF(kNttPrime) -- A-tilde formed from n Hankel middle products at
+/// transform length 256, then 3n products with it -- charges exactly these
+/// counts and draws exactly these seeds however vec_mat is tiled or pooled.
 TEST(DenseRouteCostPin, KpSolveN96OpsAndDiagSeeds) {
   const field::GFp f(field::kNttPrime);
   const std::size_t n = 96;
@@ -494,16 +494,16 @@ TEST(DenseRouteCostPin, KpSolveN96OpsAndDiagSeeds) {
   const auto res = core::kp_solve(f, a, b, prng);
   const auto ops = scope.counts();
   ASSERT_TRUE(res.ok);
-  EXPECT_EQ(ops.total(), 7511881u);
-  EXPECT_EQ(ops.add, 4022499u);
-  EXPECT_EQ(ops.mul, 3488707u);
+  EXPECT_EQ(ops.total(), 6344777u);
+  EXPECT_EQ(ops.add, 3277539u);
+  EXPECT_EQ(ops.mul, 3066563u);
   EXPECT_EQ(ops.div, 482u);
   EXPECT_EQ(ops.zero_test, 193u);
   EXPECT_EQ(res.attempts, 1);
   ASSERT_EQ(res.diags.size(), 1u);
   EXPECT_EQ(res.diags[0].precondition_seed, 362395845592970028u);
   EXPECT_EQ(res.diags[0].projection_seed, 16232961778811808461u);
-  EXPECT_EQ(res.diags[0].ops.total(), 7511881u);
+  EXPECT_EQ(res.diags[0].ops.total(), 6344777u);
   const auto expect = matrix::solve_gauss(f, a, b);
   ASSERT_TRUE(expect.has_value());
   EXPECT_EQ(res.x, *expect);

@@ -11,7 +11,9 @@
 #include <vector>
 
 #include "circuit/field.h"
+#include "field/fastmod.h"
 #include "field/kernels.h"
+#include "field/primes.h"
 #include "field/reference.h"
 #include "field/zp.h"
 #include "matrix/matmul.h"
@@ -153,6 +155,30 @@ void check_block_kernels(const FastF& f, std::uint64_t p, std::uint64_t seed) {
     const auto cdr = sdr.counts();
     ASSERT_EQ(dot_f, acc) << "dot n=" << n << " p=" << p;
     ASSERT_TRUE(same_counts(cdf, cdr));
+  }
+}
+
+// Barrett::reduce_full against the hardware remainder on both sides of
+// the one-reduction branch: high limbs 0, p - 1 (the last value reduce
+// takes directly), p and 2^64 - 1 (the two-step path), each with low limbs
+// at the edges and at random.
+TEST(Kernels, ReduceFullMatchesU128Remainder) {
+  using field::fastmod::u128;
+  using field::fastmod::u64;
+  const u64 stream_prime = field::next_ntt_prime(62, 20);
+  ASSERT_NE(stream_prime, 0u);
+  util::Prng prng(128);
+  for (const u64 p : {kNttPrime, stream_prime, u64{536870909}}) {
+    const field::fastmod::Barrett bar(p);
+    for (const u64 hi : {u64{0}, p - 1, p, ~u64{0}}) {
+      std::vector<u64> lows = {0, 1, p - 1, p, ~u64{0}};
+      for (int i = 0; i < 64; ++i) lows.push_back(prng());
+      for (const u64 lo : lows) {
+        const u128 x = (static_cast<u128>(hi) << 64) | lo;
+        ASSERT_EQ(bar.reduce_full(x), static_cast<u64>(x % p))
+            << "p " << p << " hi " << hi << " lo " << lo;
+      }
+    }
   }
 }
 

@@ -18,11 +18,15 @@
 //     ThreadSanitizer CI job runs this file).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
+#include "circuit/field.h"
 #include "core/solver.h"
+#include "field/simd.h"
 #include "field/zp.h"
 #include "matrix/blackbox.h"
 #include "matrix/matpoly.h"
@@ -294,6 +298,250 @@ TEST(TruncSeriesCacheTest, CachedMulMatchesRingMulValuesAndOps) {
     EXPECT_EQ(got, want) << "round=" << round;
     EXPECT_EQ(cached_ops.total(), plain_ops.total()) << "round=" << round;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Middle products: TransformedPoly::middle / middle_many and the Toeplitz and
+// Hankel products built on them (matrix/structured.h).
+
+// Any window [lo, lo + count) of fixed * x, over the wrapped NTT field, an
+// NTT-less prime and the Kronecker-packed series ring (both full product),
+// equals the slice of ring.mul; middle_many equals middle in a loop in
+// values and op counts.
+TEST(MiddleProduct, WindowsMatchSlicedRingMul) {
+  util::Prng prng(41);
+  const auto check = [&](const auto& ring, const auto& fixed,
+                         const auto& xs) {
+    const auto t = poly::TransformedPoly<
+        std::decay_t<decltype(ring.base())>>(ring, fixed);
+    std::vector<const std::decay_t<decltype(fixed)>*> ptrs;
+    for (const auto& x : xs) ptrs.push_back(&x);
+    const std::size_t full = fixed.size() + xs.front().size() - 1;
+    for (const std::size_t lo :
+         {std::size_t{0}, std::size_t{31}, full / 3, full - 1, full + 2}) {
+      for (const std::size_t count :
+           {std::size_t{1}, std::size_t{32}, full / 2, full + 3}) {
+        util::OpScope loop_scope;
+        std::vector<std::decay_t<decltype(fixed)>> loop;
+        for (const auto& x : xs) loop.push_back(t.middle(ring, x, lo, count));
+        const auto loop_ops = loop_scope.counts();
+        util::OpScope many_scope;
+        const auto many = t.middle_many(ring, ptrs, lo, count);
+        const auto many_ops = many_scope.counts();
+        EXPECT_EQ(many, loop) << lo << " " << count;
+        EXPECT_EQ(many_ops.total(), loop_ops.total()) << lo << " " << count;
+        for (std::size_t i = 0; i < xs.size(); ++i) {
+          const auto prod = ring.mul(fixed, xs[i]);
+          ASSERT_EQ(loop[i].size(), count);
+          for (std::size_t j = 0; j < count; ++j) {
+            ASSERT_TRUE(ring.base().eq(loop[i][j], ring.coeff(prod, lo + j)))
+                << "lo " << lo << " count " << count << " j " << j;
+          }
+        }
+      }
+    }
+  };
+  for (const std::uint64_t p : {field::kNttPrime, std::uint64_t{1000003}}) {
+    const GFp f(p);
+    const PolyRing<GFp> ring(f);
+    // A 32 x 32 Toeplitz shape: window [31, 63) of a 94-coefficient
+    // product wraps at L = 64 over kNttPrime.
+    const auto fixed = random_poly(f, 63, prng);
+    std::vector<std::vector<GFp::Element>> xs;
+    for (const std::size_t len : {32u, 32u, 13u}) {
+      xs.push_back(random_poly(f, len, prng));
+    }
+    check(ring, fixed, xs);
+  }
+  const GFp f(field::kNttPrime);
+  using SR = poly::TruncSeriesRing<GFp>;
+  const SR sr(f, 4);
+  const PolyRing<SR> biv(sr);
+  const auto series_poly = [&](std::size_t len) {
+    std::vector<SR::Element> v(len);
+    for (auto& e : v) {
+      e.assign(4, f.zero());
+      for (auto& c : e) c = f.random(prng);
+    }
+    return v;
+  };
+  check(biv, series_poly(30), std::vector{series_poly(20), series_poly(20)});
+}
+
+/// y = M x by the dense definition, the reference for the structured
+/// products.
+template <class F, class M>
+std::vector<typename F::Element> dense_product(
+    const F& f, const M& m, const std::vector<typename F::Element>& x) {
+  std::vector<typename F::Element> y(m.dim(), f.zero());
+  for (std::size_t i = 0; i < m.dim(); ++i) {
+    for (std::size_t j = 0; j < m.dim(); ++j) {
+      y[i] = f.add(y[i], f.mul(m.at(i, j), x[j]));
+    }
+  }
+  return y;
+}
+
+/// Toeplitz and Hankel apply / apply_many against the dense product, with
+/// apply_many element- and op-count-identical to a loop of applies.  Each
+/// size runs a random symbol and vectors, then a symbol whose top
+/// coefficients are zero with vectors zero at both ends and all zero, so
+/// the stripped operands are shorter than n.
+template <class F>
+void expect_structured_products_match_dense(const F& f) {
+  const PolyRing<F> ring(f);
+  util::Prng prng(2027);
+  for (const std::size_t n :
+       {1u, 2u, 3u, 7u, 8u, 9u, 31u, 32u, 33u, 96u, 127u, 128u, 129u, 256u}) {
+    for (const bool zeros : {false, true}) {
+      std::vector<typename F::Element> symbol(2 * n - 1);
+      for (auto& e : symbol) e = f.random(prng);
+      std::vector<std::vector<typename F::Element>> xs(3);
+      for (auto& x : xs) {
+        x.resize(n);
+        for (auto& e : x) e = f.random(prng);
+      }
+      if (zeros) {
+        std::fill(symbol.begin() + static_cast<std::ptrdiff_t>(n), symbol.end(),
+                  f.zero());
+        const std::size_t k = n / 3;
+        std::fill(xs[0].begin(), xs[0].begin() + static_cast<std::ptrdiff_t>(k),
+                  f.zero());
+        std::fill(xs[0].end() - static_cast<std::ptrdiff_t>(k), xs[0].end(),
+                  f.zero());
+        std::fill(xs[1].begin(), xs[1].end(), f.zero());
+      }
+      std::vector<const std::vector<typename F::Element>*> ptrs;
+      for (const auto& x : xs) ptrs.push_back(&x);
+      const auto check = [&](const auto& m, const char* what) {
+        util::OpScope loop_scope;
+        std::vector<std::vector<typename F::Element>> loop;
+        for (const auto& x : xs) loop.push_back(m.apply(ring, x));
+        const auto loop_ops = loop_scope.counts();
+        util::OpScope many_scope;
+        const auto many = m.apply_many(ring, ptrs);
+        const auto many_ops = many_scope.counts();
+        EXPECT_EQ(many, loop) << what << " n=" << n;
+        EXPECT_EQ(many_ops.add, loop_ops.add) << what << " n=" << n;
+        EXPECT_EQ(many_ops.mul, loop_ops.mul) << what << " n=" << n;
+        EXPECT_EQ(many_ops.div, loop_ops.div) << what << " n=" << n;
+        EXPECT_EQ(many_ops.zero_test, loop_ops.zero_test) << what << " n=" << n;
+        for (std::size_t i = 0; i < xs.size(); ++i) {
+          EXPECT_EQ(loop[i], dense_product(f, m, xs[i]))
+              << what << " n=" << n << " zeros=" << zeros << " x" << i;
+        }
+      };
+      check(matrix::Toeplitz<F>(n, symbol), "toeplitz");
+      check(matrix::Hankel<F>(n, symbol), "hankel");
+    }
+  }
+}
+
+TEST(MiddleProduct, StructuredProductsMatchDenseAtEverySimdLevel) {
+  namespace simd = field::simd;
+  const auto saved = simd::simd_level();
+  const bool saved_ifma = simd::simd_ifma();
+  for (const auto level : {simd::SimdLevel::kScalar, simd::SimdLevel::kAvx2,
+                           simd::SimdLevel::kAvx512}) {
+    simd::set_simd_level(level);
+    // kNttPrime takes the wrapped transforms; 1000003 (two-adicity 1) has
+    // no root of unity of order 2n - 1 and multiplies whole products.
+    expect_structured_products_match_dense(field::Zp<field::kNttPrime>());
+    expect_structured_products_match_dense(GFp(1000003));
+  }
+  simd::set_simd_level(saved);
+  simd::set_simd_ifma(saved_ifma);
+}
+
+TEST(MiddleProduct, CircuitFieldRecordsWholeProducts) {
+  // The circuit builder multiplies whole products (symbolic NTT for an
+  // NTT-friendly target); the recorded Toeplitz and Hankel products must
+  // evaluate to the dense products over the target field.
+  const GFp fq(field::kNttPrime);
+  util::Prng prng(5);
+  for (const std::size_t n :
+       {1u, 2u, 3u, 7u, 8u, 9u, 31u, 32u, 33u, 96u, 127u, 128u, 129u, 256u}) {
+    for (const bool hankel : {false, true}) {
+      circuit::Circuit c;
+      circuit::CircuitBuilderField cf(c, field::kNttPrime);
+      const PolyRing<circuit::CircuitBuilderField> ring(cf);
+      // Inputs: the symbol, then two vectors; the symbol's top half and the
+      // second vector's ends are the constant zero, so both strip.
+      std::vector<GFp::Element> in;
+      const auto input = [&](bool zero) {
+        if (zero) return cf.zero();
+        in.push_back(fq.random(prng));
+        return c.input();
+      };
+      std::vector<circuit::NodeId> symbol(2 * n - 1);
+      for (std::size_t i = 0; i < symbol.size(); ++i) {
+        symbol[i] = input(n > 2 && i >= n);
+      }
+      std::vector<std::vector<circuit::NodeId>> xs(2, std::vector<circuit::NodeId>(n));
+      for (std::size_t j = 0; j < n; ++j) xs[0][j] = input(false);
+      for (std::size_t j = 0; j < n; ++j) xs[1][j] = input(j == 0 || j + 1 == n);
+      const std::vector<const std::vector<circuit::NodeId>*> ptrs{&xs[0],
+                                                                   &xs[1]};
+      const auto record = [&](const auto& m) {
+        for (const auto& y : m.apply_many(ring, ptrs)) {
+          for (const auto id : y) c.mark_output(id);
+        }
+      };
+      if (hankel) {
+        record(matrix::Hankel<circuit::CircuitBuilderField>(n, symbol));
+      } else {
+        record(matrix::Toeplitz<circuit::CircuitBuilderField>(n, symbol));
+      }
+      const auto res = c.evaluate_status(fq, in, {});
+      ASSERT_TRUE(res.status.ok()) << n;
+      // The same operands over the target field, zeros in place.
+      std::size_t next = 0;
+      const auto value = [&](circuit::NodeId id) {
+        return id == cf.zero() ? fq.zero() : in[next++];
+      };
+      std::vector<GFp::Element> sv;
+      for (const auto id : symbol) sv.push_back(value(id));
+      std::vector<GFp::Element> want;
+      for (const auto& x : xs) {
+        std::vector<GFp::Element> xv;
+        for (const auto id : x) xv.push_back(value(id));
+        const auto y = hankel
+                           ? dense_product(fq, matrix::Hankel<GFp>(n, sv), xv)
+                           : dense_product(fq, matrix::Toeplitz<GFp>(n, sv), xv);
+        want.insert(want.end(), y.begin(), y.end());
+      }
+      EXPECT_EQ(res.outputs, want) << (hankel ? "hankel" : "toeplitz") << n;
+    }
+  }
+}
+
+TEST(MiddleProduct, TransformLengthIsTwoNMinusOneRoundedUp) {
+  // At n = 256 a Toeplitz or Hankel product runs at L = 512, the power of
+  // two >= 2n - 1: it charges exactly what one whole product of two
+  // length-256 operands (511 coefficients, L = 512) charges, and less than
+  // ring.mul of the symbol by the vector (766 coefficients, L = 1024).
+  const field::Zp<field::kNttPrime> f;
+  const PolyRing<field::Zp<field::kNttPrime>> ring(f);
+  util::Prng prng(256);
+  const std::size_t n = 256;
+  std::vector<std::uint64_t> symbol(2 * n - 1), x(n), u(n);
+  for (auto* v : {&symbol, &x, &u}) {
+    for (auto& e : *v) e = f.random(prng);
+    v->back() = f.one();  // full length after stripping
+  }
+  const auto ops_of = [](const auto& body) {
+    util::OpScope scope;
+    (void)body();
+    return scope.counts().total();
+  };
+  const auto at_512 = ops_of([&] { return ring.mul(x, u); });
+  const auto at_1024 = ops_of([&] { return ring.mul(symbol, x); });
+  const matrix::Toeplitz<field::Zp<field::kNttPrime>> t(n, symbol);
+  const matrix::Hankel<field::Zp<field::kNttPrime>> h(n, symbol);
+  std::vector<std::uint64_t> rx(x.rbegin(), x.rend());
+  EXPECT_EQ(ops_of([&] { return t.apply(ring, x); }), at_512);
+  EXPECT_EQ(ops_of([&] { return h.apply(ring, rx); }), at_512);
+  EXPECT_LT(at_512, at_1024);
 }
 
 // ---------------------------------------------------------------------------
