@@ -9,9 +9,9 @@
 //
 //   S_i = Ut . A^i . V          (S_i is b x b, Ut is b x n, V is n x b)
 //
-// where each step is one apply_many over the right block -- one parallel
-// region across the (vector, row) grid of a CSR product, one batched
-// mul_many against a cached Toeplitz/Hankel spectrum -- plus a b x b batch
+// where each step is one apply_many over the right block -- one SpMM pass
+// over a CSR product's rows, one batched mul_many against a cached
+// Toeplitz/Hankel spectrum -- plus a b x b batch
 // of SIMD dot products for the left projection.  Total apply work is
 // unchanged; the win is that every step saturates the ExecutionContext pool
 // and traverses the operator's data once per block instead of once per

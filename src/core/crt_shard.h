@@ -34,11 +34,10 @@
 //              only the generic route can PROVE singularity).
 //
 // Scheduling: shards of one batch are independent tasks over
-// pram::ExecutionContext.  By default each shard runs single-worker (nested
-// regions are serial), so a batch of shards saturates the pool; the
-// shard_workers knob flips to serial-outer/parallel-inner for few-shard
-// runs.  Results and diagnostics are keyed by prime-stream index and sorted,
-// so the output is deterministic regardless of completion order.
+// pram::ExecutionContext.  Each shard runs single-worker (nested regions are
+// serial), so a batch of shards saturates the pool.  Results and
+// diagnostics are keyed by prime-stream index and sorted, so the output is
+// deterministic regardless of completion order.
 #pragma once
 
 #include <algorithm>
@@ -75,11 +74,6 @@ struct CrtOptions {
   /// termination triggers at batch granularity, so smaller batches stop
   /// earlier but reconstruct more often.
   std::size_t batch_size = 0;
-  /// Workers each shard's inner pipeline may use.  1 (default): shards of a
-  /// batch run as parallel tasks, each internally serial -- K shards
-  /// saturate the pool.  > 1: shards run one after another, each spread
-  /// over this many workers -- better for few large shards.
-  unsigned shard_workers = 1;
   /// Hard cap on K.  When the Hadamard bound says more shards than this
   /// could be needed, the engine does not start at all and falls back to
   /// the generic multi-precision route.
@@ -411,10 +405,13 @@ inline CrtSolveResult crt_solve(const field::RationalField& f,
 
   int adicity = opt.min_two_adicity;
   if (adicity == 0) {
-    // The per-shard pipeline runs transforms up to length ~8 n^2 (the
-    // Toeplitz-charpoly stage multiplies degree-n^2-scale products); a
-    // too-small two-adicity silently degrades those muls to the slow
-    // generic convolution, ~10x per shard.  Two extra levels of margin.
+    // Transforms up to length ~8 n^2 (the Theorem-3 Toeplitz charpoly
+    // multiplies degree-n^2-scale products) must exist; a too-small
+    // two-adicity silently degrades those muls to the slow generic
+    // convolution, ~10x per shard.  The default route runs no Toeplitz
+    // charpoly: only depth_optimal shards and det(H)'s Theorem-3 fallback
+    // for a non-normal H need the long transforms.  Two extra levels of
+    // margin.
     adicity = 3;
     while ((std::size_t{1} << adicity) < 8 * n * n) ++adicity;
     adicity += 2;
@@ -470,15 +467,7 @@ inline CrtSolveResult crt_solve(const field::RationalField& f,
         bad_primes.fetch_add(1, std::memory_order_relaxed);
       }
     };
-    if (opt.shard_workers <= 1) {
-      pram::parallel_for(0, b, lane);
-    } else {
-      auto& ctx = pram::ExecutionContext::global();
-      const unsigned saved = ctx.worker_limit();
-      ctx.set_worker_limit(opt.shard_workers);
-      for (std::size_t i = 0; i < b; ++i) lane(i);
-      ctx.set_worker_limit(saved);
-    }
+    pram::parallel_for(0, b, lane);
     ++out.batches;
 
     if (bad_primes.load() > opt.max_bad_primes) {

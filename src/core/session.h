@@ -6,10 +6,11 @@
 // a session splits the work into a per-OPERATOR phase and a per-RHS phase,
 // and pins what the first one produced:
 //
-//   * m, drawn by prepare (wiedemann_minpoly: 2n products with A, then
-//     Berlekamp-Massey) in a projection-only Las Vegas run whose Diag seeds
-//     make a prepare failure replayable in isolation.  m(0) = 0 proves A
-//     singular;
+//   * m, drawn by prepare in a projection-only Las Vegas run through the
+//     scalar generator draw the Wiedemann solve runs too
+//     (detail::draw_generator: 2n products with A, then Berlekamp-Massey).
+//     Its u and v are wiedemann_minpoly's draws, so an attempt's Diag seed
+//     replays its m in isolation.  m(0) = 0 proves A singular;
 //   * for Q (RationalSession below), the CRT prime set and shard transcript
 //     a previous solve certified, warm-starting the next one.
 //
@@ -152,14 +153,12 @@ class Session {
   /// Phase 1: draw m in a projection-only Las Vegas run (the Wiedemann
   /// solves' options: solver.sample_size and solver.max_attempts, |S|
   /// fixed, the projection re-drawn every attempt; a failed attempt over
-  /// solver.op_budget_per_attempt ends the run with kOpBudgetExhausted).  Each attempt: the
-  /// control check at kDraw, the draw, m from the attempt's projection
-  /// seed, the kProjection fault site, kDegenerateProjection when deg m < 1,
-  /// and kZeroConstantTerm at kCharpoly when m(0) = 0.  m divides A's
-  /// minimal polynomial, so m(0) = 0 proves A singular: a singular operator
-  /// fails every attempt there, and solve_dense can prove kSingularInput.
+  /// solver.op_budget_per_attempt ends the run with kOpBudgetExhausted).
+  /// Each attempt is the control check at kDraw, then
+  /// detail::draw_generator with no right-hand side.  m divides A's minimal
+  /// polynomial, so m(0) = 0 proves A singular: a singular operator fails
+  /// every attempt there, and solve_dense can prove kSingularInput.
   util::Status prepare(const util::ExecControl* control = nullptr) {
-    using util::FailureKind;
     using util::Stage;
     using util::Status;
     prepared_ = false;
@@ -178,24 +177,7 @@ class Session {
               !ctl.ok()) {
             return ctl;
           }
-          at.draw();
-          kp::util::Prng r{at.projection_seed()};
-          auto m = wiedemann_minpoly(f_, a_, r, s);
-          if (KP_FAULT_POINT(Stage::kProjection)) {
-            return Status::Injected(FailureKind::kDegenerateProjection,
-                                    Stage::kProjection);
-          }
-          if (m.size() < 2) {
-            return Status::Fail(FailureKind::kDegenerateProjection,
-                                Stage::kCharpoly, "trivial minimum polynomial");
-          }
-          if (Status st =
-                  detail::constant_term_status(f_, m, "m(0) = 0: A singular");
-              !st.ok()) {
-            return st;
-          }
-          m_ = std::move(m);
-          return Status::Ok();
+          return detail::draw_generator(f_, a_, nullptr, at, s, m_);
         });
     prepares_ += prepare_diags_.size() - before;
     prepared_ = run.status.ok();

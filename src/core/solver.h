@@ -42,12 +42,13 @@
 // operator is dense, where A-tilde is materialized once per attempt.
 //
 // The pipeline splits into a per-OPERATOR prepare (steps 1-3 and det(H D):
-// detail::prepare_attempt fills a Transcript) and a per-RHS finish (steps
-// 4b-5: detail::finish_many, batched over k columns).  kp_det is prepare
-// alone and kp_solve is prepare + a one-column finish.  The finish ends in
-// detail::verify_columns, the per-column fault/control/verify tail that a
-// Session (core/session.h) shares: a session runs no Theorem-4 prepare, it
-// solves through A's own minimal generator and calls kp_det for det(A).
+// detail::prepare_attempt fills a Transcript) and a per-RHS finish (step
+// 4: detail::finish, one column).  kp_det is prepare alone and kp_solve is
+// prepare + finish in one attempt, so the attempt knows b while it
+// prepares.  The finish ends in detail::verify_columns, the per-column
+// fault/control/verify tail that a Session (core/session.h) shares over its
+// k-column batches: a session runs no Theorem-4 prepare, it solves through
+// A's own minimal generator and calls kp_det for det(A).
 //
 // Failure handling (the Las Vegas layer, see DESIGN.md section 9):
 //
@@ -156,8 +157,8 @@ struct SolveResult {
 
 /// The attempt state of kp_solve and kp_det: the per-operator half of
 /// Theorem 4 (steps 1-3 and the det of step 5) that prepare_attempt leaves
-/// for the attempt's finish.  The lazy box views `a`, `f` and the ring it
-/// was prepared with, so those must outlive the transcript.
+/// for the attempt's one-column finish.  The lazy box views `a`, `f` and
+/// the ring it was prepared with, so those must outlive the transcript.
 template <kp::field::Field F, matrix::LinOp B>
 struct Transcript {
   using E = typename F::Element;
@@ -191,7 +192,7 @@ struct Transcript {
   /// Doubling route only: powers[j] = A-tilde^{2^j} for the j an n-column
   /// Krylov block multiplies by (powers[0] is A-tilde, the top one
   /// A-tilde^P with P >= n/2), squared once in prepare for the projection
-  /// and shared by every finish.  ceil(log2 n) n x n matrices: about 4 MiB
+  /// and reused by the finish.  ceil(log2 n) n x n matrices: about 4 MiB
   /// at n = 256 with 8-byte elements.
   std::vector<matrix::Matrix<F>> powers;
   /// Materialized iterative route: A-tilde stored transposed, 0.5 MiB at
@@ -494,40 +495,30 @@ std::vector<FinishedRhs<F>> verify_columns(
   return out;
 }
 
-/// The per-right-hand-side half, for k columns through one prepared
-/// transcript: the Cayley-Hamilton finish x-tilde = A-tilde^{-1} b with q =
-/// solution_combination(g) once per call, then x = H D x-tilde, then
-/// verify_columns.  The doubling route combines each column's n-column
-/// Krylov block; the iterative route (lazy or materialized) advances all k
-/// columns through one batched recurrence (combine_powers), checking
-/// opt.control every 16 steps at kSolveFinish.  A control trip fails every
-/// column.
+/// The per-right-hand-side half through one prepared transcript: the
+/// Cayley-Hamilton finish x-tilde = A-tilde^{-1} b with q =
+/// solution_combination(g), then x = H D x-tilde, then verify_columns.  The
+/// doubling route combines b's n-column Krylov block; the iterative route
+/// (lazy or materialized) runs the recurrence (combine_powers), checking
+/// opt.control every 16 steps at kSolveFinish.
 template <kp::field::Field F, matrix::LinOp B>
-std::vector<FinishedRhs<F>> finish_many(
-    const F& f, const kp::poly::PolyRing<F>& ring, const B& a,
-    const Transcript<F, B>& t,
-    const std::vector<const std::vector<typename F::Element>*>& rhs,
-    const SolverOptions& opt) {
+FinishedRhs<F> finish(const F& f, const kp::poly::PolyRing<F>& ring,
+                      const B& a, const Transcript<F, B>& t,
+                      const std::vector<typename F::Element>& b,
+                      const SolverOptions& opt) {
   const auto q = solution_combination(f, t.g);
   std::vector<std::vector<typename F::Element>> xt;
-  util::Status st = util::Status::Ok();
   if (t.route == KrylovRoute::kDoubling) {
-    for (const auto* b : rhs) {
-      xt.push_back(krylov_combine(
-          f, krylov_block(f, t.powers, *b, a.dim(), opt.matmul), q));
-    }
-  } else {
-    st = t.with_operator([&](const auto& op) {
-      return combine_powers(f, op, q, rhs, opt.control, xt);
-    });
+    xt.push_back(krylov_combine(
+        f, krylov_block(f, t.powers, b, a.dim(), opt.matmul), q));
+  } else if (util::Status st = t.with_operator([&](const auto& op) {
+               return combine_powers(f, op, q, {&b}, opt.control, xt);
+             });
+             !st.ok()) {
+    return {st, {}};
   }
-  if (!st.ok()) {
-    std::vector<FinishedRhs<F>> out(rhs.size());
-    for (auto& o : out) o.status = st;
-    return out;
-  }
-  for (auto& x : xt) x = t.pre->unprecondition(f, ring, x);
-  return verify_columns(f, a, rhs, std::move(xt), opt);
+  xt[0] = t.pre->unprecondition(f, ring, xt[0]);
+  return std::move(verify_columns(f, a, {&b}, std::move(xt), opt)[0]);
 }
 
 /// The Las Vegas knobs of a Theorem-4 run over an n-dimensional operator.
@@ -562,9 +553,9 @@ SolveResult<F> theorem4_run(const F& f, const B& a,
       opt.collect_diag ? &res.diags : nullptr, [&](Attempt& at) {
         Status st = prepare_attempt(f, ring, a, opt, at, t);
         if (!st.ok() || !rhs) return st;
-        auto fin = finish_many(f, ring, a, t, {rhs}, opt);
-        x = std::move(fin[0].x);
-        return fin[0].status;
+        auto fin = finish(f, ring, a, t, *rhs, opt);
+        x = std::move(fin.x);
+        return fin.status;
       });
   res.status = run.status;
   res.attempts = run.attempts;

@@ -1,9 +1,13 @@
 // Wiedemann's black-box algorithms (section 2 of the paper).
 //
 // All of them share one step: project the Krylov sequence of the operator
-// through random vectors u, b drawn from the sample set S, and read off its
-// minimum polynomial f_u^{A,b} with Berlekamp-Massey.  Lemma 2 bounds the
+// through random vectors u, v drawn from the sample set S, and read off its
+// minimum polynomial f_u^{A,v} with Berlekamp-Massey.  Lemma 2 bounds the
 // probability that the projection loses information by 2 deg(f^A) / |S|.
+// The step exists once per width: detail::draw_generator is the scalar
+// draw of wiedemann_solve_status (v = b) and Session::prepare (v random),
+// detail::block_generator the block draw of block_wiedemann_solve_status
+// and block_charpoly_candidate.
 //
 //   * wiedemann_minpoly       -- minimum polynomial of the projected sequence
 //   * wiedemann_singular_test -- Las Vegas "det(A) = 0" certificate
@@ -36,18 +40,34 @@
 
 namespace kp::core {
 
-/// Minimum polynomial of {u A^i b} for random u, b sampled from S; equals
+namespace detail {
+
+/// The 2n terms u A^i v with u, then v (when `b` is null), drawn from
+/// `prng` over S; with `b`, u alone is drawn and v = *b.
+template <kp::field::Field F, matrix::LinOp B>
+std::vector<typename F::Element> projected_sequence(
+    const F& f, const B& box, const std::vector<typename F::Element>* b,
+    kp::util::Prng& prng, std::uint64_t s) {
+  const std::size_t n = box.dim();
+  std::vector<typename F::Element> u(n), v;
+  for (auto& e : u) e = f.sample(prng, s);
+  if (b == nullptr) {
+    v.resize(n);
+    for (auto& e : v) e = f.sample(prng, s);
+  }
+  return matrix::krylov_sequence_iterative(f, box, u, b ? *b : v, 2 * n);
+}
+
+}  // namespace detail
+
+/// Minimum polynomial of {u A^i v} for random u, v sampled from S; equals
 /// the minimum polynomial of A with probability >= 1 - 2 deg(f^A)/|S|.
 template <kp::field::Field F, matrix::LinOp B>
 std::vector<typename F::Element> wiedemann_minpoly(const F& f, const B& box,
                                                    kp::util::Prng& prng,
                                                    std::uint64_t s) {
-  const std::size_t n = box.dim();
-  std::vector<typename F::Element> u(n), b(n);
-  for (auto& e : u) e = f.sample(prng, s);
-  for (auto& e : b) e = f.sample(prng, s);
-  const auto seq = matrix::krylov_sequence_iterative(f, box, u, b, 2 * n);
-  return seq::berlekamp_massey(f, seq);
+  return seq::berlekamp_massey(
+      f, detail::projected_sequence(f, box, nullptr, prng, s));
 }
 
 /// One-sided Las Vegas singularity test: returns true ("singular") when
@@ -64,7 +84,9 @@ bool wiedemann_singular_test(const F& f, const B& box, kp::util::Prng& prng,
 namespace detail {
 
 /// Estimate (2)'s failure report: g(0) = 0 means the operator the generator
-/// belongs to is singular (A itself, or an unlucky H, D or projection).
+/// belongs to is singular -- A itself for a generator of A's own sequence
+/// (it divides A's minimal polynomial), A itself or an unlucky H or D for
+/// the charpoly of A-tilde = A H D.
 template <kp::field::Field F>
 util::Status constant_term_status(const F& f,
                                   const std::vector<typename F::Element>& g,
@@ -93,25 +115,52 @@ std::size_t effective_block_width(const F& f, std::size_t block_width,
   return block_width < n ? block_width : n;
 }
 
-/// One block-Wiedemann charpoly attempt: draw U (b x n rows) and V (b
-/// columns) from `r`, run the block Krylov sequence and the sigma-basis,
-/// and return det G normalized monic.  For the Theorem-2 preconditioned
-/// operator (minpoly = charpoly, degree n) the minimal generator's
-/// determinant is a scalar multiple of the characteristic polynomial
-/// w.h.p.; the caller enforces deg = n.  Fault sites cover both new stages
-/// so the retry paths are deterministically reachable.
+/// The scalar generator draw, the head of every attempt of
+/// wiedemann_solve_status (b given: the sequence u A^i b) and of
+/// Session::prepare (b null: u A^i v, drawn as wiedemann_minpoly draws):
+/// at.draw(), the projection from the attempt's projection seed, the
+/// kProjection fault site, Berlekamp-Massey, kDegenerateProjection when
+/// deg g < 1, and kZeroConstantTerm when g(0) = 0.  g divides A's minimal
+/// polynomial, so g(0) = 0 proves A singular.  `g` is set only on Ok.
+template <kp::field::Field F, matrix::LinOp B>
+util::Status draw_generator(const F& f, const B& box,
+                            const std::vector<typename F::Element>* b,
+                            Attempt& at, std::uint64_t s,
+                            std::vector<typename F::Element>& g) {
+  using util::FailureKind;
+  using util::Stage;
+  using util::Status;
+  at.draw();
+  kp::util::Prng r{at.projection_seed()};
+  const auto seq = projected_sequence(f, box, b, r, s);
+  if (KP_FAULT_POINT(Stage::kProjection)) {
+    return Status::Injected(FailureKind::kDegenerateProjection,
+                            Stage::kProjection);
+  }
+  auto m = seq::berlekamp_massey(f, seq);
+  if (m.size() < 2) {
+    return Status::Fail(FailureKind::kDegenerateProjection, Stage::kCharpoly,
+                        "trivial minimum polynomial");
+  }
+  Status st = constant_term_status(f, m, "g(0) = 0: A singular");
+  if (st.ok()) g = std::move(m);
+  return st;
+}
+
+/// The block generator draw over a b x n left block `ut` and b right
+/// columns `v`: the 2 ceil(n/b) + 2 terms Ut A^i V, the kBlockProjection
+/// fault site, the sigma-basis, and the kBlockGenerator fault site (both
+/// sites so the retry paths are deterministically reachable).
 template <kp::field::Field F, matrix::LinOp B>
   requires std::same_as<typename B::Element, typename F::Element>
-kp::util::StatusOr<std::vector<typename F::Element>> block_charpoly_candidate(
-    const F& f, const B& box, std::size_t block_width, kp::util::Prng& r,
-    std::uint64_t s) {
+kp::util::StatusOr<seq::BlockGenerator<F>> block_generator(
+    const F& f, const B& box, const matrix::Matrix<F>& ut,
+    const std::vector<std::vector<typename F::Element>>& v) {
   using util::FailureKind;
   using util::Stage;
   using util::Status;
   const std::size_t n = box.dim();
-  const std::size_t bw = block_width < n ? block_width : n;
-  const auto ut = random_block_rows(f, bw, n, r, s);
-  const auto v = random_block_columns(f, bw, n, r, s);
+  const std::size_t bw = v.size();
   const std::size_t count = 2 * ((n + bw - 1) / bw) + 2;
   const auto sq = block_krylov_sequence(f, box, ut, v, count);
   if (KP_FAULT_POINT(Stage::kBlockProjection)) {
@@ -119,12 +168,31 @@ kp::util::StatusOr<std::vector<typename F::Element>> block_charpoly_candidate(
                             Stage::kBlockProjection);
   }
   auto gen = seq::matrix_berlekamp_massey(f, sq);
-  if (!gen.ok()) return gen.status();
-  if (KP_FAULT_POINT(Stage::kBlockGenerator)) {
+  if (gen.ok() && KP_FAULT_POINT(Stage::kBlockGenerator)) {
     return Status::Injected(FailureKind::kDegenerateProjection,
                             Stage::kBlockGenerator);
   }
-  auto det = detail::generator_determinant(f, gen.value());
+  return gen;
+}
+
+/// One block-Wiedemann charpoly attempt: draw U (b x n rows) and V (b
+/// random columns) from `r`, run the block generator draw, and return det
+/// G normalized monic.  For the Theorem-2 preconditioned operator (minpoly
+/// = charpoly, degree n) the minimal generator's determinant is a scalar
+/// multiple of the characteristic polynomial w.h.p.; the caller enforces
+/// deg = n.
+template <kp::field::Field F, matrix::LinOp B>
+  requires std::same_as<typename B::Element, typename F::Element>
+kp::util::StatusOr<std::vector<typename F::Element>> block_charpoly_candidate(
+    const F& f, const B& box, std::size_t block_width, kp::util::Prng& r,
+    std::uint64_t s) {
+  const std::size_t n = box.dim();
+  const std::size_t bw = block_width < n ? block_width : n;
+  const auto ut = random_block_rows(f, bw, n, r, s);
+  const auto v = random_block_columns(f, bw, n, r, s);
+  auto gen = block_generator(f, box, ut, v);
+  if (!gen.ok()) return gen.status();
+  auto det = generator_determinant(f, gen.value());
   if (!det.ok()) return det.status();
   auto g = det.take();
   if (!f.eq(g.back(), f.one())) {
@@ -175,24 +243,10 @@ WiedemannSolveResult<F> wiedemann_solve_status(
         // Project {A^i b} through a random u; the sequence's minimum
         // polynomial f_u^{A,b} divides f^{A,b} and equals it w.h.p.
         // (Theorem 1 / Lemma 2).
-        at.draw();
-        kp::util::Prng r{at.projection_seed()};
-        std::vector<typename F::Element> u(n);
-        for (auto& e : u) e = f.sample(r, s);
-        const auto seq = matrix::krylov_sequence_iterative(f, box, u, b, 2 * n);
-        if (KP_FAULT_POINT(Stage::kProjection)) {
-          return Status::Injected(FailureKind::kDegenerateProjection,
-                                  Stage::kProjection);
-        }
-        auto g = seq::berlekamp_massey(f, seq);
-        if (g.size() < 2) {
-          return Status::Fail(FailureKind::kDegenerateProjection,
-                              Stage::kCharpoly, "trivial minimum polynomial");
-        }
-        if (Status gst = detail::constant_term_status(
-                f, g, "f_u(0) = 0: A singular or unlucky projection");
-            !gst.ok()) {
-          return gst;
+        std::vector<typename F::Element> g;
+        if (Status st = detail::draw_generator(f, box, &b, at, s, g);
+            !st.ok()) {
+          return st;
         }
         auto x = solve_from_annihilator(f, box, g, b);
         if (KP_FAULT_POINT(Stage::kVerify)) {
@@ -255,18 +309,8 @@ WiedemannSolveResult<F> block_wiedemann_solve_status(
         v.reserve(bw);
         v.push_back(b);
         for (auto& az : matrix::apply_columns(box, z)) v.push_back(std::move(az));
-        const std::size_t count = 2 * ((n + bw - 1) / bw) + 2;
-        const auto sq = block_krylov_sequence(f, box, ut, v, count);
-        if (KP_FAULT_POINT(Stage::kBlockProjection)) {
-          return Status::Injected(FailureKind::kDegenerateProjection,
-                                  Stage::kBlockProjection);
-        }
-        auto gen_or = seq::matrix_berlekamp_massey(f, sq);
+        const auto gen_or = detail::block_generator(f, box, ut, v);
         if (!gen_or.ok()) return gen_or.status();
-        if (KP_FAULT_POINT(Stage::kBlockGenerator)) {
-          return Status::Injected(FailureKind::kDegenerateProjection,
-                                  Stage::kBlockGenerator);
-        }
         const auto& gen = gen_or.value();
         // First (lowest-degree) column whose constant coefficient touches b.
         std::size_t pick = gen.columns.size();

@@ -91,23 +91,24 @@ class Sparse {
     return y;
   }
 
-  /// Batched y_k = A x_k.  Word-sized prime fields transpose the block to a
-  /// row-major n x b layout and run the fused SpMM kernel: each CSR entry
+  /// Batched y_k = A x_k, element- and op-count-identical to b separate
+  /// apply() calls, which it is at b <= 1 and over every ring without the
+  /// fast kernels.  Word-sized prime fields at b > 1 transpose the block to
+  /// a row-major n x b layout and run the fused SpMM kernel: each CSR entry
   /// reads its b operands from one contiguous row of the block instead of
   /// b scattered vectors (and, on AVX-512 IFMA for rows of >= 32 entries,
   /// is one broadcast against b vector lanes).  Each lane is the canonical
   /// residue of the same sum as apply(), charged in bulk as b * len
-  /// multiplications and additions per row -- so results and op counts are
-  /// identical to b separate apply() calls, at every SIMD level and for 1..N
-  /// workers (parallel chunking is by row, independent of the worker count).
-  /// Other rings fall back to a (row, vector) cell grid.
+  /// multiplications and additions per row, at every SIMD level and for
+  /// 1..N workers (parallel chunking is by row, independent of the worker
+  /// count).
   std::vector<std::vector<Element>> apply_many(
       const R& r, const std::vector<const std::vector<Element>*>& xs) const {
     const std::size_t b = xs.size();
-    std::vector<std::vector<Element>> ys(b);
-    for (auto& y : ys) y.assign(rows_, r.zero());
     if constexpr (kp::field::kernels::FastField<R>) {
       if (b > 1) {
+        std::vector<std::vector<Element>> ys(b);
+        for (auto& y : ys) y.assign(rows_, r.zero());
         kp::util::AlignedVector<Element> xt(cols_ * b);
         for (std::size_t k = 0; k < b; ++k) {
           const std::vector<Element>& x = *xs[k];
@@ -135,29 +136,9 @@ class Sparse {
         return ys;
       }
     }
-    auto cell_product = [&](std::size_t idx) {
-      const std::size_t i = idx / b;
-      const std::size_t k = idx % b;
-      const std::vector<Element>& x = *xs[k];
-      assert(x.size() == cols_);
-      if constexpr (kp::field::kernels::FastField<R>) {
-        const std::size_t lo = row_ptr_[i];
-        ys[k][i] = kp::field::kernels::dot_gather(r, val_.data() + lo,
-                                                  col_.data() + lo, x.data(),
-                                                  row_ptr_[i + 1] - lo);
-      } else {
-        auto acc = r.zero();
-        for (std::size_t c = row_ptr_[i]; c < row_ptr_[i + 1]; ++c) {
-          acc = r.add(acc, r.mul(val_[c], x[col_[c]]));
-        }
-        ys[k][i] = std::move(acc);
-      }
-    };
-    if (kp::field::concurrent_ops_v<R> && nnz() * b >= kParallelGrain) {
-      kp::pram::parallel_for(0, b * rows_, cell_product);
-    } else {
-      for (std::size_t idx = 0; idx < b * rows_; ++idx) cell_product(idx);
-    }
+    std::vector<std::vector<Element>> ys;
+    ys.reserve(b);
+    for (const auto* x : xs) ys.push_back(apply(r, *x));
     return ys;
   }
 

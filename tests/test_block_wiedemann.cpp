@@ -356,28 +356,47 @@ void expect_wide_prime_apply_many(std::uint64_t p, std::size_t b) {
   }
 }
 
+/// apply_many over `r` against b looped apply calls on the same operator:
+/// identical elements and OpCounts.
+template <class R>
+void expect_apply_many_matches_loop(const R& r, std::size_t n,
+                                    std::size_t per_row, std::size_t b,
+                                    util::Prng& prng) {
+  using E = typename R::Element;
+  const auto sp = matrix::Sparse<R>::random(r, n, per_row, prng);
+  std::vector<std::vector<E>> xs(b);
+  std::vector<const std::vector<E>*> ptrs(b);
+  for (std::size_t k = 0; k < b; ++k) {
+    xs[k].resize(n);
+    for (auto& e : xs[k]) e = r.random(prng);
+    ptrs[k] = &xs[k];
+  }
+  util::OpScope batch_scope;
+  const auto batched = sp.apply_many(r, ptrs);
+  const auto batch_ops = batch_scope.counts();
+  util::OpScope loop_scope;
+  std::vector<std::vector<E>> looped;
+  for (std::size_t k = 0; k < b; ++k) looped.push_back(sp.apply(r, xs[k]));
+  expect_counts_eq(batch_ops, loop_scope.counts(), "sparse apply_many ops");
+  EXPECT_EQ(batched, looped) << "n=" << n << " b=" << b;
+}
+
 TEST(BlockKrylovTest, SparseApplyManyMatchesLoopedApplies) {
   util::Prng prng(223);
-  // Small (serial) and large (parallel grid: nnz * b >= kParallelGrain)
-  // shapes; elements AND op counts must match the looped applies exactly.
-  struct Shape { std::size_t n, per_row, b; };
-  for (const Shape sh : {Shape{24, 3, 4}, Shape{1024, 8, 8}}) {
-    const auto sp = matrix::Sparse<F>::random(f, sh.n, sh.per_row, prng);
-    std::vector<std::vector<F::Element>> xs(sh.b);
-    std::vector<const std::vector<F::Element>*> ptrs(sh.b);
-    for (std::size_t k = 0; k < sh.b; ++k) {
-      xs[k].resize(sh.n);
-      for (auto& e : xs[k]) e = f.random(prng);
-      ptrs[k] = &xs[k];
+  // Small (serial) and large (parallel: nnz >= kParallelGrain) shapes, over
+  // a word-size prime field (the SpMM kernel at b > 1, apply at b = 1) and
+  // over GFpReference, which has no fast kernels (apply at every b).
+  const field::GFpReference ref(1000003);
+  struct Shape { std::size_t n, per_row; };
+  for (const Shape sh : {Shape{24, 3}, Shape{4096, 8}}) {
+    for (const std::size_t b : {1u, 4u, 8u}) {
+      ASSERT_NO_FATAL_FAILURE(
+          expect_apply_many_matches_loop(f, sh.n, sh.per_row, b, prng));
     }
-    util::OpScope batch_scope;
-    const auto batched = sp.apply_many(f, ptrs);
-    const auto batch_ops = batch_scope.counts();
-    util::OpScope loop_scope;
-    std::vector<std::vector<F::Element>> looped;
-    for (std::size_t k = 0; k < sh.b; ++k) looped.push_back(sp.apply(f, xs[k]));
-    expect_counts_eq(batch_ops, loop_scope.counts(), "sparse apply_many ops");
-    EXPECT_EQ(batched, looped) << "n=" << sh.n;
+    for (const std::size_t b : {1u, 3u}) {
+      ASSERT_NO_FATAL_FAILURE(
+          expect_apply_many_matches_loop(ref, sh.n, sh.per_row, b, prng));
+    }
   }
 
   // Word-size primes: the IFMA SpMM body (packed for b <= 4 and for the

@@ -669,6 +669,55 @@ TEST(WiedemannTest, SolveSparseSystem) {
   EXPECT_EQ(sp.apply(f, sol.x), b);
 }
 
+TEST(WiedemannTest, SolveReplaysFromTheDiagProjectionSeed) {
+  // A = diag(1..n) over a sample set of 3: a u with a zero entry misses an
+  // eigenvalue b carries, reads a deficient generator and fails the verify,
+  // so attempts differ.  Each attempt -- failed or not -- replays from its
+  // Diag seed alone: u drawn first, then {u A^i b}, Berlekamp-Massey and
+  // the Cayley-Hamilton finish, at the Diag's op count.
+  const std::size_t n = 4;
+  const std::uint64_t s = 3;
+  std::vector<matrix::Sparse<F>::Entry> entries;
+  for (std::size_t i = 0; i < n; ++i) {
+    entries.push_back({i, i, f.from_int(static_cast<std::int64_t>(i) + 1)});
+  }
+  const matrix::Sparse<F> sp(f, n, n, std::move(entries));
+  const matrix::SparseBox<F> box(f, sp);
+  std::vector<F::Element> b(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    b[i] = f.from_int(static_cast<std::int64_t>(i) + 2);
+  }
+  int failed = 0;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    util::Prng prng(seed);
+    const auto res = core::wiedemann_solve_status(f, box, b, prng, s, 30);
+    ASSERT_TRUE(res.ok) << res.status.message();
+    for (const util::Diag& d : res.diags) {
+      util::Prng r{d.projection_seed};
+      util::OpScope scope;
+      std::vector<F::Element> u(n);
+      for (auto& e : u) e = f.sample(r, s);
+      const auto g = seq::berlekamp_massey(
+          f, matrix::krylov_sequence_iterative(f, box, u, b, 2 * n));
+      const auto x = core::solve_from_annihilator(f, box, g, b);
+      const bool solves = !x.empty() && box.apply(x) == b;
+      const util::OpCounts ops = scope.counts();
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " attempt "
+                                      << d.attempt);
+      EXPECT_EQ(ops.add, d.ops.add);
+      EXPECT_EQ(ops.mul, d.ops.mul);
+      EXPECT_EQ(ops.div, d.ops.div);
+      EXPECT_EQ(solves, d.kind == util::FailureKind::kNone);
+      if (d.kind == util::FailureKind::kNone) {
+        EXPECT_EQ(x, res.x);
+      } else {
+        ++failed;
+      }
+    }
+  }
+  EXPECT_GT(failed, 0);  // the replays are told apart
+}
+
 TEST(WiedemannTest, DetMatchesGauss) {
   util::Prng prng(16);
   for (std::size_t n : {2u, 5u, 9u, 15u}) {

@@ -532,26 +532,6 @@ TEST(CrtShardScheduler, ShardsBitIdenticalToStandaloneZpSolves) {
   }
 }
 
-TEST(CrtShardScheduler, ShardWorkersKnobPreservesResults) {
-  util::Prng prng(37);
-  const std::size_t n = 6;
-  const auto a = nonsingular_rational(n, prng);
-  const auto b = random_rational_vector(n, prng);
-
-  util::Prng p1(7), p2(7);
-  CrtOptions outer;  // parallel-outer (default)
-  CrtOptions inner;
-  inner.shard_workers = 2;  // serial-outer, 2-worker-inner
-  auto r1 = core::crt_solve(q, a, b, p1, outer);
-  auto r2 = core::crt_solve(q, a, b, p2, inner);
-  ASSERT_TRUE(r1.ok);
-  ASSERT_TRUE(r2.ok);
-  EXPECT_EQ(r1.primes, r2.primes);
-  ASSERT_EQ(r1.x.size(), r2.x.size());
-  for (std::size_t i = 0; i < r1.x.size(); ++i) EXPECT_EQ(r1.x[i], r2.x[i]);
-  EXPECT_EQ(r1.det, r2.det);
-}
-
 TEST(CrtShardScheduler, FaultInjectionShardSiteRetriesPrime) {
   KP_REQUIRE_FAULT_INJECTION();
   ScopedWorkers pin(1);  // shard sites run on pool workers; pin for determinism

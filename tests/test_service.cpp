@@ -168,6 +168,41 @@ TEST(SessionTest, SolveOneMatchesKnownSolution) {
   EXPECT_EQ(sess.prepares(), 1u);  // the transcript stayed pinned
 }
 
+TEST(SessionTest, PrepareReplaysFromTheDiagProjectionSeed) {
+  // A = diag(1..n) over a sample set of 3: each projection keeps only the
+  // eigenvalues both u and v see, so m differs from draw to draw, and a
+  // replay that drew u and v in another order would read another m.
+  const std::size_t n = 8;
+  const std::uint64_t s = 3;
+  std::vector<matrix::Sparse<F>::Entry> entries;
+  for (std::size_t i = 0; i < n; ++i) {
+    entries.push_back({i, i, f.from_int(static_cast<std::int64_t>(i) + 1)});
+  }
+  const matrix::Sparse<F> a(f, n, n, std::move(entries));
+  const matrix::SparseBox<F> box(f, a);
+  SessionOptions opt;
+  opt.solver.sample_size = s;
+  opt.solver.max_attempts = 10;
+  std::vector<std::size_t> degrees;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    Session<F> sess(f, matrix::AnyBox<F>(box), seed, opt);
+    ASSERT_TRUE(sess.prepare().ok());
+    const util::Diag& d = sess.prepare_diags().back();
+    util::Prng r{d.projection_seed};
+    util::OpScope scope;
+    EXPECT_EQ(sess.minimal_generator(), core::wiedemann_minpoly(f, box, r, s))
+        << "seed " << seed;
+    const util::OpCounts ops = scope.counts();
+    EXPECT_EQ(ops.add, d.ops.add) << "seed " << seed;
+    EXPECT_EQ(ops.mul, d.ops.mul) << "seed " << seed;
+    EXPECT_EQ(ops.div, d.ops.div) << "seed " << seed;
+    degrees.push_back(sess.minimal_generator().size());
+  }
+  // The draws do differ, so the replays are told apart.
+  EXPECT_NE(*std::min_element(degrees.begin(), degrees.end()),
+            *std::max_element(degrees.begin(), degrees.end()));
+}
+
 TEST(SessionTest, SolveDenseFactorsOnceThenSubstitutes) {
   const std::size_t n = 24;
   Fixture fx(n);
@@ -606,7 +641,7 @@ TEST(SessionTest, RationalSessionPinsPrimesAcrossSolves) {
 }
 
 /// kp_solve's own prepare (detail::prepare_attempt in its Las Vegas loop)
-/// of `a` under default options, filling `t` for the finish_many tests.
+/// of `a` under default options, filling `t` for the finish tests.
 template <class B>
 void prepare_transcript(const B& a, const poly::PolyRing<F>& ring,
                         core::Transcript<F, B>& t) {
@@ -620,46 +655,35 @@ void prepare_transcript(const B& a, const poly::PolyRing<F>& ring,
   ASSERT_TRUE(run.status.ok()) << run.status.message();
 }
 
-/// finish_many over k columns against k one-column calls through the same
-/// prepared transcript, at 1, 2 and 8 workers.
+/// One-column finishes through one prepared transcript, every right-hand
+/// side against its known solution, at 1, 2 and 8 workers.
 template <class B>
-void expect_batched_finish_matches_solo(const B& a, const Fixture& fx) {
+void expect_finish_solves_every_column(const B& a, const Fixture& fx) {
   poly::PolyRing<F> ring(f);
   const core::SolverOptions opt;
   core::Transcript<F, B> t(f, a, opt);
   prepare_transcript(a, ring, t);
   for (const unsigned workers : {1u, 2u, 8u}) {
     pram::ExecutionContext::global().set_worker_limit(workers);
-    std::vector<core::detail::FinishedRhs<F>> solo;
-    for (const auto& b : fx.b) {
-      solo.push_back(std::move(core::detail::finish_many(f, ring, a, t, {&b}, opt)[0]));
-    }
-    for (const std::size_t k : {1u, 3u, 8u}) {
-      std::vector<const std::vector<F::Element>*> rhs;
-      for (std::size_t c = 0; c < k; ++c) rhs.push_back(&fx.b[c]);
-      const auto many = core::detail::finish_many(f, ring, a, t, rhs, opt);
-      ASSERT_EQ(many.size(), k);
-      for (std::size_t c = 0; c < k; ++c) {
-        ASSERT_TRUE(many[c].status.ok()) << many[c].status.message();
-        EXPECT_EQ(many[c].status.kind(), solo[c].status.kind());
-        EXPECT_EQ(many[c].x, solo[c].x) << "k=" << k << " column " << c;
-        EXPECT_EQ(many[c].x, fx.x[c]);
-      }
+    for (std::size_t c = 0; c < fx.b.size(); ++c) {
+      const auto fin = core::detail::finish(f, ring, a, t, fx.b[c], opt);
+      ASSERT_TRUE(fin.status.ok()) << fin.status.message();
+      EXPECT_EQ(fin.x, fx.x[c]) << "workers=" << workers << " column " << c;
     }
   }
   pram::ExecutionContext::global().set_worker_limit(0);
 }
 
-TEST(SessionTest, FinishManyMatchesOneColumnFinishes) {
+TEST(SessionTest, OneColumnFinishSolvesEveryRhsAtEveryWorkerCount) {
   Fixture fx(24);
   const matrix::SparseBox<F> sparse(f, fx.a);
-  expect_batched_finish_matches_solo(sparse, fx);
+  expect_finish_solves_every_column(sparse, fx);
   const matrix::Matrix<F> dense = fx.a.to_dense(f);
   const matrix::DenseViewBox<F> dense_box(f, dense);
-  expect_batched_finish_matches_solo(dense_box, fx);
+  expect_finish_solves_every_column(dense_box, fx);
 }
 
-TEST(SessionTest, FinishManyControlTripFailsEveryColumnAtSolveFinish) {
+TEST(SessionTest, FinishControlTripFailsAtSolveFinish) {
   Fixture fx(24);
   const matrix::AnyBox<F> a = fx.box();
   poly::PolyRing<F> ring(f);
@@ -668,20 +692,17 @@ TEST(SessionTest, FinishManyControlTripFailsEveryColumnAtSolveFinish) {
   prepare_transcript(a, ring, t);
   ExecControl expired(Deadline::after(std::chrono::nanoseconds(-1)));
   opt.control = &expired;
-  // The token trips before the first product of the batched recurrence.
-  const auto out =
-      core::detail::finish_many(f, ring, a, t, {&fx.b[0], &fx.b[1], &fx.b[2]}, opt);
-  ASSERT_EQ(out.size(), 3u);
-  for (const auto& col : out) {
-    EXPECT_EQ(col.status.kind(), FailureKind::kDeadlineExceeded);
-    EXPECT_EQ(col.status.stage(), Stage::kSolveFinish);
-  }
+  // The token trips before the first product of the recurrence.
+  const auto out = core::detail::finish(f, ring, a, t, fx.b[0], opt);
+  EXPECT_EQ(out.status.kind(), FailureKind::kDeadlineExceeded);
+  EXPECT_EQ(out.status.stage(), Stage::kSolveFinish);
+  EXPECT_TRUE(out.x.empty());
 }
 
 TEST(DeadlineTest, DenseDefaultRouteFinishTripsAtSolveFinish) {
   // kp_solve's own prepare and finish on a dense operator under default
   // options: the finish iterates on the formed A-tilde (no powers kept) and
-  // checks the token at kSolveFinish, so an expired one fails every column
+  // checks the token at kSolveFinish, so an expired one fails the column
   // there and hands out no x.
   Fixture fx(40);
   const matrix::Matrix<F> dense = fx.a.to_dense(f);
@@ -696,18 +717,14 @@ TEST(DeadlineTest, DenseDefaultRouteFinishTripsAtSolveFinish) {
   EXPECT_FALSE(t.box.has_value());
   ExecControl expired(Deadline::after(std::chrono::nanoseconds(-1)));
   opt.control = &expired;
-  const auto out =
-      core::detail::finish_many(f, ring, a, t, {&fx.b[0], &fx.b[1]}, opt);
-  ASSERT_EQ(out.size(), 2u);
-  for (const auto& col : out) {
-    EXPECT_EQ(col.status.kind(), FailureKind::kDeadlineExceeded);
-    EXPECT_EQ(col.status.stage(), Stage::kSolveFinish);
-    EXPECT_TRUE(col.x.empty());
-  }
+  const auto out = core::detail::finish(f, ring, a, t, fx.b[0], opt);
+  EXPECT_EQ(out.status.kind(), FailureKind::kDeadlineExceeded);
+  EXPECT_EQ(out.status.stage(), Stage::kSolveFinish);
+  EXPECT_TRUE(out.x.empty());
   opt.control = nullptr;
-  const auto ok = core::detail::finish_many(f, ring, a, t, {&fx.b[0]}, opt);
-  ASSERT_TRUE(ok[0].status.ok()) << ok[0].status.message();
-  EXPECT_EQ(ok[0].x, fx.x[0]);
+  const auto ok = core::detail::finish(f, ring, a, t, fx.b[0], opt);
+  ASSERT_TRUE(ok.status.ok()) << ok.status.message();
+  EXPECT_EQ(ok.x, fx.x[0]);
 }
 
 #if KP_FAULT_INJECTION_ENABLED
