@@ -21,7 +21,6 @@
 #include "core/baselines.h"
 #include "field/zp.h"
 #include "matrix/gauss.h"
-#include "matrix/matpoly.h"
 #include "poly/ntt.h"
 #include "pram/parallel_for.h"
 #include "seq/berlekamp_massey.h"
@@ -234,10 +233,9 @@ int main() {
               "cached rows).  Cache off also takes whole Toeplitz products\n"
               "instead of half-length middle products.\n");
 
-  // Hot-path kernels at large n: (a) repeated Toeplitz products against a
-  // fixed matrix, cold (cache off, both forward transforms per product) vs
-  // cached+batched (one varying-side transform per product); (b) the
-  // transform-domain matrix-of-polynomials product vs entrywise mat_mul.
+  // Hot-path kernel at large n: repeated Toeplitz products against a fixed
+  // matrix, cold (cache off, both forward transforms per product) vs
+  // cached+batched (one varying-side transform per product).
   std::printf("\nHot-path kernels at n >= 2048 (single fixed operand reuse)\n\n");
   kp::util::Table tk({"kernel", "n", "cold ms", "cached ms", "speedup"});
   for (std::size_t n : {2048u, 4096u}) {
@@ -289,45 +287,10 @@ int main() {
     report.put("wall_ms_cold", ms_cold);
     report.put("wall_ms_cached", ms_warm);
     report.put("speedup", ms_cold / ms_warm);
-
-    // Matrix-of-polynomials product: one batched transform per entry.
-    const std::size_t m = 4;
-    kp::matrix::Matrix<kp::poly::PolyRing<F>> ma(m, m, ring.zero()),
-        mb(m, m, ring.zero());
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = 0; j < m; ++j) {
-        std::vector<F::Element> pa(n), pb(n);
-        for (auto& e : pa) e = f.random(p3);
-        for (auto& e : pb) e = f.random(p3);
-        ma.at(i, j) = std::move(pa);
-        mb.at(i, j) = std::move(pb);
-      }
-    }
-    kp::util::WallTimer wm1;
-    const auto ref = kp::matrix::mat_mul(ring, ma, mb);
-    const double ms_matmul = wm1.elapsed_ms();
-    kp::util::WallTimer wm2;
-    const auto fast = kp::matrix::matpoly_mul(ring, ma, mb);
-    const double ms_matpoly = wm2.elapsed_ms();
-    if (fast.data() != ref.data()) {
-      std::printf("MATPOLY MISMATCH at n=%zu\n", n);
-      return 1;
-    }
-    tk.add_row({"matpoly-mul", std::to_string(n),
-                kp::util::Table::num(ms_matmul, 2),
-                kp::util::Table::num(ms_matpoly, 2),
-                kp::util::Table::num(ms_matmul / ms_matpoly, 2)});
-    report.begin_row("E5_hotpath_kernel");
-    report.put("kernel", "matpoly_mul");
-    report.put("n", n);
-    report.put("dim", std::uint64_t{m});
-    report.put("wall_ms_cold", ms_matmul);
-    report.put("wall_ms_cached", ms_matpoly);
-    report.put("speedup", ms_matmul / ms_matpoly);
   }
   tk.print();
   std::printf("\n'cold' recomputes every operand transform; 'cached' reuses the\n"
-              "fixed side's spectrum (toeplitz-apply) or batches all entry\n"
-              "transforms (matpoly-mul).  Same values in both columns.\n");
+              "fixed side's spectrum (toeplitz-apply).  Same values in both\n"
+              "columns.\n");
   return 0;
 }

@@ -18,8 +18,8 @@
 // vector.  All chunk boundaries depend only on (n, b), never on the worker
 // count: results are bit-identical for 1..N workers.
 //
-// The b x b sequence feeds seq::matrix_berlekamp_massey; the solve / det /
-// charpoly recovery on top lives in core/wiedemann.h.
+// The b x b sequence feeds seq::matrix_berlekamp_massey; the solve on top
+// of its generator is block_wiedemann_solve_status (core/wiedemann.h).
 #pragma once
 
 #include <cassert>
@@ -31,15 +31,10 @@
 #include "field/kernels.h"
 #include "matrix/blackbox.h"
 #include "matrix/dense.h"
-#include "matrix/gauss.h"
-#include "matrix/matpoly.h"
-#include "poly/poly.h"
-#include "poly/poly_ring.h"
 #include "pram/parallel_for.h"
 #include "seq/matrix_berlekamp_massey.h"
 #include "util/op_count.h"
 #include "util/prng.h"
-#include "util/status.h"
 
 namespace kp::core {
 
@@ -172,100 +167,5 @@ std::vector<typename F::Element> block_combine(
   }
   return out;
 }
-
-namespace detail {
-
-/// det G(x) of the first b generator columns, computed by the Berkowitz
-/// division-free determinant over the commutative ring K[x]: the iterated
-/// Toeplitz chain produces the characteristic polynomial of G (in a formal
-/// variable lambda, coefficients in K[x]) and det G = (-1)^b * its constant
-/// coefficient.  Every K[x] matrix product in the chain -- the A_sub^i
-/// applies behind the principal-minor sums and the (k+2) x (k+1) Toeplitz
-/// steps -- runs through matrix::matpoly_mul, i.e. batched NTT transforms
-/// with pointwise transform-domain accumulation (short operands fall back
-/// to mat_mul inside matpoly_mul itself).  For the preconditioned operator
-/// of Theorem 2 the minimal generator's determinant is a scalar multiple of
-/// the characteristic polynomial (the b x b block analogue of Lemma 2's
-/// f_u = f^A), which is exactly what the solve / det recovery needs.
-/// Being division-free, this also lifts the old det-by-interpolation
-/// restriction to fields with at least deg+1 enumeration points.
-template <kp::field::Field F>
-kp::util::StatusOr<std::vector<typename F::Element>> generator_determinant(
-    const F& f, const seq::BlockGenerator<F>& gen) {
-  using kp::util::FailureKind;
-  using kp::util::Stage;
-  using kp::util::Status;
-  using PR = kp::poly::PolyRing<F>;
-  using P = typename PR::Element;
-
-  const std::size_t b = gen.block;
-  if (gen.columns.size() < b) {
-    return Status::Fail(FailureKind::kDegenerateProjection,
-                        Stage::kBlockGenerator,
-                        "fewer than b verified generator columns");
-  }
-
-  const PR ring(f);
-  // M[r][c](x) = sum_j columns[c][j][r] x^j.
-  matrix::Matrix<PR> m(b, b, ring.zero());
-  for (std::size_t c = 0; c < b; ++c) {
-    const auto& col = gen.columns[c];
-    for (std::size_t r = 0; r < b; ++r) {
-      P e(col.size(), f.zero());
-      for (std::size_t j = 0; j < col.size(); ++j) e[j] = col[j][r];
-      ring.strip(e);
-      m.at(r, c) = std::move(e);
-    }
-  }
-
-  // Berkowitz: v starts as [1]; step k multiplies by the (k+2) x (k+1)
-  // Toeplitz matrix built from a = M[k][k] and the principal-minor sums
-  // s_i = M[k, 0..k) . M[0..k, 0..k)^i . M[0..k, k).  After b steps v holds
-  // the charpoly coefficients, leading first.
-  std::vector<P> v{ring.one()};
-  for (std::size_t k = 0; k < b; ++k) {
-    std::vector<P> s(k, ring.zero());
-    if (k > 0) {
-      matrix::Matrix<PR> sub(k, k, ring.zero());
-      matrix::Matrix<PR> w(k, 1, ring.zero());
-      matrix::Matrix<PR> row(1, k, ring.zero());
-      for (std::size_t i = 0; i < k; ++i) {
-        for (std::size_t j = 0; j < k; ++j) sub.at(i, j) = m.at(i, j);
-        w.at(i, 0) = m.at(i, k);
-        row.at(0, i) = m.at(k, i);
-      }
-      for (std::size_t i = 0; i < k; ++i) {
-        if (i > 0) w = matrix::matpoly_mul(ring, sub, w);
-        s[i] = matrix::matpoly_mul(ring, row, w).at(0, 0);
-      }
-    }
-    matrix::Matrix<PR> t(k + 2, k + 1, ring.zero());
-    const P neg_a = ring.neg(m.at(k, k));
-    for (std::size_t i = 0; i <= k; ++i) {
-      t.at(i, i) = ring.one();
-      t.at(i + 1, i) = neg_a;
-    }
-    for (std::size_t i = 0; i < k + 2; ++i) {
-      for (std::size_t j = 0; j + 2 <= i; ++j) t.at(i, j) = ring.neg(s[i - j - 2]);
-    }
-    matrix::Matrix<PR> vm(k + 1, 1, ring.zero());
-    for (std::size_t i = 0; i <= k; ++i) vm.at(i, 0) = std::move(v[i]);
-    auto next = matrix::matpoly_mul(ring, t, vm);
-    v.resize(k + 2);
-    for (std::size_t i = 0; i < k + 2; ++i) v[i] = std::move(next.at(i, 0));
-  }
-
-  // charpoly(lambda) = det(lambda I - M); det M = (-1)^b charpoly(0).
-  P det = std::move(v[b]);
-  if (b & 1) det = ring.neg(det);
-  ring.strip(det);
-  if (det.empty()) {
-    return Status::Fail(FailureKind::kDegenerateProjection,
-                        Stage::kBlockGenerator, "det of generator is zero");
-  }
-  return det;
-}
-
-}  // namespace detail
 
 }  // namespace kp::core

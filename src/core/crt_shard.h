@@ -87,7 +87,7 @@ struct CrtOptions {
   /// Keep each successful shard's raw residues in the result (tests,
   /// debugging; off by default -- it is O(K n) extra memory).
   bool keep_residues = false;
-  /// Per-shard pipeline knobs (block width, depth goal, budgets...).  The
+  /// Per-shard pipeline knobs (depth goal, op budget, |S|...).  The
   /// engine forces verify + dense_fallback on top, see
   /// shard_solver_options().
   SolverOptions solver;

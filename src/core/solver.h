@@ -16,9 +16,7 @@
 //      operator forms A-tilde once and iterates on it stored transposed
 //      (each product a row-vector product over A-tilde^T's contiguous
 //      rows, about 6n^3 operations for steps 2 and 4 together), a sparse
-//      or structured one on the lazily composed A H D.  At block_width
-//      b > 1 the iterative route projects U A-tilde^i V instead and finds
-//      the generator with the sigma-basis (core/block_krylov.h).
+//      or structured one on the lazily composed A H D.
 //   3. The generator c of a_0..a_{2n-1}: the solution of T c =
 //      (a_n..a_{2n-1}), T = Toeplitz(a_0..a_{2n-2}) (Lemma 1).  By default
 //      Berlekamp-Massey finds it in O(n^2) -- the paper's sequential method,
@@ -27,7 +25,7 @@
 //   4. c is w.h.p. the characteristic polynomial of A-tilde     [est. (2)];
 //      Cayley-Hamilton on A-tilde gives x-tilde = A-tilde^{-1} b = q(A-tilde)
 //      b, and x = H D x-tilde.  The iterative route runs the recurrence
-//      through n - 1 more products with step 2's operator, at any b; the
+//      through n - 1 more products with step 2's operator; the
 //      doubling route builds the n-column Krylov block of b from step 2's
 //      squares and combines its columns.
 //   5. det(A) = (-1)^n g(0) / (det(H) det(D)), det(H) from the
@@ -124,14 +122,6 @@ struct SolverOptions {
   bool dense_fallback = false;
   /// Record a util::Diag per attempt in SolveResult::diags.
   bool collect_diag = true;
-  /// Width b of the Krylov projections on the iterative route: b = 1 is the
-  /// scalar sequence u A-tilde^i v; b > 1 switches to block projections
-  /// U A-tilde^i V with the sigma-basis generator (core/block_krylov.h,
-  /// seq/matrix_berlekamp_massey.h), cutting the iteration count ~b x and
-  /// batching every step's applies over the pool.  Falls back to 1 on the
-  /// doubling route, when n <= 1, or when the field is too small for the
-  /// det-by-interpolation step (characteristic < 2n + 2).
-  std::size_t block_width = 1;
   /// Cooperative deadline/cancellation token (util/deadline.h), checked at
   /// the same stage boundaries as the KP_FAULT_POINT sites.  A trip aborts
   /// the run with kDeadlineExceeded/kCancelled at the stage that noticed:
@@ -166,29 +156,23 @@ struct Transcript {
   /// The route follows the operator and the depth goal, once for the whole
   /// run.  A dense operator under depth_optimal -- every circuit builder --
   /// takes the doubling (9): its O(log^2 n) depth is the point of Theorem
-  /// 4.  Every other run iterates (8) at the requested block width: on the
-  /// formed A-tilde^T when the operator is dense (3n products cost about
-  /// 6n^3 operations, below the squarings' ~2n^3 log n), on the lazy
-  /// composition otherwise.
-  Transcript(const F& f, const B& a, const SolverOptions& opt)
+  /// 4.  Every other run iterates (8): on the formed A-tilde^T when the
+  /// operator is dense (3n products cost about 6n^3 operations, below the
+  /// squarings' ~2n^3 log n), on the lazy composition otherwise.
+  Transcript(const B& a, const SolverOptions& opt)
       : route(matrix::box_structure(a) == matrix::BoxStructure::kDense &&
                       opt.depth_optimal
                   ? KrylovRoute::kDoubling
                   : KrylovRoute::kIterative),
-        block_width(route == KrylovRoute::kIterative
-                        ? detail::effective_block_width(f, opt.block_width,
-                                                        a.dim())
-                        : 1),
         materialized(route == KrylovRoute::kIterative &&
                      matrix::box_structure(a) == matrix::BoxStructure::kDense) {
   }
 
-  KrylovRoute route;        ///< kDoubling or kIterative
-  std::size_t block_width;  ///< b of the iterative route (1: scalar)
+  KrylovRoute route;  ///< kDoubling or kIterative
   /// Iterative route on a dense operator: A-tilde is formed each attempt
   /// and iterated on as `dense` rather than composed lazily.
   bool materialized;
-  std::optional<Preconditioner<F>> pre;    ///< H, D
+  std::optional<Preconditioner<F>> pre;  ///< H, D
   /// Doubling route only: powers[j] = A-tilde^{2^j} for the j an n-column
   /// Krylov block multiplies by (powers[0] is A-tilde, the top one
   /// A-tilde^P with P >= n/2), squared once in prepare for the projection
@@ -373,43 +357,25 @@ util::Status prepare_attempt(const F& f, const kp::poly::PolyRing<F>& ring,
   } else {
     t.box.emplace(f, ring, a, t.pre->hankel, t.pre->diagonal);
   }
-  if (t.block_width > 1) {
-    // Block route: ~2n/bw batched block applies feeding the sigma-basis.
-    auto g_or = t.with_operator([&](const auto& op) {
-      return block_charpoly_candidate(f, op, t.block_width, r, s);
-    });
-    if (!g_or.ok()) return g_or.status();
-    t.g = std::move(g_or).value();
-    if (t.g.size() != n + 1) {
-      return Status::Fail(FailureKind::kDegenerateProjection,
-                          Stage::kBlockGenerator,
-                          "deg det G != n: generator misses charpoly");
-    }
-    if (Status gst = constant_term_status(f, t.g, "g(0) = 0: A-tilde singular");
-        !gst.ok()) {
-      return gst;
-    }
+  std::vector<E> u(n), v(n);
+  for (auto& e : u) e = f.sample(r, s);
+  for (auto& e : v) e = f.sample(r, s);
+  // a_i = u A-tilde^i v by doubling (9), or by 2n products (8) with
+  // A-tilde.
+  std::vector<E> seq;
+  if (t.route == KrylovRoute::kDoubling) {
+    seq = krylov_sequence_doubling(f, t.powers, u, v, 2 * n, opt.matmul);
   } else {
-    std::vector<E> u(n), v(n);
-    for (auto& e : u) e = f.sample(r, s);
-    for (auto& e : v) e = f.sample(r, s);
-    // a_i = u A-tilde^i v by doubling (9), or by 2n products (8) with
-    // A-tilde.
-    std::vector<E> seq;
-    if (t.route == KrylovRoute::kDoubling) {
-      seq = krylov_sequence_doubling(f, t.powers, u, v, 2 * n, opt.matmul);
-    } else {
-      seq = t.with_operator([&](const auto& op) {
-        return matrix::krylov_sequence_iterative(f, op, u, v, 2 * n);
-      });
-    }
-    if (KP_FAULT_POINT(Stage::kProjection)) {
-      return Status::Injected(FailureKind::kDegenerateProjection,
-                              Stage::kProjection);
-    }
-    Status gst = generator_from_sequence_status(f, seq, n, opt, t.g);
-    if (!gst.ok()) return gst;
+    seq = t.with_operator([&](const auto& op) {
+      return matrix::krylov_sequence_iterative(f, op, u, v, 2 * n);
+    });
   }
+  if (KP_FAULT_POINT(Stage::kProjection)) {
+    return Status::Injected(FailureKind::kDegenerateProjection,
+                            Stage::kProjection);
+  }
+  Status gst = generator_from_sequence_status(f, seq, n, opt, t.g);
+  if (!gst.ok()) return gst;
 
   if (Status ctl = util::ExecControl::check(opt.control, Stage::kSolveFinish);
       !ctl.ok()) {
@@ -543,7 +509,7 @@ SolveResult<F> theorem4_run(const F& f, const B& a,
   SolveResult<F> res;
   const std::size_t n = a.dim();
   kp::poly::PolyRing<F> ring(f);
-  Transcript<F, B> t(f, a, opt);
+  Transcript<F, B> t(a, opt);
   std::vector<typename F::Element> x;
   const LasVegasRun run = run_las_vegas(
       prng,

@@ -6,8 +6,7 @@
 // probability that the projection loses information by 2 deg(f^A) / |S|.
 // The step exists once per width: detail::draw_generator is the scalar
 // draw of wiedemann_solve_status (v = b) and Session::prepare (v random),
-// detail::block_generator the block draw of block_wiedemann_solve_status
-// and block_charpoly_candidate.
+// detail::block_generator the block draw of block_wiedemann_solve_status.
 //
 //   * wiedemann_minpoly       -- minimum polynomial of the projected sequence
 //   * wiedemann_singular_test -- Las Vegas "det(A) = 0" certificate
@@ -15,8 +14,7 @@
 //   * block_wiedemann_solve_status -- the same with block projections
 //
 // The preconditioned determinant is kp_det (core/solver.h): Wiedemann's
-// method with the Theorem-2 preconditioner is its default route, and its
-// block_width option switches to the block projections.
+// method with the Theorem-2 preconditioner and scalar projections.
 //
 // The Las Vegas entries run on run_las_vegas (core/las_vegas.h): every
 // attempt leaves a util::Diag, and retries re-draw only the implicated
@@ -102,19 +100,6 @@ util::Status constant_term_status(const F& f,
   return util::Status::Ok();
 }
 
-/// Effective width of the block projections: the requested width clamped
-/// to n, or 1 (the scalar sequence) when blocking is off, the system is
-/// trivial, or the field cannot supply the 2n + 2 distinct evaluation
-/// points the sigma-basis det-by-interpolation recovery may need.
-template <kp::field::Field F>
-std::size_t effective_block_width(const F& f, std::size_t block_width,
-                                  std::size_t n) {
-  if (block_width <= 1 || n <= 1) return 1;
-  const std::uint64_t p = f.characteristic();
-  if (p != 0 && p < 2 * n + 2) return 1;
-  return block_width < n ? block_width : n;
-}
-
 /// The scalar generator draw, the head of every attempt of
 /// wiedemann_solve_status (b given: the sequence u A^i b) and of
 /// Session::prepare (b null: u A^i v, drawn as wiedemann_minpoly draws):
@@ -173,33 +158,6 @@ kp::util::StatusOr<seq::BlockGenerator<F>> block_generator(
                             Stage::kBlockGenerator);
   }
   return gen;
-}
-
-/// One block-Wiedemann charpoly attempt: draw U (b x n rows) and V (b
-/// random columns) from `r`, run the block generator draw, and return det
-/// G normalized monic.  For the Theorem-2 preconditioned operator (minpoly
-/// = charpoly, degree n) the minimal generator's determinant is a scalar
-/// multiple of the characteristic polynomial w.h.p.; the caller enforces
-/// deg = n.
-template <kp::field::Field F, matrix::LinOp B>
-  requires std::same_as<typename B::Element, typename F::Element>
-kp::util::StatusOr<std::vector<typename F::Element>> block_charpoly_candidate(
-    const F& f, const B& box, std::size_t block_width, kp::util::Prng& r,
-    std::uint64_t s) {
-  const std::size_t n = box.dim();
-  const std::size_t bw = block_width < n ? block_width : n;
-  const auto ut = random_block_rows(f, bw, n, r, s);
-  const auto v = random_block_columns(f, bw, n, r, s);
-  auto gen = block_generator(f, box, ut, v);
-  if (!gen.ok()) return gen.status();
-  auto det = generator_determinant(f, gen.value());
-  if (!det.ok()) return det.status();
-  auto g = det.take();
-  if (!f.eq(g.back(), f.one())) {
-    const auto ilc = f.inv(g.back());
-    for (auto& e : g) e = f.mul(e, ilc);
-  }
-  return g;
 }
 
 /// Las Vegas knobs of the one-component Wiedemann runs (the solves and a

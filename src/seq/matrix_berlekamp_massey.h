@@ -68,18 +68,6 @@ struct BlockGenerator {
     for (auto v : degrees) d = std::max(d, v);
     return d;
   }
-
-  /// G_j as a b x b matrix (column c contributes its x^j coefficient, zero
-  /// past the column's degree).  Uses the first `block` columns.
-  matrix::Matrix<F> coeff(const F& f, std::size_t j) const {
-    matrix::Matrix<F> g(block, block, f.zero());
-    for (std::size_t c = 0; c < block && c < columns.size(); ++c) {
-      if (j < columns[c].size()) {
-        for (std::size_t r = 0; r < block; ++r) g.at(r, c) = columns[c][j][r];
-      }
-    }
-    return g;
-  }
 };
 
 /// True when column `col` annihilates every complete window of `seq`:

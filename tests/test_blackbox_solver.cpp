@@ -4,7 +4,8 @@
 // characteristic polynomials for a fixed seed -- the doubling route (9) and
 // the iterative route (8) compute the same field elements, only at
 // different costs.  Also covers the lazily composed PreconditionedBox and
-// the singular-matrix failure path.
+// the singular-matrix failure path, and the block-Wiedemann route on the
+// same backends.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -151,55 +152,80 @@ TEST(BlackboxSolverTest, AnyBoxDispatchesAtRuntime) {
   }
 }
 
-TEST(BlackboxSolverTest, DenseBlockWidthsAgree) {
-  // A dense operator iterates on the formed A-tilde^T at every block width:
-  // the scalar sequence at b = 1, the block projections at b = 2 and 4.
-  // Same H, D and projection seeds, so the same answer from the same draws.
+TEST(BlackboxSolverTest, BlockRouteAgreesAcrossBackends) {
+  // The block route on the same Toeplitz system through the dense, sparse,
+  // Toeplitz and erased backends: same seed, same U, Z draws, the same
+  // field elements in every block product, so the same x and attempts.
+  util::Prng setup(106);
+  const std::size_t n = 17;
+  const auto t = nonsingular_toeplitz(n, setup);
+  const auto dense = t.to_dense(f);
+  poly::PolyRing<F> ring(f);
+  std::vector<F::Element> x_true(n);
+  for (auto& e : x_true) e = f.random(setup);
+  const auto b = matrix::mat_vec(f, dense, x_true);
+
+  const matrix::DenseBox<F> dbox(f, dense);
+  const matrix::SparseBox<F> sbox(f, sparse_from_dense(dense));
+  const matrix::ToeplitzBox<F> tbox(ring, t);
+  const matrix::AnyBox<F> any(matrix::ToeplitzBox<F>(ring, t));
+  for (const std::size_t bw : {2u, 4u}) {
+    util::Prng pd(31), ps(31), pt(31), pa(31);
+    const auto rd =
+        core::block_wiedemann_solve_status(f, dbox, b, pd, 1u << 20, bw);
+    const auto rs =
+        core::block_wiedemann_solve_status(f, sbox, b, ps, 1u << 20, bw);
+    const auto rt =
+        core::block_wiedemann_solve_status(f, tbox, b, pt, 1u << 20, bw);
+    const auto ra =
+        core::block_wiedemann_solve_status(f, any, b, pa, 1u << 20, bw);
+    ASSERT_TRUE(rd.ok && rs.ok && rt.ok && ra.ok) << bw;
+    EXPECT_EQ(rd.x, x_true) << bw;
+    EXPECT_EQ(rs.x, rd.x) << bw;
+    EXPECT_EQ(rt.x, rd.x) << bw;
+    EXPECT_EQ(ra.x, rd.x) << bw;
+    EXPECT_EQ(rs.attempts, rd.attempts) << bw;
+    EXPECT_EQ(rt.attempts, rd.attempts) << bw;
+    EXPECT_EQ(ra.attempts, rd.attempts) << bw;
+  }
+}
+
+TEST(BlackboxSolverTest, BlockWidthsAgreeOnDenseBoxes) {
+  // The block route on a dense operator, owned and viewed, at widths 1
+  // (the scalar route), 2 and 4: every width returns kp_solve's x.
   util::Prng setup(104);
   const std::size_t n = 11;
   auto a = matrix::random_matrix(f, n, n, setup);
-  if (f.is_zero(matrix::det_gauss(f, a))) GTEST_SKIP();
+  while (f.is_zero(matrix::det_gauss(f, a))) {
+    a = matrix::random_matrix(f, n, n, setup);
+  }
   std::vector<F::Element> b(n);
   for (auto& e : b) e = f.random(setup);
 
-  std::vector<core::SolveResult<F>> rs;
-  for (const std::size_t bw : {1u, 2u, 4u}) {
-    core::SolverOptions opt;
-    opt.block_width = bw;
-    util::Prng p(9);
-    rs.push_back(core::kp_solve(f, a, b, p, opt));
-    ASSERT_TRUE(rs.back().ok) << bw;
-    EXPECT_EQ(rs.back().route_used, core::KrylovRoute::kIterative) << bw;
-  }
-  const auto& r1 = rs[0];
-  for (std::size_t k = 1; k < rs.size(); ++k) {
-    const auto& r = rs[k];
-    EXPECT_EQ(r1.x, r.x) << k;
-    EXPECT_EQ(r1.det, r.det) << k;
-    EXPECT_EQ(r1.charpoly_at, r.charpoly_at) << k;
-    EXPECT_EQ(r1.attempts, r.attempts) << k;
-    ASSERT_EQ(r.diags.size(), r1.diags.size()) << k;
-    for (std::size_t i = 0; i < r1.diags.size(); ++i) {
-      EXPECT_EQ(r.diags[i].precondition_seed, r1.diags[i].precondition_seed);
-      EXPECT_EQ(r.diags[i].projection_seed, r1.diags[i].projection_seed);
-    }
-  }
+  util::Prng pk(9);
+  const auto ref = core::kp_solve(f, a, b, pk);
+  ASSERT_TRUE(ref.ok);
+  ASSERT_EQ(matrix::mat_vec(f, a, ref.x), b);
 
-  // b = 4 is honoured on the dense operator, over the formed A-tilde^T.
-  core::SolverOptions wide;
-  wide.block_width = 4;
-  const matrix::DenseViewBox<F> box(f, a);
-  const core::Transcript<F, matrix::DenseViewBox<F>> t(f, box, wide);
-  EXPECT_EQ(t.route, core::KrylovRoute::kIterative);
-  EXPECT_EQ(t.block_width, 4u);
-  EXPECT_TRUE(t.materialized);
+  const matrix::DenseBox<F> owned(f, a);
+  const matrix::DenseViewBox<F> view(f, a);
+  for (const std::size_t bw : {1u, 2u, 4u}) {
+    util::Prng po(9), pv(9);
+    const auto ro =
+        core::block_wiedemann_solve_status(f, owned, b, po, 1u << 20, bw);
+    const auto rv =
+        core::block_wiedemann_solve_status(f, view, b, pv, 1u << 20, bw);
+    ASSERT_TRUE(ro.ok && rv.ok) << bw;
+    EXPECT_EQ(ro.x, ref.x) << bw;
+    EXPECT_EQ(rv.x, ref.x) << bw;
+    EXPECT_EQ(rv.attempts, ro.attempts) << bw;
+  }
 }
 
 TEST(BlackboxSolverTest, TranscriptRouteFollowsStructureAndDepthGoal) {
   // The whole route rule: doubling exactly for a dense operator under
-  // depth_optimal (at b = 1 whatever width is asked); otherwise iterate at
-  // the requested width, on the formed A-tilde^T for a dense operator and
-  // on the lazy box for any other.
+  // depth_optimal; otherwise iterate, on the formed A-tilde^T for a dense
+  // operator and on the lazy box for any other.
   util::Prng setup(105);
   const std::size_t n = 11;
   auto a = matrix::random_matrix(f, n, n, setup);
@@ -212,34 +238,29 @@ TEST(BlackboxSolverTest, TranscriptRouteFollowsStructureAndDepthGoal) {
   ASSERT_NE(matrix::box_structure(sbox), matrix::BoxStructure::kDense);
 
   for (const bool depth : {false, true}) {
-    for (const std::size_t bw : {1u, 4u}) {
-      core::SolverOptions opt;
-      opt.depth_optimal = depth;
-      opt.block_width = bw;
-      const core::Transcript<F, matrix::DenseViewBox<F>> td(f, dbox, opt);
-      const core::Transcript<F, matrix::SparseBox<F>> ts(f, sbox, opt);
-      EXPECT_EQ(td.route, depth ? core::KrylovRoute::kDoubling
-                                : core::KrylovRoute::kIterative)
-          << depth << " " << bw;
-      EXPECT_EQ(td.block_width, depth ? 1u : bw) << depth << " " << bw;
-      EXPECT_EQ(td.materialized, !depth) << depth << " " << bw;
-      EXPECT_EQ(ts.route, core::KrylovRoute::kIterative) << depth << " " << bw;
-      EXPECT_EQ(ts.block_width, bw) << depth << " " << bw;
-      EXPECT_FALSE(ts.materialized) << depth << " " << bw;
+    core::SolverOptions opt;
+    opt.depth_optimal = depth;
+    const core::Transcript<F, matrix::DenseViewBox<F>> td(dbox, opt);
+    const core::Transcript<F, matrix::SparseBox<F>> ts(sbox, opt);
+    EXPECT_EQ(td.route, depth ? core::KrylovRoute::kDoubling
+                              : core::KrylovRoute::kIterative)
+        << depth;
+    EXPECT_EQ(td.materialized, !depth) << depth;
+    EXPECT_EQ(ts.route, core::KrylovRoute::kIterative) << depth;
+    EXPECT_FALSE(ts.materialized) << depth;
 
-      // A run reports the route its transcript chose, and every route
-      // returns the same x and det.
-      util::Prng pd(9), ps(9);
-      const auto rd = core::kp_solve(f, dbox, b, pd, opt);
-      const auto rs = core::kp_solve(f, sbox, b, ps, opt);
-      ASSERT_TRUE(rd.ok && rs.ok) << depth << " " << bw;
-      EXPECT_EQ(rd.route_used, td.route) << depth << " " << bw;
-      EXPECT_EQ(rs.route_used, ts.route) << depth << " " << bw;
-      EXPECT_EQ(rd.x, rs.x) << depth << " " << bw;
-      EXPECT_EQ(rd.det, rs.det) << depth << " " << bw;
-      EXPECT_EQ(matrix::mat_vec(f, a, rd.x), b) << depth << " " << bw;
-      EXPECT_EQ(rd.det, matrix::det_gauss(f, a)) << depth << " " << bw;
-    }
+    // A run reports the route its transcript chose, and every route
+    // returns the same x and det.
+    util::Prng pd(9), ps(9);
+    const auto rd = core::kp_solve(f, dbox, b, pd, opt);
+    const auto rs = core::kp_solve(f, sbox, b, ps, opt);
+    ASSERT_TRUE(rd.ok && rs.ok) << depth;
+    EXPECT_EQ(rd.route_used, td.route) << depth;
+    EXPECT_EQ(rs.route_used, ts.route) << depth;
+    EXPECT_EQ(rd.x, rs.x) << depth;
+    EXPECT_EQ(rd.det, rs.det) << depth;
+    EXPECT_EQ(matrix::mat_vec(f, a, rd.x), b) << depth;
+    EXPECT_EQ(rd.det, matrix::det_gauss(f, a)) << depth;
   }
 }
 

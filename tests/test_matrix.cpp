@@ -12,7 +12,6 @@
 #include "matrix/dense.h"
 #include "matrix/gauss.h"
 #include "matrix/matmul.h"
-#include "matrix/matpoly.h"
 #include "matrix/sparse.h"
 #include "matrix/structured.h"
 #include "poly/poly.h"
@@ -390,40 +389,6 @@ TEST(BlackBoxTest, KrylovSequenceIterative) {
     EXPECT_EQ(seq[i], matrix::dot(f, uai, v)) << i;
     ai = matrix::mat_mul(f, ai, a);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Matrix polynomial evaluation.
-
-TEST(MatPolyTest, PatersonStockmeyerMatchesHorner) {
-  util::Prng prng(23);
-  for (std::size_t deg : {0u, 1u, 3u, 9u, 17u}) {
-    auto a = random_mat(6, prng);
-    std::vector<F::Element> coeffs(deg + 1);
-    for (auto& c : coeffs) c = f.random(prng);
-    // Horner on matrices (reference).
-    auto ref = matrix::zero_matrix(f, 6, 6);
-    for (std::size_t k = coeffs.size(); k-- > 0;) {
-      ref = matrix::mat_mul(f, ref, a);
-      for (std::size_t i = 0; i < 6; ++i) {
-        ref.at(i, i) = f.add(ref.at(i, i), coeffs[k]);
-      }
-    }
-    auto ps = matrix::matrix_poly_eval(f, a, coeffs);
-    EXPECT_TRUE(matrix::mat_eq(f, ref, ps)) << deg;
-  }
-}
-
-TEST(MatPolyTest, ApplyMatchesEval) {
-  util::Prng prng(24);
-  auto a = random_mat(5, prng);
-  std::vector<F::Element> coeffs(7);
-  for (auto& c : coeffs) c = f.random(prng);
-  std::vector<F::Element> b(5);
-  for (auto& e : b) e = f.random(prng);
-  auto via_eval = matrix::mat_vec(f, matrix::matrix_poly_eval(f, a, coeffs), b);
-  auto via_apply = matrix::matrix_poly_apply(f, a, coeffs, b);
-  EXPECT_EQ(via_eval, via_apply);
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include <future>
 #include <memory>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "core/service.h"
@@ -302,25 +301,6 @@ TEST(SessionTest, SolveManyBatchIsExact) {
   EXPECT_EQ(dets[0], dets[2]);
 }
 
-TEST(SessionTest, BlockWidthPreparesThroughTheBlockRoute) {
-  // block_width drives det()'s kp_det run (the block route); the session's
-  // own generator draw and finishes are unchanged by it.
-  Fixture fx(40);
-  SessionOptions opt;
-  opt.solver.block_width = 4;
-  Session<F> sess(f, fx.box(), 5, opt);
-  ASSERT_TRUE(sess.prepare().ok());
-  EXPECT_TRUE(f.eq(sess.det(), matrix::det_gauss(f, fx.a.to_dense(f))));
-  std::vector<const std::vector<F::Element>*> rhs;
-  for (const auto& b : fx.b) rhs.push_back(&b);
-  auto out = sess.solve_many(rhs);
-  for (std::size_t i = 0; i < out.items.size(); ++i) {
-    ASSERT_TRUE(out.items[i].status.ok()) << out.items[i].status.message();
-    EXPECT_EQ(out.items[i].x, fx.x[i]);
-  }
-  EXPECT_EQ(sess.prepares(), 1u);
-}
-
 TEST(SessionTest, FinishRunsOnTheOperatorNotOnATilde) {
   // The service_stream shape: sparse n = 96 with 8 nonzeros per row.  A
   // session's prepare is m alone (2n products with A, then
@@ -464,14 +444,11 @@ TEST(SessionTest, SolvesWhenMinpolyIsShorterThanCharpoly) {
     const auto expect_det = matrix::det_gauss(f, a);
     const matrix::AnyBox<F> sparse(matrix::SparseBox<F>(f, sparse_copy(a)));
     const matrix::AnyBox<F> dense(matrix::DenseBox<F>(f, a));
-    for (const auto& [box, deep, width] :
-         {std::tuple{sparse, false, std::size_t{1}},
-          std::tuple{sparse, false, std::size_t{4}},
-          std::tuple{dense, false, std::size_t{1}},
-          std::tuple{dense, true, std::size_t{1}}}) {
+    for (const auto& [box, deep] : {std::pair{sparse, false},
+                                    std::pair{dense, false},
+                                    std::pair{dense, true}}) {
       SessionOptions opt;
       opt.solver.depth_optimal = deep;
-      opt.solver.block_width = width;
       Session<F> sess(f, box, 5, opt);
       const auto item = sess.solve_one(b);
       ASSERT_TRUE(item.status.ok())
@@ -661,7 +638,7 @@ template <class B>
 void expect_finish_solves_every_column(const B& a, const Fixture& fx) {
   poly::PolyRing<F> ring(f);
   const core::SolverOptions opt;
-  core::Transcript<F, B> t(f, a, opt);
+  core::Transcript<F, B> t(a, opt);
   prepare_transcript(a, ring, t);
   for (const unsigned workers : {1u, 2u, 8u}) {
     pram::ExecutionContext::global().set_worker_limit(workers);
@@ -688,7 +665,7 @@ TEST(SessionTest, FinishControlTripFailsAtSolveFinish) {
   const matrix::AnyBox<F> a = fx.box();
   poly::PolyRing<F> ring(f);
   core::SolverOptions opt;
-  core::Transcript<F, matrix::AnyBox<F>> t(f, a, opt);
+  core::Transcript<F, matrix::AnyBox<F>> t(a, opt);
   prepare_transcript(a, ring, t);
   ExecControl expired(Deadline::after(std::chrono::nanoseconds(-1)));
   opt.control = &expired;
@@ -709,7 +686,7 @@ TEST(DeadlineTest, DenseDefaultRouteFinishTripsAtSolveFinish) {
   const matrix::DenseViewBox<F> a(f, dense);
   poly::PolyRing<F> ring(f);
   core::SolverOptions opt;
-  core::Transcript<F, matrix::DenseViewBox<F>> t(f, a, opt);
+  core::Transcript<F, matrix::DenseViewBox<F>> t(a, opt);
   prepare_transcript(a, ring, t);
   EXPECT_EQ(t.route, core::KrylovRoute::kIterative);
   EXPECT_TRUE(t.materialized);

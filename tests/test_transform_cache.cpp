@@ -10,7 +10,6 @@
 //     the recorded transform cost, so a second identical product must count
 //     the same as the first;
 //   * the same holds through the Kronecker packing of TruncSeriesRing;
-//   * matpoly_mul is value-identical to mat_mul over the polynomial ring;
 //   * toeplitz_charpoly and kp_solve are bit-identical for 1, 2, and
 //     unlimited workers (the end-to-end determinism contract);
 //   * the shared NTT table cache holds one entry per (modulus, size) and
@@ -29,7 +28,6 @@
 #include "field/simd.h"
 #include "field/zp.h"
 #include "matrix/blackbox.h"
-#include "matrix/matpoly.h"
 #include "matrix/structured.h"
 #include "poly/poly.h"
 #include "pram/parallel_for.h"
@@ -542,81 +540,6 @@ TEST(MiddleProduct, TransformLengthIsTwoNMinusOneRoundedUp) {
   EXPECT_EQ(ops_of([&] { return t.apply(ring, x); }), at_512);
   EXPECT_EQ(ops_of([&] { return h.apply(ring, rx); }), at_512);
   EXPECT_LT(at_512, at_1024);
-}
-
-// ---------------------------------------------------------------------------
-// Batched matrix-of-polynomials product.
-
-TEST(MatpolyMulTest, MatchesMatMulOverPolyRing) {
-  GFp f(field::kNttPrime);
-  PolyRing<GFp> ring(f);
-  util::Prng prng(29);
-
-  matrix::Matrix<PolyRing<GFp>> a(3, 4, ring.zero()), b(4, 2, ring.zero());
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t k = 0; k < 4; ++k) {
-      a.at(i, k) = random_poly(f, 5 + 13 * ((i + k) % 4), prng);
-    }
-  }
-  for (std::size_t k = 0; k < 4; ++k) {
-    for (std::size_t j = 0; j < 2; ++j) {
-      b.at(k, j) = random_poly(f, 3 + 17 * ((k + j) % 3), prng);
-    }
-  }
-  b.at(1, 0).clear();  // a zero entry must not perturb the accumulation
-
-  const auto want = matrix::mat_mul(ring, a, b);
-  const auto got = matrix::matpoly_mul(ring, a, b);
-  ASSERT_EQ(got.rows(), want.rows());
-  ASSERT_EQ(got.cols(), want.cols());
-  for (std::size_t i = 0; i < got.rows(); ++i) {
-    for (std::size_t j = 0; j < got.cols(); ++j) {
-      EXPECT_EQ(got.at(i, j), want.at(i, j)) << i << "," << j;
-    }
-  }
-}
-
-TEST(MatpolyMulTest, FallbackPathsMatchToo) {
-  // Mersenne prime: no NTT of usable order, so matpoly_mul must detect this
-  // and produce mat_mul's result through the fallback.
-  GFp f(field::kP61);
-  PolyRing<GFp> ring(f);
-  util::Prng prng(37);
-  matrix::Matrix<PolyRing<GFp>> a(2, 3, ring.zero()), b(3, 2, ring.zero());
-  for (std::size_t i = 0; i < 2; ++i) {
-    for (std::size_t k = 0; k < 3; ++k) a.at(i, k) = random_poly(f, 20, prng);
-  }
-  for (std::size_t k = 0; k < 3; ++k) {
-    for (std::size_t j = 0; j < 2; ++j) b.at(k, j) = random_poly(f, 15, prng);
-  }
-  const auto want = matrix::mat_mul(ring, a, b);
-  const auto got = matrix::matpoly_mul(ring, a, b);
-  for (std::size_t i = 0; i < 2; ++i) {
-    for (std::size_t j = 0; j < 2; ++j) EXPECT_EQ(got.at(i, j), want.at(i, j));
-  }
-}
-
-TEST(MatpolyMulTest, BitIdenticalAcrossWorkerLimits) {
-  GFp f(field::kNttPrime);
-  PolyRing<GFp> ring(f);
-  auto& ctx = pram::ExecutionContext::global();
-  auto run = [&](unsigned limit) {
-    ctx.set_worker_limit(limit);
-    util::Prng prng(41);
-    matrix::Matrix<PolyRing<GFp>> a(3, 3, ring.zero()), b(3, 3, ring.zero());
-    for (std::size_t i = 0; i < 3; ++i) {
-      for (std::size_t k = 0; k < 3; ++k) {
-        a.at(i, k) = random_poly(f, 64, prng);
-        b.at(i, k) = random_poly(f, 48, prng);
-      }
-    }
-    auto out = matrix::matpoly_mul(ring, a, b);
-    ctx.set_worker_limit(0);
-    return out.data();
-  };
-  const auto one = run(1);
-  EXPECT_EQ(one, run(2));
-  EXPECT_EQ(one, run(8));
 }
 
 // ---------------------------------------------------------------------------
