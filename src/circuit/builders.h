@@ -21,7 +21,6 @@
 #include "circuit/circuit.h"
 #include "circuit/derivative.h"
 #include "circuit/field.h"
-#include "circuit/tape.h"
 #include "core/solver.h"
 #include "matrix/dense.h"
 #include "matrix/structured.h"
@@ -168,29 +167,6 @@ inline Circuit build_toeplitz_charpoly_circuit(std::size_t n,
       seq::toeplitz_charpoly(cf, t, seq::NewtonIdentityMethod::kPowerSeriesExp);
   for (NodeId id : p) c.mark_output(id);
   return c;
-}
-
-// ---------------------------------------------------------------------------
-// Compiled forms.  Building is a one-off cost; callers that evaluate the
-// same circuit many times (benches, the batch evaluator, saved artifacts)
-// go through these and keep the DAG only as the checked reference.
-
-/// Theorem-4 solver, compiled (circuit/tape.h).
-inline Tape build_solver_tape(std::size_t n,
-                              std::uint64_t characteristic = 0) {
-  return compile(build_solver_circuit(n, characteristic));
-}
-
-/// Theorem-6 inverse, compiled.
-inline Tape build_inverse_tape(std::size_t n, std::uint64_t characteristic = 0,
-                               Accumulation style = Accumulation::kBalanced) {
-  return compile(build_inverse_circuit(n, characteristic, style));
-}
-
-/// Theorem-3 Toeplitz charpoly, compiled.
-inline Tape build_toeplitz_charpoly_tape(std::size_t n,
-                                         std::uint64_t characteristic = 0) {
-  return compile(build_toeplitz_charpoly_circuit(n, characteristic));
 }
 
 }  // namespace kp::circuit

@@ -53,19 +53,6 @@ inline kp::util::StatusOr<unsigned> lift_degree_status(std::uint64_t p,
   return k;
 }
 
-/// Legacy form: smallest k with p^k >= target, capped so p^k fits a 64-bit
-/// word -- WITHOUT reporting whether the target was actually reached.  New
-/// callers should use lift_degree_status.
-inline unsigned lift_degree(std::uint64_t p, std::uint64_t target) {
-  unsigned k = 1;
-  unsigned __int128 card = p;
-  while (card < target && k < 63) {
-    card *= p;
-    ++k;
-  }
-  return k;
-}
-
 /// Result of a lifted solve.
 template <class F>
 struct LiftedSolveResult {

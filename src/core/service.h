@@ -74,8 +74,6 @@ struct ServiceConfig {
   /// Dispatcher threads owned by the service.  0 = no threads: the caller
   /// drains the queue with run_once() -- the deterministic test mode.
   unsigned dispatchers = 1;
-  /// Deadline applied to requests submitted without one (zero = none).
-  std::chrono::nanoseconds default_deadline{0};
   /// Knobs for sessions the service creates.
   SessionOptions session;
 };
@@ -228,9 +226,6 @@ class SolverService {
     req.id = next_request_id_.fetch_add(1, std::memory_order_relaxed) + 1;
     req.session_id = session_id;
     req.b = std::move(b);
-    if (!deadline.has_deadline() && cfg_.default_deadline.count() > 0) {
-      deadline = util::Deadline::after(cfg_.default_deadline);
-    }
     req.control = util::ExecControl(deadline, std::move(cancel));
     req.enqueued = std::chrono::steady_clock::now();
     std::future<Result> fut = req.promise.get_future();
@@ -342,11 +337,6 @@ class SolverService {
     s.degraded_single = degraded_single_.load(std::memory_order_relaxed);
     s.degraded_dense = degraded_dense_.load(std::memory_order_relaxed);
     return s;
-  }
-
-  std::size_t queue_depth() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return queue_.size();
   }
 
  private:

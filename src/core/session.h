@@ -25,8 +25,8 @@
 // verification A x = b.  The session adds only policy on top.  The verify
 // keeps the route Las Vegas: a deficient m (an unlucky projection) shows up
 // as a per-column verify mismatch, which re-draws m and retries only the
-// failed columns, under a bounded retry budget with exponential backoff;
-// repeated mismatches open the session's circuit breaker
+// failed columns, under a bounded retry budget; consecutive mismatching
+// rounds open the session's circuit breaker
 // (kSessionQuarantined) so a poisoned session fails fast instead of burning
 // pool time.  Cooperative deadlines/cancellation (util/deadline.h) are
 // checked at the same boundaries the one-shot pipeline checks them.
@@ -36,10 +36,8 @@
 // execution object underneath it.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -80,12 +78,10 @@ struct SessionOptions {
   /// Re-draws of the pinned generator one solve_many call may spend on
   /// verify mismatches before giving up on the still-failing columns.
   int retry_budget = 3;
-  /// Base of the exponential backoff between those re-draws (doubling per
-  /// retry, capped at 100x base).  Zero disables sleeping -- tests and
-  /// deterministic drivers want retries without wall-clock coupling.
-  std::chrono::nanoseconds backoff_base{0};
   /// Consecutive solve-level verify mismatches that open the circuit
-  /// breaker.  A quarantined session fails every request fast with
+  /// breaker: each solve_many round with a mismatching column adds one, a
+  /// round that verifies a column with none mismatching restarts the count.
+  /// A quarantined session fails every request fast with
   /// kSessionQuarantined until reset_quarantine() is called.
   int quarantine_threshold = 3;
 };
@@ -269,6 +265,7 @@ class Session {
       opt.control = control;
       auto fin = detail::verify_columns(f_, a_, cols, std::move(xs), opt, &members);
       std::vector<std::size_t> mismatched;
+      bool verified = false;
       for (std::size_t c = 0; c < pending.size(); ++c) {
         const std::size_t k = pending[c];
         const Status& st = fin[c].status;
@@ -279,6 +276,7 @@ class Session {
                                    ? DegradationLevel::kBatched
                                    : DegradationLevel::kSingleRhs;
           ++solves_completed_;
+          verified = true;
         } else if (st.kind() == FailureKind::kVerifyMismatch) {
           mismatched.push_back(k);
           util::Diag d;
@@ -290,7 +288,10 @@ class Session {
         }  // else a control failure: the result is dropped, no retry
       }
 
-      if (mismatched.empty()) return out;
+      if (mismatched.empty()) {
+        if (verified) mismatch_streak_ = 0;  // the streak is consecutive
+        return out;
+      }
 
       // Verify mismatches: count the streak toward quarantine, then spend
       // the retry budget on a fresh m for ONLY the failed columns.
@@ -308,7 +309,6 @@ class Session {
         return out;
       }
       if (redraws >= opt_.retry_budget) return out;  // statuses already set
-      backoff(redraws, control);
       ++redraws;
       ++out.transcript_redraws;
       prepared_ = false;  // force a fresh m on the next loop pass
@@ -357,22 +357,6 @@ class Session {
   }
 
  private:
-  /// Exponential backoff before generator redraw r (0-based), bounded by
-  /// the control deadline so a backoff never sleeps past the point where
-  /// the caller stopped caring.
-  void backoff(int r, const util::ExecControl* control) const {
-    if (opt_.backoff_base.count() <= 0) return;
-    auto d = opt_.backoff_base * (std::int64_t{1} << (r < 7 ? r : 7));
-    const auto cap = opt_.backoff_base * 100;
-    if (d > cap) d = cap;
-    if (control != nullptr && control->deadline.has_deadline()) {
-      const auto left = control->deadline.remaining();
-      if (left <= std::chrono::nanoseconds::zero()) return;
-      if (d > left) d = std::chrono::duration_cast<std::chrono::nanoseconds>(left);
-    }
-    std::this_thread::sleep_for(d);
-  }
-
   /// Fork tag of det()'s stream ("kp-det").
   static constexpr std::uint64_t kDetStreamTag = 0x6b702d6465740000ULL;
 

@@ -1,8 +1,9 @@
-// Deterministic 64-bit primality testing and prime search.
+// Deterministic 64-bit primality testing, the NTT-prime stream and
+// primitive roots.
 //
-// Used to validate user-supplied moduli, to find NTT-friendly primes
-// (p = c * 2^k + 1) at runtime, and by the probability experiments that
-// sweep over sample-set sizes.
+// Used to validate user-supplied moduli (GF(p^k), NTT tables), to walk the
+// NTT-friendly primes p = c * 2^a + 1 that CRT sharding runs over, and to
+// find the generators the NTT roots of unity come from.
 #pragma once
 
 #include <algorithm>
@@ -44,26 +45,6 @@ inline bool is_prime_u64(std::uint64_t n) {
     if (composite) return false;
   }
   return true;
-}
-
-/// Smallest prime >= n (n must be < 2^63 - small slack).
-inline std::uint64_t next_prime(std::uint64_t n) {
-  if (n <= 2) return 2;
-  if ((n & 1) == 0) ++n;
-  while (!is_prime_u64(n)) n += 2;
-  return n;
-}
-
-/// Finds a prime p = c * 2^k + 1 with p in [2^(bits-1), 2^bits), i.e. a
-/// field with a 2^k-th root of unity, suitable for NTT of length <= 2^k.
-inline std::uint64_t find_ntt_prime(int k, int bits = 62) {
-  const std::uint64_t step = 1ULL << k;
-  for (std::uint64_t c = (1ULL << (bits - 1 - k)) | 1;; c += 2) {
-    const std::uint64_t p = c * step + 1;
-    if (p >= (1ULL << bits)) break;
-    if (is_prime_u64(p)) return p;
-  }
-  return 0;
 }
 
 /// Deterministic NTT-prime iterator: the LARGEST prime p = c * 2^a + 1 with

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -153,15 +152,6 @@ Matrix<R> mat_sub(const R& r, const Matrix<R>& a, const Matrix<R>& b) {
   Matrix<R> out(a.rows(), a.cols(), r.zero());
   for (std::size_t i = 0; i < a.data().size(); ++i) {
     out.data()[i] = r.sub(a.data()[i], b.data()[i]);
-  }
-  return out;
-}
-
-template <kp::field::CommutativeRing R>
-Matrix<R> mat_neg(const R& r, const Matrix<R>& a) {
-  Matrix<R> out(a.rows(), a.cols(), r.zero());
-  for (std::size_t i = 0; i < a.data().size(); ++i) {
-    out.data()[i] = r.neg(a.data()[i]);
   }
   return out;
 }
@@ -315,20 +305,6 @@ Matrix<R> leading_principal(const R& r, const Matrix<R>& a, std::size_t i) {
   Matrix<R> out(i, i, r.zero());
   for (std::size_t x = 0; x < i; ++x) {
     for (std::size_t y = 0; y < i; ++y) out.at(x, y) = a.at(x, y);
-  }
-  return out;
-}
-
-template <kp::field::CommutativeRing R>
-std::string mat_to_string(const R& r, const Matrix<R>& a) {
-  std::string out;
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    out += "[ ";
-    for (std::size_t j = 0; j < a.cols(); ++j) {
-      out += r.to_string(a.at(i, j));
-      out += ' ';
-    }
-    out += "]\n";
   }
   return out;
 }

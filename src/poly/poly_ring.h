@@ -59,7 +59,6 @@ class PolyRing {
         karatsuba_threshold_(karatsuba_threshold) {}
 
   const R& base() const { return base_; }
-  void set_strategy(MulStrategy s) { strategy_ = s; }
   MulStrategy strategy() const { return strategy_; }
   std::size_t karatsuba_threshold() const { return karatsuba_threshold_; }
 

@@ -37,7 +37,6 @@
 #include <thread>
 #include <vector>
 
-#include "util/deadline.h"
 #include "util/op_count.h"
 #include "util/status.h"
 
@@ -73,8 +72,7 @@ class ExecutionContext {
   /// regions: a batch already running retires normally (its submitter
   /// participates, so losing the workers cannot strand it), workers exit
   /// once idle, and join() waits for them.  After shutdown, parallel_for
-  /// degrades to the serial loop (defined behavior, no new threads) and
-  /// parallel_for_status reports FailureKind::kShutdown.
+  /// degrades to the serial loop (defined behavior, no new threads).
   void shutdown() {
     std::vector<std::thread> joining;
     {
@@ -119,52 +117,18 @@ class ExecutionContext {
     const unsigned workers = region_degree(begin, end, max_workers);
     // Serial fast path: empty/one-worker regions, a nested region (a pool
     // thread or a region-running submitter must never wait on the pool
-    // again), or a shut-down pool (the legacy void API keeps running
-    // serially -- defined behavior instead of the old spawn-after-join UB).
+    // again), or a shut-down pool (the serial loop is defined behavior; no
+    // thread is spawned after join).
     if (workers <= 1 || in_region() || is_shutdown()) {
       for (std::size_t i = begin; i < end; ++i) fn(i);
       return;
     }
-    const kp::util::Status st = submit_region(begin, end, fn, workers, nullptr);
+    const kp::util::Status st = submit_region(begin, end, fn, workers);
     if (!st.ok()) {
       // Lost the shutdown race while waiting for the batch slot: fall back
       // to the same serial loop the pre-submit check would have taken.
       for (std::size_t i = begin; i < end; ++i) fn(i);
     }
-  }
-
-  /// Status-returning variant for callers that must NOT silently degrade:
-  /// after shutdown() it reports FailureKind::kShutdown instead of running,
-  /// and with a control token it refuses expired/cancelled work up front and
-  /// bounds the wait for the batch slot by the deadline (kDeadlineExceeded
-  /// without running a single iteration).  Iterations already started are
-  /// never interrupted -- cancellation stays cooperative, checked by the
-  /// pipeline between stages, not mid-kernel.
-  kp::util::Status parallel_for_status(
-      std::size_t begin, std::size_t end,
-      const std::function<void(std::size_t)>& fn, unsigned max_workers = 0,
-      const kp::util::ExecControl* control = nullptr,
-      kp::util::Stage where = kp::util::Stage::kServiceExecute) {
-    if (auto st = kp::util::ExecControl::check(control, where); !st.ok()) {
-      return st;
-    }
-    if (is_shutdown()) {
-      return kp::util::Status::Fail(kp::util::FailureKind::kShutdown, where,
-                                    "execution context shut down");
-    }
-    const unsigned workers = region_degree(begin, end, max_workers);
-    if (workers <= 1 || in_region()) {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-      return kp::util::Status::Ok();
-    }
-    kp::util::Status st = submit_region(begin, end, fn, workers, control);
-    if (!st.ok() && st.kind() == kp::util::FailureKind::kShutdown) {
-      // Shutdown raced the submit: the region never ran; report it rather
-      // than degrade, the caller opted into strict semantics.
-      return kp::util::Status::Fail(kp::util::FailureKind::kShutdown, where,
-                                    "execution context shut down");
-    }
-    return st;
   }
 
  private:
@@ -185,14 +149,12 @@ class ExecutionContext {
     return workers;
   }
 
-  /// The pooled submission path shared by both public entry points.
-  /// Returns kShutdown (without running anything) if the pool stopped
-  /// before the batch was installed, kDeadlineExceeded if the control
-  /// deadline expired while waiting for the batch slot.
+  /// The pooled submission path behind parallel_for.  Returns kShutdown
+  /// (without running anything) if the pool stopped before the batch was
+  /// installed.
   kp::util::Status submit_region(std::size_t begin, std::size_t end,
                                  const std::function<void(std::size_t)>& fn,
-                                 unsigned workers,
-                                 const kp::util::ExecControl* control) {
+                                 unsigned workers) {
     const std::size_t count = end - begin;
     // Static block partition: iterations are assumed comparable in cost
     // (rows, Monte Carlo trials); blocks avoid false sharing of counters.
@@ -210,21 +172,10 @@ class ExecutionContext {
                                     "execution context shut down");
     }
     ensure_started(lk, workers);
-    // Serialize batches from concurrent submitters; a control deadline
-    // bounds the wait so an overloaded pool sheds instead of queueing.
-    const auto slot_free = [&] {
+    // Serialize batches from concurrent submitters.
+    submit_cv_.wait(lk, [&] {
       return batch_ == nullptr || stop_.load(std::memory_order_relaxed);
-    };
-    if (control != nullptr && control->deadline.has_deadline()) {
-      if (!submit_cv_.wait_until(lk, control->deadline.time_point(),
-                                 slot_free)) {
-        return kp::util::Status::Fail(kp::util::FailureKind::kDeadlineExceeded,
-                                      kp::util::Stage::kServiceExecute,
-                                      "deadline expired waiting for the pool");
-      }
-    } else {
-      submit_cv_.wait(lk, slot_free);
-    }
+    });
     if (stop_.load(std::memory_order_relaxed)) {
       return kp::util::Status::Fail(kp::util::FailureKind::kShutdown,
                                     kp::util::Stage::kServiceExecute,

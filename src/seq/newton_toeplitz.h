@@ -16,6 +16,10 @@
 // Work is O(n^2 polylog n) field operations -- quadratic in n, versus the
 // O(n^3) of Gaussian elimination on a dense copy and the O(n^4) of
 // division-free methods; bench_toeplitz_charpoly measures the exponent.
+//
+// From the characteristic polynomial p, T^{-1} b is one Cayley-Hamilton
+// combination of Toeplitz-vector products (detail::charpoly_inverse_apply):
+// toeplitz_solve_charpoly applies it to b, gs_from_toeplitz to e_1 and e_n.
 #pragma once
 
 #include <vector>
@@ -26,7 +30,6 @@
 #include "seq/gohberg_semencul.h"
 #include "seq/newton_identities.h"
 #include "util/fault.h"
-#include "util/status.h"
 
 namespace kp::seq {
 
@@ -175,61 +178,47 @@ typename F::Element toeplitz_det(
   return (t.dim() % 2 == 0) ? p0 : f.neg(p0);
 }
 
-/// Solves T x = b for a non-singular Toeplitz matrix via Cayley-Hamilton:
-/// with p(T) = 0, T^{-1} = -(1/p_0) sum_{k>=1} p_k T^{k-1}, so x is a
-/// matrix-polynomial apply using Toeplitz-vector products (O(n M(n)) work).
-/// Returns an empty vector when the characteristic polynomial reports
-/// det(T) = 0, or when dim(b) != dim(T).
+namespace detail {
+
+/// The Cayley-Hamilton apply of T^{-1}: with p(T) = 0 and scale = -1/p_0,
+/// T^{-1} b = scale * sum_{k>=1} p_k T^{k-1} b -- n - 1 Toeplitz-vector
+/// products (O(n M(n)) work).  `p` is T's characteristic polynomial.
+template <kp::field::Field F>
+std::vector<typename F::Element> charpoly_inverse_apply(
+    const F& f, const matrix::Toeplitz<F>& t, const kp::poly::PolyRing<F>& ring,
+    const std::vector<typename F::Element>& p, const typename F::Element& scale,
+    std::vector<typename F::Element> b) {
+  const std::size_t n = t.dim();
+  std::vector<typename F::Element> acc(n, f.zero());
+  for (std::size_t k = 1; k <= n; ++k) {
+    if (k > 1) b = t.apply(ring, b);
+    if (f.eq(p[k], f.zero())) continue;
+    for (std::size_t i = 0; i < n; ++i) {
+      acc[i] = f.add(acc[i], f.mul(p[k], b[i]));
+    }
+  }
+  for (auto& e : acc) e = f.mul(e, scale);
+  return acc;
+}
+
+}  // namespace detail
+
+/// Solves T x = b for a non-singular Toeplitz matrix via Cayley-Hamilton
+/// (detail::charpoly_inverse_apply on Theorem 3's characteristic
+/// polynomial).  Returns an empty vector when the characteristic polynomial
+/// reports det(T) = 0, or when dim(b) != dim(T).
 template <kp::field::Field F>
 std::vector<typename F::Element> toeplitz_solve_charpoly(
     const F& f, const matrix::Toeplitz<F>& t,
     const std::vector<typename F::Element>& b,
     const kp::poly::PolyRing<F>& ring,
     NewtonIdentityMethod method = NewtonIdentityMethod::kTriangularSolve) {
-  const std::size_t n = t.dim();
-  if (b.size() != n) return {};
+  if (b.size() != t.dim()) return {};
   const auto p = toeplitz_charpoly(f, t, method);
   if (KP_FAULT_POINT(kp::util::Stage::kNewtonToeplitz) || f.is_zero(p[0])) {
     return {};
   }
-  // acc = sum_{k>=1} p_k T^{k-1} b, then x = -acc / p_0.
-  std::vector<typename F::Element> w = b;
-  std::vector<typename F::Element> acc(n, f.zero());
-  for (std::size_t k = 1; k <= n; ++k) {
-    if (k > 1) w = t.apply(ring, w);
-    if (f.eq(p[k], f.zero())) continue;
-    for (std::size_t i = 0; i < n; ++i) {
-      acc[i] = f.add(acc[i], f.mul(p[k], w[i]));
-    }
-  }
-  const auto scale = f.neg(f.inv(p[0]));
-  for (auto& e : acc) e = f.mul(e, scale);
-  return acc;
-}
-
-/// Status-carrying form of toeplitz_solve_charpoly: distinguishes the
-/// malformed call (dim mismatch) from the legitimate Theorem-3 failure
-/// report det(T) = 0.
-template <kp::field::Field F>
-kp::util::StatusOr<std::vector<typename F::Element>>
-toeplitz_solve_charpoly_status(
-    const F& f, const matrix::Toeplitz<F>& t,
-    const std::vector<typename F::Element>& b,
-    const kp::poly::PolyRing<F>& ring,
-    NewtonIdentityMethod method = NewtonIdentityMethod::kTriangularSolve) {
-  using kp::util::FailureKind;
-  using kp::util::Stage;
-  using kp::util::Status;
-  if (b.size() != t.dim()) {
-    return Status::Fail(FailureKind::kInvalidArgument, Stage::kNewtonToeplitz,
-                        "dim(b) != dim(T)");
-  }
-  auto x = toeplitz_solve_charpoly(f, t, b, ring, method);
-  if (x.empty()) {
-    return Status::Fail(FailureKind::kSingularInput, Stage::kNewtonToeplitz,
-                        "charpoly reports det(T) = 0");
-  }
-  return x;
+  return detail::charpoly_inverse_apply(f, t, ring, p, f.neg(f.inv(p[0])), b);
 }
 
 /// Gohberg-Semencul representation through the section-3 machinery: ONE
@@ -249,29 +238,15 @@ std::optional<GohbergSemencul<F>> gs_from_toeplitz(
   }
   const auto scale = f.neg(f.inv(p[0]));
 
-  // x = T^{-1} b = -(1/p_0) sum_{k>=1} p_k T^{k-1} b.
-  auto solve = [&](std::vector<typename F::Element> b) {
-    std::vector<typename F::Element> acc(n, f.zero());
-    for (std::size_t k = 1; k <= n; ++k) {
-      if (k > 1) b = t.apply(ring, b);
-      if (f.eq(p[k], f.zero())) continue;
-      for (std::size_t i = 0; i < n; ++i) {
-        acc[i] = f.add(acc[i], f.mul(p[k], b[i]));
-      }
-    }
-    for (auto& e : acc) e = f.mul(e, scale);
-    return acc;
-  };
-
   std::vector<typename F::Element> e1(n, f.zero()), en(n, f.zero());
   e1[0] = f.one();
   en[n - 1] = f.one();
-  auto u = solve(std::move(e1));
+  auto u = detail::charpoly_inverse_apply(f, t, ring, p, scale, std::move(e1));
   if (KP_FAULT_POINT(kp::util::Stage::kGohbergSemencul) ||
       f.is_zero(u[0])) {
     return std::nullopt;  // (T^{-1})_{1,1} = 0
   }
-  auto y = solve(std::move(en));
+  auto y = detail::charpoly_inverse_apply(f, t, ring, p, scale, std::move(en));
   auto u1_inv = f.inv(u[0]);
   return GohbergSemencul<F>{std::move(u), std::move(y), std::move(u1_inv)};
 }

@@ -17,9 +17,12 @@
 // Status carries the kind + stage of the first detected failure; Diag is the
 // per-attempt record (which randomness was drawn from which seed, how much
 // work the attempt cost) that makes a failed run diagnosable after the fact.
-// The taxonomy is shared by kp_solve / kp_det / wiedemann_* /
-// toeplitz_solve_charpoly / field_lift; the legacy optional/empty-returning
-// APIs remain as thin wrappers over the Status-returning ones.
+// The taxonomy is shared by kp_solve / kp_det / the Wiedemann and
+// block-Wiedemann solves / field_lift / the CRT shards / sessions and the
+// service.  Entry points outside the Las Vegas pipeline (the seq-layer
+// toeplitz_solve_charpoly and gs_from_toeplitz, the singular-system and
+// least-squares helpers of core/extensions.h) report failure by an empty or
+// nullopt result instead.
 #pragma once
 
 #include <cstddef>

@@ -1005,10 +1005,10 @@ TEST(ExtensionsTest, LeastSquaresNormalEquationsResidualOrthogonal) {
 // Small fields via algebraic extension (section 2's card(K) < 3n^2 remedy).
 
 TEST(FieldLiftTest, LiftDegreeCoversTarget) {
-  EXPECT_EQ(core::lift_degree(101, 100), 1u);
-  EXPECT_EQ(core::lift_degree(101, 102), 2u);
-  EXPECT_EQ(core::lift_degree(101, 101 * 101 + 1), 3u);
-  EXPECT_EQ(core::lift_degree(2, 1000), 10u);
+  EXPECT_EQ(core::lift_degree_status(101, 100).value(), 1u);
+  EXPECT_EQ(core::lift_degree_status(101, 102).value(), 2u);
+  EXPECT_EQ(core::lift_degree_status(101, 101 * 101 + 1).value(), 3u);
+  EXPECT_EQ(core::lift_degree_status(2, 1000).value(), 10u);
 }
 
 TEST(FieldLiftTest, SolvesOverSmallPrimeField) {
